@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -24,10 +25,10 @@ from .magnus_fer import fer, magnus
 from .ode import (
     DegenerateFit,
     FloatMatrixPoly,
-    convergence_rows,
-    integrate,
     METHODS,
-    reference_solution,
+    NonFinite,
+    convergence_sweep,
+    fit_slope,
     rows_to_csv,
 )
 from .pbt import ascii_render, trees_of_degree
@@ -38,6 +39,14 @@ __all__ = ["main", "build_parser"]
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
+
+# solve input bounds.  The reference solution runs 64 x max(--steps) steps and
+# keeps every n x n transition, so its cost is bounded jointly as well; the
+# weight tables grow about as (degree + 1)^3.
+MAX_STEPS = 4096
+MAX_N = 64
+MAX_DEGREE = 8
+MAX_REFERENCE_ENTRIES = 1 << 22  # 64 * max(--steps) * n * n
 
 
 def _default_seed() -> int:
@@ -167,10 +176,12 @@ def _load_matrix_poly(path: str) -> FloatMatrixPoly:
         if field not in data:
             raise ValueError(f"matrix file: missing field '{field}'")
     n, degree, coeffs = data["n"], data["degree"], data["coeffs"]
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"matrix file: field 'n' must be a positive integer, got {n!r}")
-    if not isinstance(degree, int) or degree < 0:
-        raise ValueError(f"matrix file: field 'degree' must be a nonnegative integer, got {degree!r}")
+    if type(n) is not int or not 1 <= n <= MAX_N:
+        raise ValueError(f"matrix file: field 'n' must be an integer in 1..{MAX_N}, got {n!r}")
+    if type(degree) is not int or not 0 <= degree <= MAX_DEGREE:
+        raise ValueError(
+            f"matrix file: field 'degree' must be an integer in 0..{MAX_DEGREE}, got {degree!r}"
+        )
     if not isinstance(coeffs, list) or len(coeffs) != degree + 1:
         raise ValueError(
             f"matrix file: field 'coeffs' must list degree+1 = {degree + 1} matrices"
@@ -185,6 +196,8 @@ def _load_matrix_poly(path: str) -> FloatMatrixPoly:
             vals = [float(x) for x in flat]
         except (TypeError, ValueError) as exc:
             raise ValueError(f"matrix file: coeffs[{j}] contains a non-numeric entry") from exc
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError(f"matrix file: coeffs[{j}] contains a non-finite entry")
         mats.append([vals[i * n : (i + 1) * n] for i in range(n)])
     import numpy as np
 
@@ -204,12 +217,25 @@ def cmd_solve(args) -> int:
     except ValueError:
         print(f"solve: --steps must be positive integers, got {args.steps!r}", file=sys.stderr)
         return USAGE_ERROR
-    if args.t_final <= 0:
-        print(f"solve: --t-final must be positive, got {args.t_final}", file=sys.stderr)
+    if counts[-1] > MAX_STEPS:
+        print(f"solve: --steps entries must be <= {MAX_STEPS}, got {counts[-1]}", file=sys.stderr)
+        return USAGE_ERROR
+    if 64 * counts[-1] * a.n * a.n > MAX_REFERENCE_ENTRIES:
+        print(
+            f"solve: --steps {counts[-1]} with n = {a.n} is too large: the reference needs "
+            f"64 * steps * n * n <= {MAX_REFERENCE_ENTRIES} matrix entries",
+            file=sys.stderr,
+        )
+        return USAGE_ERROR
+    if not (math.isfinite(args.t_final) and args.t_final > 0):
+        print(f"solve: --t-final must be positive and finite, got {args.t_final}", file=sys.stderr)
         return USAGE_ERROR
 
-    reference = reference_solution(a, args.t_final, counts[-1])
-    rows = convergence_rows(a, args.t_final, args.method, counts, reference)
+    try:
+        rows, final = convergence_sweep(a, args.t_final, args.method, counts)
+    except NonFinite as exc:
+        print(f"solve: integration overflowed: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     csv_text = rows_to_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -217,15 +243,10 @@ def cmd_solve(args) -> int:
     else:
         sys.stdout.write(csv_text)
 
-    final = integrate(a, args.t_final, counts[-1], args.method).final
-    slope = None
-    if len(counts) >= 4:
-        errors = [r[2] for r in rows]
-        if all(e > 1e-13 for e in errors):
-            import numpy as np
-
-            hs = [r[1] for r in rows]
-            slope = float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
+    try:
+        slope = fit_slope(rows)
+    except ValueError:  # fewer than 4 step counts, or errors at machine precision
+        slope = None
     summary = {
         "method": args.method,
         "t_final": args.t_final,

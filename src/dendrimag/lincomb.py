@@ -74,13 +74,6 @@ class LinComb:
     def support_count(self) -> int:
         return len(self.terms)
 
-    def map_basis(self, f: Callable[[Any], "LinComb"]) -> "LinComb":
-        """Linear extension of a basis-to-LinComb map."""
-        out = LinComb.zero()
-        for b, c in self.terms.items():
-            out = out + f(b).scale(c)
-        return out
-
     def sorted_terms(self) -> list[tuple[Any, Fraction]]:
         return sorted(self.terms.items(), key=lambda bc: (bc[0].degree, str(bc[0])))
 

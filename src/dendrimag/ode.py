@@ -2,11 +2,14 @@
 
 A(t) is restricted to matrix polynomials, so every inner integral in the
 expansions is exact and the only error sources are series truncation and
-floating point (quadrature design is deliberately out of scope).  Each step
-over [t0, t0+h] shifts A to the local variable s, runs the same pre-Lie
-Magnus / Fer recursions as the exact half of the package, with
-integration as the weight-zero operator (rhd(x, y) = [I(x), y] keeps
-polynomials polynomial), and exponentiates the integrated truncation.
+floating point (quadrature design is deliberately out of scope).
+
+Over a step [t0, t0+h] write A(t0 + s) = sum_k B_k s^k.  With integration
+as the weight-zero operator (rhd(x, y) = [I(x), y]), the pre-Lie Magnus and
+Fer recursions make each step exponent a fixed rational combination of
+h^p B_{w_1} ... B_{w_k}.  These weight tables come from the exact ``magnus``
+/ ``fer`` run once per method and degree over a carrier of such words;
+``integrate`` then evaluates them in numpy on whole batches of steps.
 
 Grade-to-order bookkeeping: the grade-d term of the step exponent scales at
 least as h^d, so keeping grade 1 gives a second-order method and grades up
@@ -23,15 +26,17 @@ against log(h).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .lincomb import LinComb, LinCombSpace, bilinear
 from .magnus_fer import fer, magnus
-from .series import CoeffSpace
 
 __all__ = [
     "NonFinite",
@@ -45,7 +50,9 @@ __all__ = [
     "METHODS",
     "reference_solution",
     "convergence_rows",
+    "convergence_sweep",
     "convergence_order",
+    "fit_slope",
     "rows_to_csv",
     "liouville_defect",
     "default_test_problem",
@@ -81,18 +88,21 @@ _PADE13_BOUND = 5.371920351148152
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring with the fixed degree-13 diagonal approximant."""
+    """Scaling-and-squaring with the fixed degree-13 diagonal approximant.
+
+    Takes one square matrix or a stack of shape (..., n, n); every matrix
+    gets its own squaring count from its 1-norm.
+    """
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"need a square matrix or a stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NonFinite("matrix_exp input has non-finite entries")
-    norm = float(np.linalg.norm(a, 1))
-    squarings = 0
-    if norm > _PADE13_BOUND:
-        squarings = max(0, int(math.ceil(math.log2(norm / _PADE13_BOUND))))
-        a = a / (2.0**squarings)
-    n = a.shape[0]
+    n = a.shape[-1]
+    a = a.reshape(-1, n, n)
+    norms = np.maximum(np.abs(a).sum(axis=1).max(axis=1), _PADE13_BOUND)  # 1-norms
+    squarings = np.ceil(np.log2(norms / _PADE13_BOUND)).astype(int)
+    a = np.ldexp(a, -squarings[:, None, None])  # exact division by 2^squarings
     ident = np.eye(n)
     b = _PADE13
     a2 = a @ a
@@ -113,11 +123,24 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
         + b[0] * ident
     )
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        r = r @ r
+    for k in range(int(squarings.max(initial=0))):
+        sel = squarings > k
+        r[sel] = r[sel] @ r[sel]
     if not np.all(np.isfinite(r)):
         raise NonFinite("matrix_exp overflowed")
-    return r
+    return r.reshape(np.shape(m))
+
+
+def _shifted(coeffs: Sequence[np.ndarray], t0s: np.ndarray) -> np.ndarray:
+    """Coefficients of s -> A(t0 + s) for every t0 in ``t0s``, shape (steps, d+1, n, n)."""
+    n = coeffs[0].shape[0]
+    out = np.zeros((len(t0s), len(coeffs), n, n))
+    for j, c in enumerate(coeffs):
+        for k in range(j + 1):
+            out[:, k] += (math.comb(j, k) * t0s ** (j - k))[:, None, None] * c
+    if not np.all(np.isfinite(out)):
+        raise NonFinite("shifted polynomial coefficients have non-finite entries")
+    return out
 
 
 class FloatMatrixPoly:
@@ -144,32 +167,6 @@ class FloatMatrixPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __add__(self, other: "FloatMatrixPoly") -> "FloatMatrixPoly":
-        k = max(len(self.coeffs), len(other.coeffs))
-        z = np.zeros((self.n, self.n))
-        out = [
-            (self.coeffs[i] if i < len(self.coeffs) else z)
-            + (other.coeffs[i] if i < len(other.coeffs) else z)
-            for i in range(k)
-        ]
-        return FloatMatrixPoly(out)
-
-    def scale(self, c) -> "FloatMatrixPoly":
-        return FloatMatrixPoly([float(c) * a for a in self.coeffs])
-
-    def __neg__(self) -> "FloatMatrixPoly":
-        return self.scale(-1.0)
-
-    def __mul__(self, other: "FloatMatrixPoly") -> "FloatMatrixPoly":
-        out = [
-            np.zeros((self.n, self.n))
-            for _ in range(len(self.coeffs) + len(other.coeffs) - 1)
-        ]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a @ b
-        return FloatMatrixPoly(out)
-
     def integrate(self) -> "FloatMatrixPoly":
         out = [np.zeros((self.n, self.n))]
         out.extend(c / (j + 1) for j, c in enumerate(self.coeffs))
@@ -185,79 +182,80 @@ class FloatMatrixPoly:
 
     def shifted(self, t0: float) -> "FloatMatrixPoly":
         """The polynomial s -> A(t0 + s)."""
-        d = self.degree
-        out = [np.zeros((self.n, self.n)) for _ in range(d + 1)]
-        for j, c in enumerate(self.coeffs):
-            for k in range(j + 1):
-                out[k] += math.comb(j, k) * (t0 ** (j - k)) * c
-        return FloatMatrixPoly(out)
-
-    def is_zero(self) -> bool:
-        return not any(c.any() for c in self.coeffs)
+        return FloatMatrixPoly(_shifted(self.coeffs, np.array([t0]))[0])
 
 
-class _FloatPolySpace(CoeffSpace):
-    def __init__(self, n: int):
-        self.n = n
+_METHOD_META = {  # method -> (convergence order, exponentials per step)
+    "magnus2": (2, 1),
+    "magnus4": (4, 1),
+    "fer1": (2, 1),
+    "fer2": (4, 2),
+}
 
-    def zero(self) -> FloatMatrixPoly:
-        return FloatMatrixPoly([np.zeros((self.n, self.n))])
-
-    def add(self, x, y):
-        return x + y
-
-    def scale(self, c: Fraction, x):
-        return x.scale(float(c))
-
-    def is_zero(self, x) -> bool:
-        return x.is_zero()
+Row = tuple[int, float, float, float | None]
 
 
-class _IntegralPreLieOps:
-    """rhd(x, y) = [I(x), y]: weight-zero integration pre-Lie on float polys."""
-
-    def __init__(self, n: int):
-        self.space = _FloatPolySpace(n)
-
-    def rhd(self, x: FloatMatrixPoly, y: FloatMatrixPoly) -> FloatMatrixPoly:
-        ix = x.integrate()
-        return ix * y + (-(y * ix))
+def _integral_bracket(x, y) -> LinComb:
+    """[I(x), y] on basis pairs (word, p) = s^p B_word; I(s^p) = s^(p+1)/(p+1)."""
+    (wx, px), (wy, py) = x, y
+    c = Fraction(1, px + 1)
+    p = px + 1 + py
+    return LinComb([((wx + wy, p), c), ((wy + wx, p), -c)])
 
 
-def _step_exponent(series, h: float) -> np.ndarray:
-    """Integrate each grade over [0, h] and sum."""
-    total = None
-    for coeff in series.coeffs:
-        val = coeff.integrate().eval_at(h)
-        total = val if total is None else total + val
-    return total
+@functools.cache
+def _weight_tables(method: str, degree: int) -> tuple:
+    """Per exponential factor of one step, its (word, power, weight) terms:
+    the exponent is the sum of weight * h^power * B_{w_1} ... B_{w_k}, from the
+    exact recursions truncated at grade (order - 1) and integrated over [0, h]."""
+    order, nexp = _METHOD_META[method]
+    ops = SimpleNamespace(space=LinCombSpace(), rhd=bilinear(_integral_bracket))
+    a = LinComb([(((k,), k), Fraction(1)) for k in range(degree + 1)])
+    if method.startswith("magnus"):
+        factors = [magnus(ops, a, order - 1)]
+    else:
+        factors = fer(ops, a, order - 1)[:nexp]
+    # grades have distinct word lengths, so their terms never collide
+    return tuple(
+        tuple(sorted((w, p + 1, c / (p + 1)) for g in f.coeffs for (w, p), c in g.terms.items()))
+        for f in factors
+    )
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow raises NonFinite below instead
+def _transitions(a: FloatMatrixPoly, t0s: np.ndarray, h: float, method: str) -> np.ndarray:
+    """Step transition matrices over [t0, t0+h] for every t0, shape (steps, n, n)."""
+    if h <= 0:
+        raise ValueError("step size must be positive")
+    b = _shifted(a.coeffs, t0s)
+    u = None
+    for table in _weight_tables(method, a.degree):
+        exponents = np.zeros((len(t0s), a.n, a.n))
+        for word, power, weight in table:
+            prod = b[:, word[0]]
+            for k in word[1:]:
+                prod = prod @ b[:, k]
+            exponents += (float(weight) * h**power) * prod
+        e = matrix_exp(exponents)
+        u = e if u is None else u @ e
+    if not np.all(np.isfinite(u)):
+        raise NonFinite("step transition overflowed")
+    return u
 
 
 def magnus_step(a: FloatMatrixPoly, t0: float, h: float, order: int = 4) -> np.ndarray:
     """One Magnus step over [t0, t0+h]; order 2 keeps grade 1, order 4 grades 1..3."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
     if order not in (2, 4):
         raise ValueError("supported orders are 2 and 4")
-    local = a.shifted(t0)
-    ops = _IntegralPreLieOps(a.n)
-    w = magnus(ops, local, order - 1)
-    return matrix_exp(_step_exponent(w, h))
+    return _transitions(a, np.array([t0]), h, f"magnus{order}")[0]
 
 
 def fer_step(a: FloatMatrixPoly, t0: float, h: float, exponentials: int = 2) -> np.ndarray:
     """One Fer step: exp(I(U_0)) alone (order 2) or followed by the first
     correction truncated at grade 3 (order 4)."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
     if exponentials not in (1, 2):
         raise ValueError("supported exponential counts are 1 and 2")
-    local = a.shifted(t0)
-    if exponentials == 1:
-        return matrix_exp(local.integrate().eval_at(h))
-    ops = _IntegralPreLieOps(a.n)
-    u0, u1 = fer(ops, local, 3)[:2]
-    return matrix_exp(_step_exponent(u0, h)) @ matrix_exp(_step_exponent(u1, h))
+    return _transitions(a, np.array([t0]), h, f"fer{exponentials}")[0]
 
 
 METHODS: dict[str, Callable[[FloatMatrixPoly, float, float], np.ndarray]] = {
@@ -265,13 +263,6 @@ METHODS: dict[str, Callable[[FloatMatrixPoly, float, float], np.ndarray]] = {
     "magnus4": lambda a, t0, h: magnus_step(a, t0, h, order=4),
     "fer1": lambda a, t0, h: fer_step(a, t0, h, exponentials=1),
     "fer2": lambda a, t0, h: fer_step(a, t0, h, exponentials=2),
-}
-
-_METHOD_META = {  # method -> (convergence order, exponentials per step)
-    "magnus2": (2, 1),
-    "magnus4": (4, 1),
-    "fer1": (2, 1),
-    "fer2": (4, 2),
 }
 
 
@@ -284,6 +275,7 @@ class StepResult:
     exponentials_per_step: int = 1
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(
     a: FloatMatrixPoly, horizon: float, steps: int, method: str = "magnus4", t_start: float = 0.0
 ) -> StepResult:
@@ -292,14 +284,17 @@ def integrate(
         raise ValueError("need at least one step")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
-    stepper = METHODS[method]
     h = horizon / steps
+    t0s = t_start + np.arange(steps) * h
+    block = max(1, 2048 // (a.n * a.n))  # steps per batch: 2048 entries per stacked array
     phi = np.eye(a.n)
     transitions = []
-    for k in range(steps):
-        u = stepper(a, t_start + k * h, h)
-        transitions.append(u)
-        phi = u @ phi
+    for lo in range(0, steps, block):
+        for u in _transitions(a, t0s[lo : lo + block], h, method):
+            transitions.append(u)
+            phi = u @ phi
+    if not np.all(np.isfinite(phi)):
+        raise NonFinite("propagator overflowed")
     order, nexp = _METHOD_META[method]
     return StepResult(phi, transitions, method, order, nexp)
 
@@ -311,41 +306,38 @@ def reference_solution(
     return integrate(a, horizon, finest_steps * refinement, "magnus4").final
 
 
-def convergence_rows(
-    a: FloatMatrixPoly,
-    horizon: float,
-    method: str,
-    step_counts: Sequence[int],
-    reference: np.ndarray | None = None,
-) -> list[tuple[int, float, float, float | None]]:
-    """(steps, h, error, slope_window) per step count, against the fine reference."""
+def convergence_sweep(
+    a: FloatMatrixPoly, horizon: float, method: str, step_counts: Sequence[int], reference=None
+) -> tuple[list[Row], np.ndarray]:
+    """``convergence_rows`` together with the final at the finest step count."""
     counts = sorted(step_counts)
     if reference is None:
         reference = reference_solution(a, horizon, counts[-1])
-    rows: list[tuple[int, float, float, float | None]] = []
+    rows: list[Row] = []
     prev: tuple[float, float] | None = None
     for steps in counts:
         h = horizon / steps
-        err = float(np.max(np.abs(integrate(a, horizon, steps, method).final - reference)))
+        final = integrate(a, horizon, steps, method).final
+        err = float(np.max(np.abs(final - reference)))
         window = None
         if prev is not None and err > 0 and prev[1] > 0:
             window = math.log(prev[1] / err) / math.log(prev[0] / h)
         rows.append((steps, h, err, window))
         prev = (h, err)
-    return rows
+    return rows, final
 
 
-def convergence_order(
-    a: FloatMatrixPoly,
-    horizon: float,
-    method: str,
-    step_counts: Sequence[int],
-    reference: np.ndarray | None = None,
-) -> float:
-    """Least-squares slope of log(error) vs log(h) over the sweep."""
-    if len(step_counts) < 4:
+def convergence_rows(
+    a: FloatMatrixPoly, horizon: float, method: str, step_counts: Sequence[int], reference=None
+) -> list[Row]:
+    """(steps, h, error, slope_window) per step count, against the fine reference."""
+    return convergence_sweep(a, horizon, method, step_counts, reference)[0]
+
+
+def fit_slope(rows: Sequence[Row]) -> float:
+    """Least-squares slope of log(error) vs log(h) over convergence rows."""
+    if len(rows) < 4:
         raise ValueError("need at least 4 step counts for a stable fit")
-    rows = convergence_rows(a, horizon, method, step_counts, reference)
     errors = [r[2] for r in rows]
     if any(e < 1e-13 for e in errors):
         raise DegenerateFit(f"errors at machine precision: {errors}")
@@ -354,7 +346,14 @@ def convergence_order(
     return float(slope)
 
 
-def rows_to_csv(rows: Sequence[tuple[int, float, float, float | None]]) -> str:
+def convergence_order(
+    a: FloatMatrixPoly, horizon: float, method: str, step_counts: Sequence[int], reference=None
+) -> float:
+    """Least-squares slope of log(error) vs log(h) over the sweep."""
+    return fit_slope(convergence_rows(a, horizon, method, step_counts, reference))
+
+
+def rows_to_csv(rows: Sequence[Row]) -> str:
     lines = ["steps,h,error,slope_window"]
     for steps, h, err, window in rows:
         lines.append(f"{steps},{h!r},{err!r},{'' if window is None else repr(window)}")

@@ -63,8 +63,8 @@ class PBT:
         self.right = right
         self.degree = left.degree + right.degree + 1
         self._str = f"({left._str}^{right._str})"
-        cls._cache[key] = self
-        return self
+        # setdefault is atomic: a thread that lost the race gets the winner's object
+        return cls._cache.setdefault(key, self)
 
     def __str__(self) -> str:
         return self._str

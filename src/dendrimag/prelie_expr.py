@@ -65,8 +65,8 @@ class PreLieExpr:
         self.right = right
         self.degree = left.degree + right.degree
         self._str = f"({left._str}>{right._str})"
-        cls._cache[key] = self
-        return self
+        # setdefault is atomic: a thread that lost the race gets the winner's object
+        return cls._cache.setdefault(key, self)
 
     @property
     def is_gen(self) -> bool:

@@ -51,8 +51,8 @@ class RootedTree:
         self.children = kids
         self.degree = 1 + sum(k.degree for k in kids)
         self._str = "a" if not kids else "a[" + ",".join(k._str for k in kids) + "]"
-        cls._cache[key] = self
-        return self
+        # setdefault is atomic: a thread that lost the race gets the winner's object
+        return cls._cache.setdefault(key, self)
 
     def __str__(self) -> str:
         return self._str

@@ -167,6 +167,9 @@ def test_solve_missing_file(capsys, tmp_path):
         ({"n": 1, "degree": 0}, "coeffs"),
         ({"n": 2, "degree": 0, "coeffs": [[1.0, 2.0]]}, "coeffs[0]"),
         ({"n": 1, "degree": 0, "coeffs": [["x"]]}, "coeffs[0]"),
+        ({"n": 1, "degree": 0, "coeffs": [["nan"]]}, "coeffs[0]"),
+        ({"n": 1, "degree": 1, "coeffs": [[0.0], [float("inf")]]}, "coeffs[1]"),
+        ({"n": True, "degree": 0, "coeffs": [[1.0]]}, "field 'n'"),
     ],
 )
 def test_solve_malformed_input_names_field(capsys, tmp_path, payload, field):
@@ -182,6 +185,42 @@ def test_solve_bad_steps(capsys, tmp_path):
     path.write_text(json.dumps({"n": 1, "degree": 0, "coeffs": [[1.0]]}))
     code, _, err = run_cli(capsys, "solve", "--matrix", str(path), "--steps", "0,-3")
     assert code == 2 and "steps" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_solve_rejects_non_finite_t_final(capsys, tmp_path, value):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 1, "degree": 0, "coeffs": [[1.0]]}))
+    code, _, err = run_cli(capsys, "solve", "--matrix", str(path), "--t-final", value)
+    assert code == 2 and "--t-final" in err
+
+
+@pytest.mark.parametrize(
+    "payload,steps,names",
+    [
+        ({"n": 65, "degree": 0, "coeffs": [[0.0] * 65 * 65]}, "8", ["field 'n'"]),
+        ({"n": 1, "degree": 9, "coeffs": [[0.0]] * 10}, "8", ["field 'degree'"]),
+        ({"n": 1, "degree": 0, "coeffs": [[1.0]]}, "8,4097", ["--steps"]),
+        ({"n": 64, "degree": 0, "coeffs": [[0.0] * 64 * 64]}, "32", ["--steps", "n = 64"]),
+    ],
+)
+def test_solve_input_bounds(capsys, tmp_path, monkeypatch, payload, steps, names):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an out-of-bounds input reached the integrator")
+
+    monkeypatch.setattr(cli, "convergence_sweep", no_solve)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run_cli(capsys, "solve", "--matrix", str(path), "--steps", steps)
+    assert code == 2
+    assert all(name in err for name in names), err
+
+
+def test_solve_overflow_exits_2(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 2, "degree": 0, "coeffs": [[1e300, 0.0, 0.0, 1e300]]}))
+    code, out, err = run_cli(capsys, "solve", "--matrix", str(path), "--steps", "4")
+    assert code == 2 and "overflow" in err and out == ""
 
 
 def test_help_exits_zero(capsys):

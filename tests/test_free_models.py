@@ -1,3 +1,6 @@
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from dendrimag.pbt import (
     parse_tree,
     trees_of_degree,
 )
+from dendrimag.prelie_expr import GEN, PreLieExpr
 from dendrimag.rooted import RootedTree, VERTEX, graft, rooted_ops, rooted_trees_of_degree
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -44,6 +48,55 @@ def test_interning_gives_identity_equality():
     # child order does not matter for rooted trees
     ladder = RootedTree((VERTEX,))
     assert RootedTree((ladder, VERTEX)) is RootedTree((VERTEX, ladder))
+
+
+def _random_shape(rng, size):
+    """A binary shape with ``size`` internal nodes, as nested pairs (None for a leaf)."""
+    if size == 0:
+        return None
+    left = rng.randrange(size)
+    return (_random_shape(rng, left), _random_shape(rng, size - 1 - left))
+
+
+def _build(shape, kind):
+    if shape is None:
+        return {"pbt": LEAF, "rooted": VERTEX, "expr": GEN}[kind]
+    left, right = _build(shape[0], kind), _build(shape[1], kind)
+    if kind == "rooted":
+        return RootedTree((left, right))
+    return (PBT if kind == "pbt" else PreLieExpr)(left, right)
+
+
+def test_interning_is_thread_safe():
+    # 8 threads build the same fresh trees at once; a lost intern race would
+    # hand two threads distinct objects for one tree
+    rng = random.Random(20261017)
+    shapes = [_random_shape(rng, 60) for _ in range(40)]
+    kinds = ("pbt", "rooted", "expr")
+    workers = 8
+    results = [None] * workers
+    barrier = threading.Barrier(workers)
+
+    def work(i):
+        barrier.wait(timeout=30)
+        results[i] = [[_build(s, kind) for s in shapes] for kind in kinds]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    again = [[_build(s, kind) for s in shapes] for kind in kinds]
+    for built in results:
+        assert built is not None
+        for trees, expected in zip(built, again):
+            assert all(x is y for x, y in zip(trees, expected))
 
 
 def test_generator_products():
