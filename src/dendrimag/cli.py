@@ -40,6 +40,10 @@ __all__ = ["main", "build_parser"]
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
 
+# Highest --order for expand, verify and trees: the free-model products grow
+# about x5 per order, and free Magnus alone takes about 15 s at order 9.
+MAX_ORDER = 8
+
 # solve input bounds.  The reference solution runs 64 x max(--steps) steps and
 # keeps every n x n transition, so its cost is bounded jointly as well; the
 # weight tables grow about as (degree + 1)^3.
@@ -51,12 +55,12 @@ MAX_REFERENCE_ENTRIES = 1 << 22  # 64 * max(--steps) * n * n
 
 def _default_seed() -> int:
     env = os.environ.get("DENDRIMAG_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise SystemExit(f"DENDRIMAG_SEED must be an integer, got {env!r}") from exc
-    return DEFAULT_SEED
+    if env is None:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"DENDRIMAG_SEED must be an integer, got {env!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run exact verification suites")
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--order", type=int, default=5, help="truncation order for the suites")
+    p.add_argument("--order", type=int, default=5, help="truncation order for the suites, 1..8")
     p.add_argument("--seed", type=int, default=None, help="sample seed (default: fixed constant)")
 
     p = sub.add_parser("solve", help="integrate x' = A(t) x and emit a convergence CSV")
@@ -89,10 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True, help="tree degree, 0..8")
     p.add_argument("--render", choices=("strings", "ascii"), default="strings")
     return parser
-
-
-def _combo_str(c: LinComb) -> str:
-    return str(c)
 
 
 def _expansion_components(kind: str, order: int, basis: str) -> list[tuple[str, dict[int, LinComb]]]:
@@ -114,8 +114,8 @@ def _expansion_components(kind: str, order: int, basis: str) -> list[tuple[str, 
 
 
 def cmd_expand(args) -> int:
-    if not 1 <= args.order <= 8:
-        print(f"expand: --order must be in 1..8, got {args.order}", file=sys.stderr)
+    if not 1 <= args.order <= MAX_ORDER:
+        print(f"expand: --order must be in 1..{MAX_ORDER}, got {args.order}", file=sys.stderr)
         return USAGE_ERROR
     blocks = _expansion_components(args.kind, args.order, args.basis)
     if args.format == "json":
@@ -135,15 +135,19 @@ def cmd_expand(args) -> int:
         if not comps:
             print("  (zero through this order)")
         for n in sorted(comps):
-            print(f"  deg {n}: {_combo_str(comps[n])}")
+            print(f"  deg {n}: {comps[n]}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    if args.order < 1:
-        print(f"verify: --order must be >= 1, got {args.order}", file=sys.stderr)
+    if not 1 <= args.order <= MAX_ORDER:
+        print(f"verify: --order must be in 1..{MAX_ORDER}, got {args.order}", file=sys.stderr)
         return USAGE_ERROR
-    seed = args.seed if args.seed is not None else _default_seed()
+    try:
+        seed = args.seed if args.seed is not None else _default_seed()
+    except ValueError as exc:
+        print(f"verify: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     reports = run_suite(args.suite, args.order, seed)
     hard = informational = failures = 0
     for rep in reports:
@@ -192,6 +196,8 @@ def _load_matrix_poly(path: str) -> FloatMatrixPoly:
             raise ValueError(
                 f"matrix file: coeffs[{j}] must be a flat row-major list of {n * n} numbers"
             )
+        if any(isinstance(x, bool) for x in flat):
+            raise ValueError(f"matrix file: coeffs[{j}] contains a boolean entry")
         try:
             vals = [float(x) for x in flat]
         except (TypeError, ValueError) as exc:
@@ -259,8 +265,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_trees(args) -> int:
-    if not 0 <= args.order <= 8:
-        print(f"trees: --order must be in 0..8, got {args.order}", file=sys.stderr)
+    if not 0 <= args.order <= MAX_ORDER:
+        print(f"trees: --order must be in 0..{MAX_ORDER}, got {args.order}", file=sys.stderr)
         return USAGE_ERROR
     basis = trees_of_degree(args.order)
     print(f"{len(basis)} planar binary trees of degree {args.order}")

@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable
 
 from .report import VerificationReport
-from .series import CoeffSpace, TruncatedSeries
+from .series import CoeffSpace, TruncatedSeries, bilinear_terms
 
 __all__ = [
     "UndefinedUnitProduct",
@@ -302,16 +302,7 @@ def _series_bilinear(dend, op, sx: TruncatedSeries, sy: TruncatedSeries) -> Trun
     usp = dend.unital_space
     if sx.space is not usp or sy.space is not usp or sx.order != sy.order:
         raise ValueError("series must live over the instance's unital space")
-    out = [usp.zero() for _ in range(sx.order + 1)]
-    for i, a in enumerate(sx.coeffs):
-        if usp.is_zero(a):
-            continue
-        for j in range(sx.order + 1 - i):
-            b = sy.coeffs[j]
-            if usp.is_zero(b):
-                continue
-            out[i + j] = usp.add(out[i + j], op(a, b))
-    return TruncatedSeries(usp, sx.order, out)
+    return TruncatedSeries(usp, sx.order, bilinear_terms(usp, op, sx.coeffs, sy.coeffs, 0, sx.order))
 
 
 def series_half_prec(dend: Dendriform, sx: TruncatedSeries, sy: TruncatedSeries) -> TruncatedSeries:

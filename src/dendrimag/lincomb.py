@@ -18,19 +18,28 @@ from .series import CoeffSpace
 __all__ = ["LinComb", "LinCombSpace", "bilinear"]
 
 
+_ZERO = Fraction(0)
+
+
+def _accumulate(acc: dict[Any, Fraction], items: Iterable[tuple[Any, Fraction]]) -> dict[Any, Fraction]:
+    """Add each (basis, coeff) into acc in place, dropping coefficients that cancel.
+
+    Sums start from Fraction(0), so int coefficients come out as Fractions.
+    """
+    for basis, coeff in items:
+        c = acc.get(basis, _ZERO) + coeff
+        if c:
+            acc[basis] = c
+        else:
+            acc.pop(basis, None)
+    return acc
+
+
 class LinComb:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Any, Fraction] | Iterable[tuple[Any, Fraction]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Any, Fraction] = {}
-        for basis, coeff in items:
-            c = acc.get(basis, Fraction(0)) + coeff
-            if c == 0:
-                acc.pop(basis, None)
-            else:
-                acc[basis] = c
-        self.terms = acc
+        self.terms = _accumulate({}, terms.items() if isinstance(terms, Mapping) else terms)
 
     @classmethod
     def single(cls, basis: Any, coeff: Fraction | int = 1) -> "LinComb":
@@ -43,15 +52,8 @@ class LinComb:
     def __add__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
             return NotImplemented
-        out = dict(self.terms)
-        for b, c in other.terms.items():
-            s = out.get(b, Fraction(0)) + c
-            if s == 0:
-                out.pop(b, None)
-            else:
-                out[b] = s
         res = LinComb.__new__(LinComb)
-        res.terms = out
+        res.terms = _accumulate(dict(self.terms), other.terms.items())
         return res
 
     def __sub__(self, other: "LinComb") -> "LinComb":
@@ -140,10 +142,13 @@ def bilinear(f: Callable[[Any, Any], LinComb]) -> Callable[[LinComb, LinComb], L
     """Extend a basis-pair product to linear combinations."""
 
     def ext(x: LinComb, y: LinComb) -> LinComb:
-        out = LinComb.zero()
+        acc: dict[Any, Fraction] = {}
         for bx, cx in x.terms.items():
             for by, cy in y.terms.items():
-                out = out + f(bx, by).scale(cx * cy)
-        return out
+                c = cx * cy
+                _accumulate(acc, ((b, c * v) for b, v in f(bx, by).terms.items()))
+        res = LinComb.__new__(LinComb)
+        res.terms = acc
+        return res
 
     return ext

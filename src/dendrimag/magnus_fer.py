@@ -48,7 +48,7 @@ from .lincomb import LinComb
 from .prelie_expr import eval_rooted, formal_ops
 from .report import VerificationReport
 from .scalars import bernoulli_weight
-from .series import TruncatedSeries, series_exp
+from .series import TruncatedSeries, bilinear_terms, series_exp
 
 __all__ = [
     "magnus",
@@ -95,15 +95,7 @@ def magnus_from_series(ops, b: TruncatedSeries, variant: str = "left_rhd") -> Tr
         for m in range(1, n):
             if len(powers) <= m:
                 powers.append([sp.zero() for _ in range(N + 1)])
-            val = sp.zero()
-            for i in range(1, n):
-                w = omega[i]
-                if sp.is_zero(w):
-                    continue
-                p = powers[m - 1][n - i]
-                if sp.is_zero(p):
-                    continue
-                val = sp.add(val, apply_op(w, p))
+            (val,) = bilinear_terms(sp, apply_op, omega, powers[m - 1], n, n)
             powers[m][n] = val
             acc = sp.add(acc, sp.scale(weight(m), val))
         omega[n] = acc
@@ -118,21 +110,15 @@ def magnus(ops, a, order: int, variant: str = "left_rhd") -> TruncatedSeries:
     return magnus_from_series(ops, b, variant)
 
 
-def _per_degree(rep: VerificationReport, label: str, lhs: TruncatedSeries, rhs: TruncatedSeries):
-    diff = lhs - rhs
-    bad = [k for k in range(diff.order + 1) if not diff.space.is_zero(diff.coeff(k))]
-    rep.add(label, not bad, f"nonzero residual at degrees {bad}" if bad else "all residuals zero")
-
-
 def verify_magnus(dend: Dendriform, a, order: int) -> VerificationReport:
     """exp*(W) against the left solution and exp*(-W) against the right one."""
     rep = VerificationReport(f"magnus order {order} [{dend.name}]")
     w_left = magnus(dend, a, order, "left_rhd")
     w_right = magnus(dend, a, order, "right_lhd")
-    _per_degree(rep, "left and right recursion shapes agree", w_left, w_right)
+    rep.add_residuals("left and right recursion shapes agree", w_left, w_right)
     w = lift_to_unital(dend, w_left)
-    _per_degree(rep, "exp*(W) solves X = 1 + lambda a<X", series_exp(w), solve_left(dend, a, order))
-    _per_degree(rep, "exp*(-W) solves Y = 1 - Y>lambda a", series_exp(-w), solve_right(dend, a, order))
+    rep.add_residuals("exp*(W) solves X = 1 + lambda a<X", series_exp(w), solve_left(dend, a, order))
+    rep.add_residuals("exp*(-W) solves Y = 1 - Y>lambda a", series_exp(-w), solve_right(dend, a, order))
     return rep
 
 
@@ -143,20 +129,6 @@ def fer_depth(order: int) -> int:
     return order.bit_length()  # == floor(log2(order)) + 1
 
 
-def _series_rhd(ops, s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
-    sp = ops.space
-    out = [sp.zero() for _ in range(s.order + 1)]
-    for i, x in enumerate(s.coeffs):
-        if sp.is_zero(x):
-            continue
-        for j in range(s.order + 1 - i):
-            y = t.coeffs[j]
-            if sp.is_zero(y):
-                continue
-            out[i + j] = sp.add(out[i + j], ops.rhd(x, y))
-    return TruncatedSeries(sp, s.order, out)
-
-
 def fer_step_series(ops, u: TruncatedSeries) -> TruncatedSeries:
     """One Fer correction: sum_{l>0} ((-1)^l l/(l+1)!) (u rhd .)^l (u)."""
     sp = ops.space
@@ -164,7 +136,7 @@ def fer_step_series(ops, u: TruncatedSeries) -> TruncatedSeries:
     q = u
     fact = 1  # (l+1)! running value
     for l in range(1, u.order + 1):
-        q = _series_rhd(ops, u, q)
+        q = TruncatedSeries(sp, u.order, bilinear_terms(sp, ops.rhd, u.coeffs, q.coeffs, 0, u.order))
         if q.is_zero():
             break
         fact *= l + 1
@@ -207,12 +179,12 @@ def verify_fer(dend: Dendriform, a, order: int, exact_onsets: bool = False) -> V
     prod = TruncatedSeries.one(dend.unital_space, order)
     for u in lifted:
         prod = prod * series_exp(u)
-    _per_degree(rep, f"forward product of {len(factors)} exponentials equals X", prod, solve_left(dend, a, order))
+    rep.add_residuals(f"forward product of {len(factors)} exponentials equals X", prod, solve_left(dend, a, order))
 
     prod = TruncatedSeries.one(dend.unital_space, order)
     for u in reversed(lifted):
         prod = prod * series_exp(-u)
-    _per_degree(rep, "reversed product of negated exponentials equals Y", prod, solve_right(dend, a, order))
+    rep.add_residuals("reversed product of negated exponentials equals Y", prod, solve_right(dend, a, order))
 
     for n, u in enumerate(factors):
         onset = u.low_degree()
@@ -232,7 +204,7 @@ def verify_fer(dend: Dendriform, a, order: int, exact_onsets: bool = False) -> V
         if n >= len(factors):
             break
         closed = _fer_closed_step(dend, lifted[n - 1])
-        _per_degree(rep, f"pre-Lie form of U_{n} matches the closed recursion", lifted[n], closed)
+        rep.add_residuals(f"pre-Lie form of U_{n} matches the closed recursion", lifted[n], closed)
     return rep
 
 
@@ -277,5 +249,5 @@ def power_sum_bridge_check(dend: Dendriform, a, order: int, n_max: int) -> Verif
         for p in range(n + 1):
             q = n - p
             total = total + series_half_prec(dend, series_half_succ(dend, powers[p], w), powers[q])
-        _per_degree(rep, f"n = {n}", total, powers[n + 1])
+        rep.add_residuals(f"n = {n}", total, powers[n + 1])
     return rep

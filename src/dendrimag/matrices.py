@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .scalars import parse_rational, rational_str
+from .scalars import rational_str
 from .series import CoeffSpace
 
 __all__ = ["RatMatrix", "MatrixSpace", "triangular_project", "random_matrix"]
@@ -74,14 +74,6 @@ class RatMatrix:
 
     def to_json(self) -> list[str]:
         return [rational_str(a) for row in self.rows for a in row]
-
-    @classmethod
-    def from_json(cls, flat: Sequence[str]) -> "RatMatrix":
-        n = int(round(len(flat) ** 0.5))
-        if n * n != len(flat):
-            raise ValueError(f"flat matrix length {len(flat)} is not a perfect square")
-        vals = [parse_rational(s) for s in flat]
-        return cls([vals[i * n : (i + 1) * n] for i in range(n)])
 
 
 class MatrixSpace(CoeffSpace):

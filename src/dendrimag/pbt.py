@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .dendriform import Dendriform, UndefinedUnitProduct
 from .lincomb import LinComb, LinCombSpace, bilinear
@@ -186,12 +186,7 @@ class FreeDendriform(Dendriform):
         return c if not c.is_zero() else LinComb.single(GENERATOR)
 
 
-_free = None
-
-
+@cache
 def free_dendriform() -> FreeDendriform:
     """The shared instance (products are memoized globally, reuse it)."""
-    global _free
-    if _free is None:
-        _free = FreeDendriform()
-    return _free
+    return FreeDendriform()

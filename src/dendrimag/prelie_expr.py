@@ -17,10 +17,10 @@ asserted on every result, minimality is best effort only.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable
 
-from .lincomb import LinComb
+from .lincomb import LinComb, LinCombSpace, bilinear
 from .rooted import rooted_ops
 
 __all__ = [
@@ -82,6 +82,9 @@ class PreLieExpr:
 GEN = PreLieExpr()
 
 
+_join = bilinear(lambda ex, ey: LinComb.single(PreLieExpr(ex, ey)))
+
+
 class FormalPreLieOps:
     """The free magma algebra on one generator: rhd joins expressions formally.
 
@@ -92,29 +95,18 @@ class FormalPreLieOps:
     name = "formal-prelie-expressions"
 
     def __init__(self):
-        from .lincomb import LinCombSpace
-
         self.space = LinCombSpace()
 
     def rhd(self, x: LinComb, y: LinComb) -> LinComb:
-        out = LinComb.zero()
-        for ex, cx in x.terms.items():
-            for ey, cy in y.terms.items():
-                out = out + LinComb.single(PreLieExpr(ex, ey), cx * cy)
-        return out
+        return _join(x, y)
 
     def generator(self) -> LinComb:
         return LinComb.single(GEN)
 
 
-_formal = None
-
-
+@cache
 def formal_ops() -> FormalPreLieOps:
-    global _formal
-    if _formal is None:
-        _formal = FormalPreLieOps()
-    return _formal
+    return FormalPreLieOps()
 
 
 class BudgetExhausted(RuntimeError):
@@ -145,11 +137,10 @@ def eval_expr(e: PreLieExpr, gen_value, rhd: Callable, _memo=None):
 
 def eval_combo(combo: LinComb, gen_value, rhd: Callable):
     memo: dict = {}
-    out = None
+    terms = []
     for e, c in combo.terms.items():
-        term = eval_expr(e, gen_value, rhd, memo).scale(c)
-        out = term if out is None else out + term
-    return out if out is not None else LinComb.zero()
+        terms.extend((b, c * v) for b, v in eval_expr(e, gen_value, rhd, memo).terms.items())
+    return LinComb(terms)
 
 
 def eval_rooted(combo: LinComb) -> LinComb:

@@ -32,6 +32,12 @@ class VerificationReport:
     def info(self, label: str, detail: str = "") -> None:
         self.checks.append(Check(label, True, detail, informational=True))
 
+    def add_residuals(self, label: str, lhs, rhs) -> None:
+        """Hard check that two truncated series agree, naming each degree where they differ."""
+        diff = lhs - rhs
+        bad = [k for k, c in enumerate(diff.coeffs) if not diff.space.is_zero(c)]
+        self.add(label, not bad, f"nonzero residual at degrees {bad}" if bad else "all residuals zero")
+
     def extend(self, other: "VerificationReport") -> None:
         for c in other.checks:
             self.checks.append(Check(f"{other.name}: {c.label}", c.ok, c.detail, c.informational))

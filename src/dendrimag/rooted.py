@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .lincomb import LinComb, LinCombSpace, bilinear
 
@@ -92,12 +92,11 @@ def rooted_trees_of_degree(n: int) -> tuple[RootedTree, ...]:
 
 @lru_cache(maxsize=None)
 def _graft_basis(s: RootedTree, t: RootedTree) -> LinComb:
-    out = LinComb.single(RootedTree(t.children + (s,)))  # onto the root
+    terms = [(RootedTree(t.children + (s,)), 1)]  # onto the root
     for i, child in enumerate(t.children):
         rest = t.children[:i] + t.children[i + 1 :]
-        for sub, coeff in _graft_basis(s, child).terms.items():
-            out = out + LinComb.single(RootedTree(rest + (sub,)), coeff)
-    return out
+        terms.extend((RootedTree(rest + (sub,)), c) for sub, c in _graft_basis(s, child).terms.items())
+    return LinComb(terms)
 
 
 graft = bilinear(_graft_basis)
@@ -128,11 +127,6 @@ class RootedGraftOps:
         return c if not c.is_zero() else LinComb.single(VERTEX)
 
 
-_rooted = None
-
-
+@cache
 def rooted_ops() -> RootedGraftOps:
-    global _rooted
-    if _rooted is None:
-        _rooted = RootedGraftOps()
-    return _rooted
+    return RootedGraftOps()

@@ -63,7 +63,6 @@ __all__ = [
     "ZeroWeight",
     "RBTridendriform",
     "RBDendriform",
-    "PreLieView",
     "InducedStructures",
     "induced_structures",
     "double_product",
@@ -181,31 +180,14 @@ class RBDendriform(Dendriform):
         return self.rb.sample(rng)
 
 
-class PreLieView:
-    """The derived pre-Lie pair of a dendriform instance, as an ops bundle."""
-
-    def __init__(self, dend: Dendriform):
-        self.dend = dend
-        self.space = dend.space
-        self.name = f"pre-Lie view of {dend.name}"
-
-    def rhd(self, a, b):
-        return self.dend.rhd(a, b)
-
-    def lhd(self, a, b):
-        return self.dend.lhd(a, b)
-
-
 @dataclass(frozen=True)
 class InducedStructures:
     tridendriform: RBTridendriform
     dendriform: RBDendriform
-    prelie: PreLieView
 
 
 def induced_structures(rb: RotaBaxter) -> InducedStructures:
-    dend = rb.dendriform()
-    return InducedStructures(RBTridendriform(rb), dend, PreLieView(dend))
+    return InducedStructures(RBTridendriform(rb), rb.dendriform())
 
 
 def double_product(rb: RotaBaxter, a: Any, b: Any) -> Any:
@@ -257,16 +239,6 @@ def _one_minus_theta_a(rb: RotaBaxter, a: Any, order: int) -> TruncatedSeries:
     return TruncatedSeries.one(rb.space, order) + s
 
 
-def _apply(op: Callable[[Any], Any], s: TruncatedSeries) -> TruncatedSeries:
-    return s.map_coeffs(op)
-
-
-def _per_degree(rep, label, lhs: TruncatedSeries, rhs: TruncatedSeries):
-    diff = lhs - rhs
-    bad = [k for k in range(diff.order + 1) if not diff.space.is_zero(diff.coeff(k))]
-    rep.add(label, not bad, f"nonzero residual at degrees {bad}" if bad else "all residuals zero")
-
-
 def atkinson_factor(rb: RotaBaxter, a: Any, side: str, order: int) -> TruncatedSeries:
     """Order-by-order solution of Xh = 1 - lambda Rt(a Xh) (side "X") or
     Yh = 1 - lambda R(Yh a) (side "Y")."""
@@ -316,9 +288,9 @@ def bch_recursion(
     for n in range(2, n_max + 1):
         known = TruncatedSeries(sp, n_max, chi)
         if variant == "two_sided":
-            corr = bch(_apply(rb.r, known), _apply(rb.r_tilde, known))
+            corr = bch(known.map_coeffs(rb.r), known.map_coeffs(rb.r_tilde))
         else:
-            corr = bch(alpha.scale(theta), _apply(rb.r, known))
+            corr = bch(alpha.scale(theta), known.map_coeffs(rb.r))
         chi[n] = sp.add(alpha.coeff(n), sp.scale(1 / theta, corr.coeff(n)))
     return TruncatedSeries(sp, n_max, chi)
 
@@ -331,16 +303,15 @@ def atkinson_check(rb: RotaBaxter, a: Any, order: int) -> VerificationReport:
     xh = atkinson_factor(rb, a, "X", order)
     yh = atkinson_factor(rb, a, "Y", order)
     lam_a = TruncatedSeries.single(rb.space, order, 1, a)
-    _per_degree(rep, "Xh substituted back into Xh = 1 - lambda Rt(a Xh)", xh, one - _apply(rb.r_tilde, lam_a * xh))
-    _per_degree(rep, "Yh substituted back into Yh = 1 - lambda R(Yh a)", yh, one - _apply(rb.r, yh * lam_a))
+    rep.add_residuals("Xh substituted back into Xh = 1 - lambda Rt(a Xh)", xh, one - (lam_a * xh).map_coeffs(rb.r_tilde))
+    rep.add_residuals("Yh substituted back into Yh = 1 - lambda R(Yh a)", yh, one - (yh * lam_a).map_coeffs(rb.r))
     mid = _one_minus_theta_a(rb, a, order)
-    _per_degree(rep, "Yh (1 - theta lambda a) Xh = 1", yh * mid * xh, one)
+    rep.add_residuals("Yh (1 - theta lambda a) Xh = 1", yh * mid * xh, one)
     w = rb_magnus(rb, a, order)
-    _per_degree(
-        rep,
+    rep.add_residuals(
         "1 - theta lambda a = exp(R(W)) exp(Rt(W))",
         mid,
-        series_exp(_apply(rb.r, w)) * series_exp(_apply(rb.r_tilde, w)),
+        series_exp(w.map_coeffs(rb.r)) * series_exp(w.map_coeffs(rb.r_tilde)),
     )
     return rep
 
@@ -349,17 +320,15 @@ def factor_exponentials_check(rb: RotaBaxter, a: Any, order: int) -> Verificatio
     """Xh = exp(-Rt(W)) and Yh = exp(-R(W)) with W the induced Magnus series."""
     rep = VerificationReport(f"factor exponentials [{rb.name}]")
     w = rb_magnus(rb, a, order)
-    _per_degree(
-        rep,
+    rep.add_residuals(
         "Xh = exp(-Rt(W))",
         atkinson_factor(rb, a, "X", order),
-        series_exp(-_apply(rb.r_tilde, w)),
+        series_exp(-w.map_coeffs(rb.r_tilde)),
     )
-    _per_degree(
-        rep,
+    rep.add_residuals(
         "Yh = exp(-R(W))",
         atkinson_factor(rb, a, "Y", order),
-        series_exp(-_apply(rb.r, w)),
+        series_exp(-w.map_coeffs(rb.r)),
     )
     return rep
 
@@ -371,12 +340,12 @@ def factor_products_check(rb: RotaBaxter, a: Any, order: int) -> VerificationRep
     factors = fer(rb.dendriform(), a, order)
     prod = TruncatedSeries.one(rb.space, order)
     for u in factors:
-        prod = prod * series_exp(-_apply(rb.r_tilde, u))
-    _per_degree(rep, "forward product of exp(-Rt(U_n)) = Xh", prod, atkinson_factor(rb, a, "X", order))
+        prod = prod * series_exp(-u.map_coeffs(rb.r_tilde))
+    rep.add_residuals("forward product of exp(-Rt(U_n)) = Xh", prod, atkinson_factor(rb, a, "X", order))
     prod = TruncatedSeries.one(rb.space, order)
     for u in reversed(factors):
-        prod = prod * series_exp(-_apply(rb.r, u))
-    _per_degree(rep, "reversed product of exp(-R(U_n)) = Yh", prod, atkinson_factor(rb, a, "Y", order))
+        prod = prod * series_exp(-u.map_coeffs(rb.r))
+    rep.add_residuals("reversed product of exp(-R(U_n)) = Yh", prod, atkinson_factor(rb, a, "Y", order))
     return rep
 
 
@@ -407,12 +376,12 @@ def spitzer_classical_check(rb: RotaBaxter, a: Any, order: int) -> VerificationR
             TruncatedSeries.one(sp, order)
             + TruncatedSeries.single(sp, order, 1, sp.scale(rb.weight, a))
         ).scale(1 / rb.weight)
-        rhs = series_exp(_apply(rb.r, inner))
+        rhs = series_exp(inner.map_coeffs(rb.r))
         label = "iterated series = exp(R(log(1 + theta a lambda)/theta))"
     else:
         rhs = series_exp(TruncatedSeries.single(sp, order, 1, rb.r(a)))
         label = "iterated series = exp(lambda R(a)) at weight zero"
-    _per_degree(rep, label, lhs, rhs)
+    rep.add_residuals(label, lhs, rhs)
     return rep
 
 
@@ -440,33 +409,30 @@ def spitzer_noncommutative_check(
     alpha_t = -series_log(_one_minus_theta_a(rb, a, order)).scale(1 / theta)
     chi_two = bch_recursion(rb, alpha_t, "two_sided")
     chi_one = bch_recursion(rb, alpha_t, "one_sided")
-    _per_degree(rep, "two-sided and one-sided chi forms agree", chi_two, chi_one)
+    rep.add_residuals("two-sided and one-sided chi forms agree", chi_two, chi_one)
 
     w = rb_magnus(rb, a, order)
-    _per_degree(rep, "W = chi(-log(1 - theta lambda a)/theta)", w, chi_two)
+    rep.add_residuals("W = chi(-log(1 - theta lambda a)/theta)", w, chi_two)
 
-    _per_degree(
-        rep,
+    rep.add_residuals(
         "exp(-theta alpha) = exp(R chi) exp(Rt chi)",
         series_exp(alpha_t.scale(-theta)),
-        series_exp(_apply(rb.r, chi_two)) * series_exp(_apply(rb.r_tilde, chi_two)),
+        series_exp(chi_two.map_coeffs(rb.r)) * series_exp(chi_two.map_coeffs(rb.r_tilde)),
     )
 
     plus = series_log(
         one + TruncatedSeries.single(sp, order, 1, sp.scale(theta, a))
     ).scale(1 / theta)
-    _per_degree(
-        rep,
+    rep.add_residuals(
         "iterated series = exp(R(chi(log(1 + theta a lambda)/theta)))",
         _iterated_series(rb, a, order),
-        series_exp(_apply(rb.r, bch_recursion(rb, plus))),
+        series_exp(bch_recursion(rb, plus).map_coeffs(rb.r)),
     )
 
     if alpha is None:
         alpha = TruncatedSeries.single(sp, order, 1, a)
     substituted = (one - series_exp(alpha.scale(-theta))).scale(1 / theta)
-    _per_degree(
-        rep,
+    rep.add_residuals(
         "chi(alpha) = W((1 - exp(-theta alpha))/theta)",
         bch_recursion(rb, alpha),
         magnus_from_series(rb.dendriform(), substituted),
@@ -488,7 +454,7 @@ def exp_image_check(rb: RotaBaxter, a: Any, order: int) -> VerificationReport:
         coeffs.append(sp.scale(Fraction(1, fact), rb.r(power)))
     lhs = TruncatedSeries(sp, order, coeffs)
     rhs = series_exp(TruncatedSeries.single(sp, order, 1, rb.r(a)))
-    _per_degree(rep, "R(exp_*t(lambda a)) = exp(lambda R(a))", lhs, rhs)
+    rep.add_residuals("R(exp_*t(lambda a)) = exp(lambda R(a))", lhs, rhs)
     return rep
 
 
@@ -511,8 +477,7 @@ def classical_magnus_check(rb: RotaBaxter, a: Any, order: int) -> VerificationRe
     if rb.weight != 0:
         raise ValueError("classical reduction concerns weight-zero instances")
     rep = VerificationReport(f"classical Magnus reduction [{rb.name}]")
-    _per_degree(
-        rep,
+    rep.add_residuals(
         "induced recursion = ad_{R(.)} recursion",
         magnus(rb.dendriform(), a, order),
         magnus(_AdjointOps(rb), a, order),

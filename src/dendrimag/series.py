@@ -20,14 +20,14 @@ and ``series_log`` requires constant term equal to the unit.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 __all__ = [
     "CoeffSpace",
     "FractionSpace",
     "RATIONALS",
     "TruncatedSeries",
-    "AssocContext",
+    "bilinear_terms",
     "NonNilpotentInput",
     "BadConstantTerm",
     "series_exp",
@@ -179,16 +179,8 @@ class TruncatedSeries:
         """Cauchy product, truncated; requires the space to declare a product."""
         self._require_same(other)
         sp = self.space
-        out = [sp.zero() for _ in range(self.order + 1)]
-        for i, a in enumerate(self.coeffs):
-            if sp.is_zero(a):
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if sp.is_zero(b):
-                    continue
-                out[i + j] = sp.add(out[i + j], sp.mul(a, b))
-        return TruncatedSeries(sp, self.order, out)
+        coeffs = bilinear_terms(sp, sp.mul, self.coeffs, other.coeffs, 0, self.order)
+        return TruncatedSeries(sp, self.order, coeffs)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by lambda^k (same order bound; top k coefficients fall off)."""
@@ -239,6 +231,39 @@ class TruncatedSeries:
         }
 
 
+def bilinear_terms(
+    space: CoeffSpace,
+    op: Callable[[Any, Any], Any],
+    xs: Sequence[Any],
+    ys: Sequence[Any],
+    lo: int,
+    hi: int,
+) -> list[Any]:
+    """Coefficients of degrees lo..hi of sum_{i+j=n} op(x_i, y_j).
+
+    This is the one truncated bilinear loop: the Cauchy product, the
+    dendriform half-products of unital series, the Fer corrections and the
+    Magnus recursion all extend a bilinear op degree by degree through it.
+    Each factor is tested for zero once per call, and within a degree the
+    terms are added in ascending i.
+    """
+    is_zero, add = space.is_zero, space.add
+    left = [(i, x) for i, x in enumerate(xs[: hi + 1]) if not is_zero(x)]
+    right = [None if is_zero(y) else y for y in ys[: hi + 1]]
+    out = []
+    for n in range(lo, hi + 1):
+        acc = None
+        for i, x in left:
+            if i > n:
+                break
+            y = right[n - i]
+            if y is not None:
+                term = op(x, y)
+                acc = term if acc is None else add(acc, term)
+        out.append(space.zero() if acc is None else acc)
+    return out
+
+
 def series_exp(s: TruncatedSeries) -> TruncatedSeries:
     """exp of a series with zero constant term: sum_n s^n / n! mod lambda^(N+1)."""
     sp = s.space
@@ -276,33 +301,3 @@ def bch(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     if not sp.is_zero(x.coeff(0)) or not sp.is_zero(y.coeff(0)):
         raise NonNilpotentInput("bch needs zero constant terms")
     return series_log(series_exp(x) * series_exp(y)) - x - y
-
-
-class AssocContext:
-    """A coefficient space with product and unit, plus a fixed truncation order.
-
-    Elements with zero constant term are nilpotent modulo lambda^(N+1), which
-    is what makes exp/log/bch total on their stated domains.
-    """
-
-    def __init__(self, space: CoeffSpace, order: int):
-        if not space.has_product:
-            raise TypeError("AssocContext needs a space with product and unit")
-        self.space = space
-        self.order = order
-
-    def zero(self) -> TruncatedSeries:
-        return TruncatedSeries.zero(self.space, self.order)
-
-    def one(self) -> TruncatedSeries:
-        return TruncatedSeries.one(self.space, self.order)
-
-    def single(self, degree: int, x: Any) -> TruncatedSeries:
-        return TruncatedSeries.single(self.space, self.order, degree, x)
-
-    def series(self, coeffs: Iterable[Any]) -> TruncatedSeries:
-        return TruncatedSeries(self.space, self.order, list(coeffs))
-
-    exp = staticmethod(series_exp)
-    log = staticmethod(series_log)
-    bch = staticmethod(bch)

@@ -83,30 +83,21 @@ SAMPLE_TRIPLES = 200
 EXHAUSTIVE_DEGREE = 6
 
 
-def _free_basis_triples(max_total: int):
+def _basis_triples(basis_of_degree, max_total: int):
+    """Every triple of basis elements of degrees >= 1 with total degree <= max_total."""
     for i in range(1, max_total - 1):
         for j in range(1, max_total - i):
             for k in range(1, max_total - i - j + 1):
-                for s in trees_of_degree(i):
-                    for t in trees_of_degree(j):
-                        for u in trees_of_degree(k):
-                            yield (LinComb.single(s), LinComb.single(t), LinComb.single(u))
-
-
-def _rooted_basis_triples(max_total: int):
-    for i in range(1, max_total - 1):
-        for j in range(1, max_total - i):
-            for k in range(1, max_total - i - j + 1):
-                for s in rooted_trees_of_degree(i):
-                    for t in rooted_trees_of_degree(j):
-                        for u in rooted_trees_of_degree(k):
+                for s in basis_of_degree(i):
+                    for t in basis_of_degree(j):
+                        for u in basis_of_degree(k):
                             yield (LinComb.single(s), LinComb.single(t), LinComb.single(u))
 
 
 def suite_dendriform(order: int, seed: int) -> list[VerificationReport]:
     reports = []
     free = free_dendriform()
-    triples = list(_free_basis_triples(EXHAUSTIVE_DEGREE))
+    triples = list(_basis_triples(trees_of_degree, EXHAUSTIVE_DEGREE))
     reports.append(
         check_dendriform_axioms(
             free, triples, f"dendriform axioms [free model, exhaustive degree <= {EXHAUSTIVE_DEGREE}]"
@@ -122,7 +113,7 @@ def suite_dendriform(order: int, seed: int) -> list[VerificationReport]:
     ops = rooted_ops()
     bad = 0
     count = 0
-    for a, b, c in _rooted_basis_triples(EXHAUSTIVE_DEGREE):
+    for a, b, c in _basis_triples(rooted_trees_of_degree, EXHAUSTIVE_DEGREE):
         count += 1
         lhs = ops.rhd(ops.rhd(a, b), c) - ops.rhd(a, ops.rhd(b, c))
         rhs = ops.rhd(ops.rhd(b, a), c) - ops.rhd(b, ops.rhd(a, c))

@@ -12,6 +12,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from dendrimag import cli
 from dendrimag.dendriform import (
@@ -52,6 +53,7 @@ from dendrimag.rota_baxter import (
 from dendrimag.series import TruncatedSeries, series_exp, series_log
 
 SEED = 20071215
+GOLDEN_VERIFY_ALL = Path(__file__).parent / "golden" / "verify_all_order5.txt"
 
 
 def _report(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -245,7 +247,8 @@ def test_criterion_12_convergence_orders():
     _report(12, "slopes in [1.6,2.4] / [3.6,4.4]; Liouville <= 1e-8", ok and elapsed <= 60, detail)
 
 
-def test_criterion_13_cli_contract(capsys, tmp_path):
+def test_criterion_13_cli_contract(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("DENDRIMAG_SEED", raising=False)
     # usage errors exit 2
     ok = cli.main(["expand", "magnus", "--order", "99"]) == 2
     ok = ok and cli.main(["solve", "--matrix", str(tmp_path / "missing.json")]) == 2
@@ -262,10 +265,11 @@ def test_criterion_13_cli_contract(capsys, tmp_path):
     out3 = capsys.readouterr().out
     ok = ok and code3 == 0 and json.loads(out3)["blocks"][0]["components"]["2"] == {"(a>a)": "-1/2"}
 
-    # the full suite at the default order finishes within budget and exits 0
+    # the full suite at the default order finishes within budget, exits 0 and
+    # prints exactly the checked-in output
     start = time.monotonic()
     code_all = cli.main(["verify", "--suite", "all", "--order", "5"])
     elapsed = time.monotonic() - start
-    capsys.readouterr()
-    ok = ok and code_all == 0 and elapsed <= 300
+    out_all = capsys.readouterr().out
+    ok = ok and code_all == 0 and elapsed <= 300 and out_all == GOLDEN_VERIFY_ALL.read_text()
     _report(13, "CLI exit codes, determinism, verify all order 5", ok, f"{elapsed:.1f}s <= 300s")

@@ -96,6 +96,24 @@ def test_verify_seed_env_override(capsys, monkeypatch):
     assert out_env == out_flag
 
 
+def test_verify_bad_seed_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("DENDRIMAG_SEED", "abc")
+    code, out, err = run_cli(capsys, "verify", "--suite", "chi", "--order", "2")
+    assert code == 2 and out == ""
+    assert "DENDRIMAG_SEED" in err
+
+
+@pytest.mark.parametrize("order", ["0", "9"])
+def test_verify_order_bounds(capsys, monkeypatch, order):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("an out-of-bounds --order reached a suite")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    code, out, err = run_cli(capsys, "verify", "--suite", "magnus", "--order", order)
+    assert code == 2 and out == ""
+    assert "--order" in err
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
     failing = VerificationReport("rigged")
     failing.add("always fails", False, "by construction")
@@ -170,6 +188,7 @@ def test_solve_missing_file(capsys, tmp_path):
         ({"n": 1, "degree": 0, "coeffs": [["nan"]]}, "coeffs[0]"),
         ({"n": 1, "degree": 1, "coeffs": [[0.0], [float("inf")]]}, "coeffs[1]"),
         ({"n": True, "degree": 0, "coeffs": [[1.0]]}, "field 'n'"),
+        ({"n": 2, "degree": 0, "coeffs": [[True, False, False, True]]}, "coeffs[0]"),
     ],
 )
 def test_solve_malformed_input_names_field(capsys, tmp_path, payload, field):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dendrimag.dendriform import check_dendriform_axioms, check_prelie_identities
-from dendrimag.lincomb import LinComb
+from dendrimag.lincomb import LinComb, bilinear
 from dendrimag.pbt import (
     GENERATOR,
     LEAF,
@@ -179,3 +179,16 @@ def test_lincomb_normalization():
     assert (a + b).support_count() == 0
     assert a.scale(Fraction(0)).is_zero()
     assert str(LinComb.zero()) == "0"
+
+
+def test_bilinear_drops_cancelling_terms_and_keeps_fractions():
+    s, t = trees_of_degree(2)
+    # s.t = 2t + s and t.s = -2t, with int coefficients; all other pairs give 0
+    table = {(s, t): LinComb([(t, 2), (s, 1)]), (t, s): LinComb([(t, -2)])}
+    prod = bilinear(lambda x, y: table.get((x, y), LinComb()))
+    x = LinComb([(s, 1), (t, 1)])
+    out = prod(x, x)
+    assert out.terms == {s: 1}  # the t terms cancel and leave no zero entry
+    assert type(out.terms[s]) is Fraction
+    assert type(LinComb([(s, 1)]).terms[s]) is Fraction
+    assert prod(LinComb.single(t), LinComb.single(t)).is_zero()

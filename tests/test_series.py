@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from dendrimag.dendriform import UndefinedUnitProduct, lift_to_unital, series_half_prec, series_half_succ
 from dendrimag.matrices import MatrixSpace, random_matrix
 from dendrimag.series import (
     RATIONALS,
-    AssocContext,
     BadConstantTerm,
     NonNilpotentInput,
     TruncatedSeries,
@@ -148,16 +148,62 @@ def test_shift_and_low_degree():
     assert TruncatedSeries.zero(RATIONALS, 4).low_degree() is None
 
 
-def test_assoc_context_helpers():
-    ctx = AssocContext(RATIONALS, 3)
-    assert ctx.one() == scalar_series(3, [1])
-    assert ctx.single(1, Fraction(2)) == scalar_series(3, [0, 2])
-    with pytest.raises(TypeError):
-        from dendrimag.lincomb import LinCombSpace
-
-        AssocContext(LinCombSpace(), 3)
-
-
 def test_series_json():
     s = scalar_series(2, [1, Fraction(-1, 2)])
     assert s.to_json() == {"order": 2, "coeffs": ["1", "-1/2", "0"]}
+
+
+# -- the shared truncated bilinear loop --------------------------------------
+
+
+def _naive(space, op, sx, sy):
+    """Degree-wise double sum with no zero skipping."""
+    out = []
+    for n in range(sx.order + 1):
+        acc = space.zero()
+        for i in range(n + 1):
+            acc = space.add(acc, op(sx.coeff(i), sy.coeff(n - i)))
+        out.append(acc)
+    return TruncatedSeries(space, sx.order, out)
+
+
+def _sparse_matrix_series(rng, space, order):
+    """Zero at degree 0 and at the top degree, random zeros in between."""
+    coeffs = [space.zero()]
+    coeffs += [space.zero() if rng.random() < 0.3 else random_matrix(rng, space.n, span=3) for _ in range(order - 1)]
+    return TruncatedSeries(space, order, coeffs + [space.zero()])
+
+
+def test_series_product_matches_naive_double_sum(rng):
+    space = MatrixSpace(3)
+    one = TruncatedSeries.one(space, 5)
+    for _ in range(10):
+        x = _sparse_matrix_series(rng, space, 5)
+        y = _sparse_matrix_series(rng, space, 5)
+        for a, b in ((x, y), (one + x, y), (x, one + y), (one + x, one + y)):
+            assert a * b == _naive(space, space.mul, a, b)
+
+
+def test_half_products_match_naive_double_sum(tri_rb, rng):
+    dend = tri_rb.dendriform()
+    one = TruncatedSeries.one(dend.unital_space, 5)
+    for _ in range(5):
+        x = lift_to_unital(dend, _sparse_matrix_series(rng, tri_rb.space, 5))
+        y = lift_to_unital(dend, _sparse_matrix_series(rng, tri_rb.space, 5))
+        for a, b in ((x, y), (one + x, y), (x, one + y)):
+            assert series_half_prec(dend, a, b) == _naive(dend.unital_space, dend.half_prec, a, b)
+            assert series_half_succ(dend, a, b) == _naive(dend.unital_space, dend.half_succ, a, b)
+
+
+def test_half_product_of_two_unit_constant_terms_is_undefined(tri_rb):
+    dend = tri_rb.dendriform()
+    one = TruncatedSeries.one(dend.unital_space, 3)
+    with pytest.raises(UndefinedUnitProduct):
+        series_half_prec(dend, one, one)
+
+
+def test_half_product_rejects_series_over_another_space(tri_rb):
+    dend = tri_rb.dendriform()
+    carrier_one = TruncatedSeries.one(tri_rb.space, 3)
+    with pytest.raises(ValueError):
+        series_half_prec(dend, carrier_one, carrier_one)
