@@ -23,15 +23,23 @@ obeys the skew-derivation rule d(fg) = d(f) g + f d(g) + theta d(f) d(g)
 and telescopes against the forward summation: shift_sum(diff(f)) = f.
 ``diff`` extends the window by one slot; ``shift_sum`` needs a total sum of
 zero (always true of differences) to keep its output finitely supported.
+
+The values are stored as a tuple of integer numerators over one positive
+integer denominator, in lowest terms (``scalars.reduced``); every operator
+above runs on ints and builds no per-entry ``Fraction``.  ``Fraction`` is
+used only at the boundary: the constructor, ``theta`` (which must be
+positive), the ``scale`` argument, the read-only ``values`` property,
+``repr`` and ``to_json``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable
 
-from .scalars import rational_str
+from .scalars import add_vectors, as_fractions, common_denominator, rational_str, reduced, scale_vector
 from .series import CoeffSpace
 
 __all__ = ["GridSeq", "GridSpace", "NonSummable", "random_gridseq"]
@@ -41,89 +49,105 @@ class NonSummable(ValueError):
     """shift_sum input has nonzero total, so its tail sums never vanish."""
 
 
+def _positive_theta(theta: Fraction) -> Fraction:
+    theta = Fraction(theta)
+    if theta <= 0:
+        raise ValueError(f"grid spacing theta must be positive, got {theta}")
+    return theta
+
+
 class GridSeq:
-    __slots__ = ("theta", "values")
+    __slots__ = ("theta", "num", "den")
 
     def __init__(self, theta: Fraction, values: Iterable[Fraction | int]):
-        self.theta = Fraction(theta)
-        self.values = tuple(Fraction(v) for v in values)
+        self.theta = _positive_theta(theta)
+        self.num, self.den = common_denominator(values)
 
-    def _zip(self, other: "GridSeq"):
-        if self.theta != other.theta:
+    @classmethod
+    def _make(cls, theta: Fraction, num: tuple[int, ...], den: int) -> "GridSeq":
+        """A sequence from numerators and a denominator already in lowest terms."""
+        g = object.__new__(cls)
+        g.theta, g.num, g.den = theta, num, den
+        return g
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return as_fractions(self.num, self.den)
+
+    def _padded(self, other: "GridSeq"):
+        if self.theta is not other.theta and self.theta != other.theta:
             raise ValueError("grid spacing mismatch")
-        n = max(len(self.values), len(other.values))
-        a = self.values + (Fraction(0),) * (n - len(self.values))
-        b = other.values + (Fraction(0),) * (n - len(other.values))
+        a, b = self.num, other.num
+        if len(a) < len(b):
+            a += (0,) * (len(b) - len(a))
+        elif len(b) < len(a):
+            b += (0,) * (len(a) - len(b))
         return a, b
 
+    def _combine(self, other: "GridSeq", sign: int) -> "GridSeq":
+        a, b = self._padded(other)
+        return GridSeq._make(self.theta, *add_vectors(a, self.den, b, other.den, sign))
+
     def __add__(self, other: "GridSeq") -> "GridSeq":
-        a, b = self._zip(other)
-        return GridSeq(self.theta, [x + y for x, y in zip(a, b)])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "GridSeq") -> "GridSeq":
-        a, b = self._zip(other)
-        return GridSeq(self.theta, [x - y for x, y in zip(a, b)])
+        return self._combine(other, -1)
 
     def __neg__(self) -> "GridSeq":
-        return self.scale(Fraction(-1))
+        return GridSeq._make(self.theta, tuple(-v for v in self.num), self.den)
 
     def scale(self, c: Fraction) -> "GridSeq":
-        return GridSeq(self.theta, [c * v for v in self.values])
+        return GridSeq._make(self.theta, *scale_vector(self.num, self.den, c))
 
     def __mul__(self, other: "GridSeq") -> "GridSeq":
-        a, b = self._zip(other)
-        return GridSeq(self.theta, [x * y for x, y in zip(a, b)])
+        a, b = self._padded(other)
+        return GridSeq._make(self.theta, *reduced([x * y for x, y in zip(a, b)], self.den * other.den))
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not any(self.num)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GridSeq):
             return NotImplemented
-        a, b = self._zip(other)
-        return a == b
+        a, b = self._padded(other)
+        return self.den == other.den and a == b
 
     def __hash__(self):
-        vals = list(self.values)
-        while vals and vals[-1] == 0:
-            vals.pop()
-        return hash((self.theta, tuple(vals)))
+        num = self.num
+        k = len(num)
+        while k and not num[k - 1]:
+            k -= 1
+        return hash((self.theta, self.den, num[:k]))
 
     def __repr__(self) -> str:
         return f"GridSeq(theta={rational_str(self.theta)}, {[rational_str(v) for v in self.values]})"
 
     # -- summation operators (window-preserving) ---------------------------
+    def _theta_times(self, sums) -> "GridSeq":
+        """theta * sums / den, for integer partial sums of the numerators."""
+        t = self.theta
+        p = t.numerator
+        return GridSeq._make(t, *reduced([p * s for s in sums], self.den * t.denominator))
+
     def sum_incl(self) -> "GridSeq":
-        acc = Fraction(0)
-        out = []
-        for v in self.values:
-            acc += v
-            out.append(self.theta * acc)
-        return GridSeq(self.theta, out)
+        return self._theta_times(accumulate(self.num))
 
     def sum_strict(self) -> "GridSeq":
-        acc = Fraction(0)
-        out = []
-        for v in self.values:
-            out.append(self.theta * acc)
-            acc += v
-        return GridSeq(self.theta, out)
+        return self._theta_times(list(accumulate(self.num, initial=0))[:-1])
 
     def tail_sum(self) -> "GridSeq":
-        acc = Fraction(0)
-        out = []
-        for v in reversed(self.values):
-            out.append(self.theta * acc)
-            acc += v
-        return GridSeq(self.theta, list(reversed(out)))
+        tails = list(accumulate(reversed(self.num), initial=0))[:-1]
+        return self._theta_times(tails[::-1])
 
     # -- unbounded-grid operators ------------------------------------------
     def diff(self) -> "GridSeq":
         """(f(x - theta) - f(x))/theta, supported on one extra right slot."""
-        padded = (Fraction(0),) + self.values + (Fraction(0),)
-        return GridSeq(
-            self.theta, [(padded[i] - padded[i + 1]) / self.theta for i in range(len(padded) - 1)]
-        )
+        t = self.theta
+        q = t.denominator
+        padded = (0,) + self.num + (0,)
+        num = [q * (padded[i] - padded[i + 1]) for i in range(len(padded) - 1)]
+        return GridSeq._make(t, *reduced(num, self.den * t.numerator))
 
     def shift_sum(self) -> "GridSeq":
         """theta * sum of values strictly beyond each position, on the full grid.
@@ -131,7 +155,7 @@ class GridSeq:
         Requires total sum zero; otherwise the tail below the window is the
         nonzero constant theta*total and the result is not finitely supported.
         """
-        if sum(self.values, Fraction(0)) != 0:
+        if sum(self.num):
             raise NonSummable("total must vanish for a finitely supported tail sum")
         return self.tail_sum()
 
@@ -148,14 +172,20 @@ class GridSpace(CoeffSpace):
     has_product = True
 
     def __init__(self, theta: Fraction, length: int):
-        self.theta = Fraction(theta)
+        self.theta = _positive_theta(theta)
         self.length = length
 
     def zero(self) -> GridSeq:
-        return GridSeq(self.theta, [0] * self.length)
+        return GridSeq._make(self.theta, (0,) * self.length, 1)
 
     def add(self, x: GridSeq, y: GridSeq) -> GridSeq:
         return x + y
+
+    def sub(self, x: GridSeq, y: GridSeq) -> GridSeq:
+        return x - y
+
+    def neg(self, x: GridSeq) -> GridSeq:
+        return -x
 
     def scale(self, c: Fraction, x: GridSeq) -> GridSeq:
         return x.scale(c)
@@ -170,7 +200,7 @@ class GridSpace(CoeffSpace):
         return x * y
 
     def one(self) -> GridSeq:
-        return GridSeq(self.theta, [1] * self.length)
+        return GridSeq._make(self.theta, (1,) * self.length, 1)
 
     def element_json(self, x: GridSeq):
         return x.to_json()

@@ -2,6 +2,13 @@
 
 Carrier of two structures: the idempotent triangular-projection Rota-Baxter
 operator (weight -1), and the associative-degeneration dendriform instance.
+
+A :class:`RatMatrix` stores its entries as a flat row-major tuple of n*n
+integer numerators over one positive integer denominator, in lowest terms
+(``scalars.reduced``), so sums, products, scaling, projection, equality and
+hashing run on ints and build no per-entry ``Fraction``.  ``Fraction`` is
+used only at the boundary: the constructor from user rows, the ``scale``
+argument, the read-only ``rows`` property, ``repr`` and ``to_json``.
 Matrices serialize as flat row-major arrays of "p/q" strings.
 """
 
@@ -9,71 +16,89 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
-from .scalars import rational_str
+from .scalars import add_vectors, as_fractions, common_denominator, rational_str, reduced, scale_vector
 from .series import CoeffSpace
 
 __all__ = ["RatMatrix", "MatrixSpace", "triangular_project", "random_matrix"]
 
 
 class RatMatrix:
-    __slots__ = ("rows", "n")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]):
-        self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        self.n = len(self.rows)
-        if any(len(r) != self.n for r in self.rows):
+        rows = [list(row) for row in rows]
+        n = len(rows)
+        if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
+        self.n = n
+        self.num, self.den = common_denominator(x for row in rows for x in row)
+
+    @classmethod
+    def _make(cls, n: int, num: tuple[int, ...], den: int) -> "RatMatrix":
+        """A matrix from numerators and a denominator already in lowest terms."""
+        m = object.__new__(cls)
+        m.n, m.num, m.den = n, num, den
+        return m
 
     @classmethod
     def zeros(cls, n: int) -> "RatMatrix":
-        return cls([[0] * n for _ in range(n)])
+        return cls._make(n, (0,) * (n * n), 1)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._make(n, tuple(int(k % (n + 1) == 0) for k in range(n * n)), 1)
 
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        entries = as_fractions(self.num, self.den)
+        n = self.n
+        return tuple(entries[i * n : (i + 1) * n] for i in range(n))
 
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __neg__(self) -> "RatMatrix":
-        return self.scale(Fraction(-1))
-
-    def scale(self, c: Fraction) -> "RatMatrix":
-        return RatMatrix([[c * a for a in row] for row in self.rows])
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
+    def _combine(self, other: "RatMatrix", sign: int) -> "RatMatrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        cols = list(zip(*other.rows))
-        return RatMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
+        return RatMatrix._make(self.n, *add_vectors(self.num, self.den, other.num, other.den, sign))
+
+    def __add__(self, other: "RatMatrix") -> "RatMatrix":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "RatMatrix":
+        return RatMatrix._make(self.n, tuple(-a for a in self.num), self.den)
+
+    def scale(self, c: Fraction) -> "RatMatrix":
+        return RatMatrix._make(self.n, *scale_vector(self.num, self.den, c))
+
+    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
+        n = self.n
+        if n != other.n:
+            raise ValueError("dimension mismatch")
+        a, b = self.num, other.num
+        cols = [b[j::n] for j in range(n)]
+        num = [sum(map(mul, a[i : i + n], col)) for i in range(0, n * n, n) for col in cols]
+        return RatMatrix._make(n, *reduced(num, self.den * other.den))
 
     def is_zero(self) -> bool:
-        return all(a == 0 for row in self.rows for a in row)
+        return not any(self.num)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.n == other.n and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.n, self.den, self.num))
 
     def __repr__(self) -> str:
         return f"RatMatrix({[[rational_str(a) for a in row] for row in self.rows]})"
 
     def to_json(self) -> list[str]:
-        return [rational_str(a) for row in self.rows for a in row]
+        return [rational_str(a) for a in as_fractions(self.num, self.den)]
 
 
 class MatrixSpace(CoeffSpace):
@@ -87,6 +112,12 @@ class MatrixSpace(CoeffSpace):
 
     def add(self, x: RatMatrix, y: RatMatrix) -> RatMatrix:
         return x + y
+
+    def sub(self, x: RatMatrix, y: RatMatrix) -> RatMatrix:
+        return x - y
+
+    def neg(self, x: RatMatrix) -> RatMatrix:
+        return -x
 
     def scale(self, c: Fraction, x: RatMatrix) -> RatMatrix:
         return x.scale(c)
@@ -116,9 +147,9 @@ def triangular_project(m: RatMatrix) -> RatMatrix:
     complement (strictly lower) a subalgebra too, but the convention here
     fixes the image to be the nilpotent side.
     """
-    return RatMatrix(
-        [[a if j > i else Fraction(0) for j, a in enumerate(row)] for i, row in enumerate(m.rows)]
-    )
+    n = m.n
+    num = [a if k % n > k // n else 0 for k, a in enumerate(m.num)]
+    return RatMatrix._make(n, *reduced(num, m.den))
 
 
 def random_matrix(rng: random.Random, n: int, span: int = 4) -> RatMatrix:

@@ -285,12 +285,14 @@ def bch_recursion(
     chi = [sp.zero() for _ in range(n_max + 1)]
     if n_max >= 1:
         chi[1] = alpha.coeff(1)
+    theta_alpha = alpha.scale(theta)
     for n in range(2, n_max + 1):
-        known = TruncatedSeries(sp, n_max, chi)
+        # degree n of the bch terms only needs the series modulo lambda^(n+1)
+        known = TruncatedSeries(sp, n, chi[: n + 1])
         if variant == "two_sided":
             corr = bch(known.map_coeffs(rb.r), known.map_coeffs(rb.r_tilde))
         else:
-            corr = bch(alpha.scale(theta), known.map_coeffs(rb.r))
+            corr = bch(theta_alpha.truncated(n), known.map_coeffs(rb.r))
         chi[n] = sp.add(alpha.coeff(n), sp.scale(1 / theta, corr.coeff(n)))
     return TruncatedSeries(sp, n_max, chi)
 

@@ -1,10 +1,16 @@
 """Exact scalar arithmetic: rational numbers and Bernoulli numbers.
 
-The scalar field throughout the exact half of this package is the rationals,
-represented by ``fractions.Fraction`` (arbitrary precision, always in lowest
-terms, positive denominator).  This module adds the serialization helpers
-("p/q" strings) used by every JSON payload, and the Bernoulli numbers that
-drive the Magnus recursion.
+The scalar field throughout the exact half of this package is the rationals.
+Single scalars (weights, Bernoulli numbers, user-facing scales, the grid
+spacing) are ``fractions.Fraction`` (arbitrary precision, always in lowest
+terms, positive denominator).  The dense carriers ``RatMatrix`` and
+``GridSeq`` instead store a vector of rationals as integer numerators over
+one shared denominator, computed in ints and kept in lowest terms by one
+``gcd`` pass (:func:`reduced`); ``Fraction`` appears there only at the
+boundary (:func:`common_denominator` on the way in, :func:`as_fractions` on
+the way out).  This module also has the serialization helpers ("p/q"
+strings) used by every JSON payload, and the Bernoulli numbers that drive
+the Magnus recursion.
 
 Bernoulli convention
 --------------------
@@ -24,7 +30,8 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
+from typing import Iterable, Sequence
 
 __all__ = [
     "Fraction",
@@ -32,6 +39,11 @@ __all__ = [
     "bernoulli_weight",
     "rational_str",
     "parse_rational",
+    "reduced",
+    "common_denominator",
+    "as_fractions",
+    "add_vectors",
+    "scale_vector",
 ]
 
 
@@ -46,6 +58,56 @@ def rational_str(x: Fraction) -> str:
 def parse_rational(s: str) -> Fraction:
     """Parse the "p/q" / "p" format produced by :func:`rational_str`."""
     return Fraction(s.strip())
+
+
+def reduced(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """The vector num/den, for a positive den, in lowest terms: gcd(den, *num) == 1.
+
+    The zero vector comes out with den == 1, so equal vectors have equal
+    (num, den) pairs.
+    """
+    g = gcd(den, *num)
+    if g == 1:
+        return tuple(num), den
+    return tuple(x // g for x in num), den // g
+
+
+def common_denominator(values: Iterable[Fraction | int]) -> tuple[tuple[int, ...], int]:
+    """Rationals as integer numerators over their least common denominator.
+
+    The result is already in the form :func:`reduced` returns: a prime
+    dividing the lcm to its full power divides the denominator of some
+    entry, whose numerator it does not divide.
+    """
+    fs = [Fraction(v) for v in values]
+    den = lcm(*(f.denominator for f in fs))
+    return tuple(f.numerator * (den // f.denominator) for f in fs), den
+
+
+def add_vectors(
+    a: Sequence[int], da: int, b: Sequence[int], db: int, sign: int = 1
+) -> tuple[tuple[int, ...], int]:
+    """a/da + sign * b/db over the least common denominator, in lowest terms."""
+    if da == db:
+        if sign == 1:
+            return reduced([x + y for x, y in zip(a, b)], da)
+        return reduced([x - y for x, y in zip(a, b)], da)
+    g = gcd(da, db)
+    fa, fb = db // g, sign * (da // g)
+    return reduced([x * fa + y * fb for x, y in zip(a, b)], da * fa)
+
+
+def scale_vector(num: Sequence[int], den: int, c: Fraction | int) -> tuple[tuple[int, ...], int]:
+    """c * num/den in lowest terms (an int or Fraction c is used as it is)."""
+    if not isinstance(c, (int, Fraction)):
+        c = Fraction(c)
+    p = c.numerator
+    return reduced([p * x for x in num], den * c.denominator)
+
+
+def as_fractions(num: Iterable[int], den: int) -> tuple[Fraction, ...]:
+    """The entries num/den as Fractions (the read-only boundary)."""
+    return tuple(Fraction(x, den) for x in num)
 
 
 _bernoulli_cache = [Fraction(1)]

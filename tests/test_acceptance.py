@@ -54,6 +54,9 @@ from dendrimag.series import TruncatedSeries, series_exp, series_log
 
 SEED = 20071215
 GOLDEN_VERIFY_ALL = Path(__file__).parent / "golden" / "verify_all_order5.txt"
+# stdout of verify --suite S --order 5 --seed 101 for each S below, in order
+GOLDEN_EXACT_SEED101 = Path(__file__).parent / "golden" / "verify_exact_order5_seed101.txt"
+EXACT_SUITES = ("tridendriform", "rb", "spitzer", "atkinson", "chi")
 
 
 def _report(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -273,3 +276,13 @@ def test_criterion_13_cli_contract(capsys, tmp_path, monkeypatch):
     out_all = capsys.readouterr().out
     ok = ok and code_all == 0 and elapsed <= 300 and out_all == GOLDEN_VERIFY_ALL.read_text()
     _report(13, "CLI exit codes, determinism, verify all order 5", ok, f"{elapsed:.1f}s <= 300s")
+
+
+def test_exact_suites_second_seed_match_golden(capsys):
+    # a second seed for the dense-carrier suites, captured as the byte-exact
+    # output before the carriers moved to integer numerators
+    out = []
+    for suite in EXACT_SUITES:
+        assert cli.main(["verify", "--suite", suite, "--order", "5", "--seed", "101"]) == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == GOLDEN_EXACT_SEED101.read_text()

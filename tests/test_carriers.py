@@ -1,0 +1,225 @@
+"""Differential tests of the dense exact carriers against nested Fractions.
+
+RatMatrix and GridSeq compute on integer numerators over one shared
+denominator; every operation here is checked against a plain reference
+written on lists of Fractions, and every result is checked to be in the
+normalised form that equality and hashing rely on.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from dendrimag.grids import GridSeq, GridSpace, NonSummable
+from dendrimag.matrices import MatrixSpace, RatMatrix, triangular_project
+from dendrimag.scalars import parse_rational
+
+SCALES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 4), Fraction(-5, 6), 2]
+
+
+def _rational(rng: random.Random) -> Fraction:
+    if rng.random() < 0.3:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 9, 35]))
+
+
+def _assert_normalised(x) -> None:
+    assert x.den > 0
+    assert gcd(x.den, *x.num) == 1
+    if not any(x.num):
+        assert x.den == 1
+    assert all(type(v) is int for v in x.num)
+
+
+# -- RatMatrix ----------------------------------------------------------------
+
+
+def _ref_matrix(rng, n):
+    return [[_rational(rng) for _ in range(n)] for _ in range(n)]
+
+
+def _check_matrix(m: RatMatrix, ref) -> None:
+    _assert_normalised(m)
+    assert m.n == len(ref)
+    assert m.rows == tuple(tuple(row) for row in ref)
+    assert m.is_zero() == all(x == 0 for row in ref for x in row)
+
+
+def _ref_matmul(a, b):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_matrix_ops_match_fraction_reference(n):
+    rng = random.Random(100 + n)
+    for _ in range(60):
+        ra, rb = _ref_matrix(rng, n), _ref_matrix(rng, n)
+        a, b = RatMatrix(ra), RatMatrix(rb)
+        _check_matrix(a, ra)
+        _check_matrix(a + b, [[x + y for x, y in zip(p, q)] for p, q in zip(ra, rb)])
+        _check_matrix(a - b, [[x - y for x, y in zip(p, q)] for p, q in zip(ra, rb)])
+        _check_matrix(-a, [[-x for x in row] for row in ra])
+        for c in SCALES:
+            _check_matrix(a.scale(c), [[c * x for x in row] for row in ra])
+        _check_matrix(a @ b, _ref_matmul(ra, rb))
+        _check_matrix(
+            triangular_project(a), [[x if j > i else Fraction(0) for j, x in enumerate(row)] for i, row in enumerate(ra)]
+        )
+        _check_matrix(a - a, [[Fraction(0)] * n for _ in range(n)])
+
+
+def test_matrix_equality_hash_and_round_trips():
+    rng = random.Random(7)
+    space = MatrixSpace(3)
+    for _ in range(100):
+        ra, rb = _ref_matrix(rng, 3), _ref_matrix(rng, 3)
+        a, b = RatMatrix(ra), RatMatrix(rb)
+        # the same matrix reached through different denominators
+        c = (a + b) - b
+        assert c == a and hash(c) == hash(a)
+        assert space.eq(c, a) and space.sub(c, a).is_zero()
+        assert (a == b) == (ra == rb)
+        assert RatMatrix(a.rows) == a
+        assert [parse_rational(s) for s in a.to_json()] == [x for row in ra for x in row]
+    zero = RatMatrix.zeros(3)
+    assert zero == RatMatrix([[0] * 3] * 3) == space.zero()
+    assert hash(zero) == hash(RatMatrix([[Fraction(0, 5)] * 3] * 3))
+    assert RatMatrix.identity(3).rows == tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
+    assert repr(RatMatrix([[Fraction(1, 2), 0], [3, Fraction(-2, 3)]])) == "RatMatrix([['1/2', '0'], ['3', '-2/3']])"
+
+
+@pytest.mark.parametrize("op", ["__add__", "__sub__", "__matmul__"])
+def test_matrix_dimension_mismatch(op):
+    a = RatMatrix([[1, 2], [3, 4]])
+    b = RatMatrix.identity(3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        getattr(a, op)(b)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        getattr(b, op)(a)
+
+
+# -- GridSeq --------------------------------------------------------------------
+
+THETAS = [Fraction(1), Fraction(1, 2), Fraction(2, 5), Fraction(3)]
+
+
+def _pad(a, b):
+    n = max(len(a), len(b))
+    return a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b))
+
+
+def _ref_sums(theta, vals):
+    incl = [theta * sum(vals[: k + 1], Fraction(0)) for k in range(len(vals))]
+    strict = [theta * sum(vals[:k], Fraction(0)) for k in range(len(vals))]
+    tail = [theta * sum(vals[k + 1 :], Fraction(0)) for k in range(len(vals))]
+    return incl, strict, tail
+
+
+def _check_grid(g: GridSeq, theta, ref) -> None:
+    _assert_normalised(g)
+    assert g.theta == theta
+    assert g.values == tuple(ref)
+    assert g.is_zero() == all(v == 0 for v in ref)
+
+
+@pytest.mark.parametrize("theta", THETAS)
+def test_grid_ops_match_fraction_reference(theta):
+    rng = random.Random(int(theta * 100))
+    for _ in range(60):
+        va = [_rational(rng) for _ in range(rng.randint(0, 7))]
+        vb = [_rational(rng) for _ in range(rng.randint(0, 7))]
+        a, b = GridSeq(theta, va), GridSeq(theta, vb)
+        _check_grid(a, theta, va)
+        pa, pb = _pad(va, vb)
+        _check_grid(a + b, theta, [x + y for x, y in zip(pa, pb)])
+        _check_grid(a - b, theta, [x - y for x, y in zip(pa, pb)])
+        _check_grid(a * b, theta, [x * y for x, y in zip(pa, pb)])
+        _check_grid(-a, theta, [-x for x in va])
+        for c in SCALES:
+            _check_grid(a.scale(c), theta, [c * x for x in va])
+        incl, strict, tail = _ref_sums(theta, va)
+        _check_grid(a.sum_incl(), theta, incl)
+        _check_grid(a.sum_strict(), theta, strict)
+        _check_grid(a.tail_sum(), theta, tail)
+        padded = [Fraction(0)] + va + [Fraction(0)]
+        d = [(padded[i] - padded[i + 1]) / theta for i in range(len(padded) - 1)]
+        _check_grid(a.diff(), theta, d)
+        _check_grid(a.diff().shift_sum(), theta, _ref_sums(theta, d)[2])
+        if sum(va, Fraction(0)) != 0:
+            with pytest.raises(NonSummable):
+                a.shift_sum()
+        else:
+            _check_grid(a.shift_sum(), theta, tail)
+
+
+def test_grid_equality_hash_and_round_trips():
+    rng = random.Random(11)
+    theta = Fraction(1, 2)
+    space = GridSpace(theta, 5)
+    for _ in range(100):
+        va = [_rational(rng) for _ in range(5)]
+        vb = [_rational(rng) for _ in range(rng.randint(0, 7))]
+        a, b = GridSeq(theta, va), GridSeq(theta, vb)
+        c = (a + b) - b  # window may grow, with trailing zeros
+        assert c == a and hash(c) == hash(a)
+        assert space.eq(c, a) and space.sub(c, a).is_zero()
+        longer = GridSeq(theta, va + [0, 0])
+        assert longer == a and a == longer and hash(longer) == hash(a)
+        assert GridSeq(a.theta, a.values) == a
+        payload = a.to_json()
+        assert parse_rational(payload["theta"]) == theta
+        assert [parse_rational(s) for s in payload["values"]] == va
+    assert GridSeq(theta, []) == space.zero() == GridSeq(theta, [0] * 3)
+    assert hash(GridSeq(theta, [])) == hash(space.zero())
+    assert space.one().values == (Fraction(1),) * 5
+    assert repr(GridSeq(theta, [Fraction(1, 3), 0])) == "GridSeq(theta=1/2, ['1/3', '0'])"
+    assert GridSeq(theta, [1, 0]).to_json() == {"theta": "1/2", "values": ["1", "0"]}
+
+
+@pytest.mark.parametrize("theta", [0, Fraction(0), -1, Fraction(-1, 2)])
+def test_grid_rejects_nonpositive_theta(theta):
+    with pytest.raises(ValueError, match="theta"):
+        GridSeq(theta, [1, 2])
+    with pytest.raises(ValueError, match="theta"):
+        GridSpace(theta, 4)
+
+
+def test_grid_spacing_mismatch():
+    a, b = GridSeq(Fraction(1), [1]), GridSeq(Fraction(2), [1])
+    for op in ("__add__", "__sub__", "__mul__", "__eq__"):
+        with pytest.raises(ValueError, match="grid spacing mismatch"):
+            getattr(a, op)(b)
+
+
+def test_carrier_arithmetic_builds_no_fraction():
+    # Fraction appears only at the boundary: every operation below runs on ints
+    rng = random.Random(5)
+    a, b = RatMatrix(_ref_matrix(rng, 3)), RatMatrix(_ref_matrix(rng, 3))
+    theta = Fraction(2, 3)
+    f, g = GridSeq(theta, [_rational(rng) for _ in range(6)]), GridSeq(theta, [_rational(rng) for _ in range(4)])
+    msp, gsp = MatrixSpace(3), GridSpace(theta, 6)
+    c = Fraction(-3, 7)
+    made = []
+    original = vars(Fraction)["__new__"]
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting_new)
+    try:
+        results = []
+        for x, y in ((a, b), (b, a)):
+            results += [x + y, x - y, -x, x.scale(c), x.scale(2), x @ y, triangular_project(x)]
+            results += [msp.sub(x, y), msp.zero(), msp.one()]
+        for x, y in ((f, g), (g, f)):
+            results += [x + y, x - y, x * y, -x, x.scale(c), x.sum_incl(), x.sum_strict(), x.tail_sum()]
+            results += [x.diff(), x.diff().shift_sum(), gsp.sub(x, y), gsp.zero(), gsp.one()]
+        checks = [(x.is_zero(), hash(x), x == x) for x in results]
+    finally:
+        Fraction.__new__ = original
+    assert made == []
+    assert all(same for _, _, same in checks)

@@ -24,7 +24,7 @@ from dendrimag.rota_baxter import (
     spitzer_classical_check,
     spitzer_noncommutative_check,
 )
-from dendrimag.series import RATIONALS, TruncatedSeries, series_exp
+from dendrimag.series import RATIONALS, TruncatedSeries, bch, series_exp
 
 
 def test_rb_relation_all_instances(tri_rb, grid_strict, grid_incl, poly_scalar, poly_matrix):
@@ -138,6 +138,23 @@ def test_bch_recursion_variants_agree(tri_rb, rng):
     coeffs = [sp.zero()] + [tri_rb.sample(rng) for _ in range(5)]
     alpha = TruncatedSeries(sp, 5, coeffs)
     assert bch_recursion(tri_rb, alpha, "two_sided") == bch_recursion(tri_rb, alpha, "one_sided")
+
+
+@pytest.mark.parametrize("variant", ["two_sided", "one_sided"])
+def test_bch_recursion_matches_full_order_reference(tri_rb, rng, variant):
+    # reference: every degree read off the bch terms evaluated at the full order
+    sp, theta, order = tri_rb.space, tri_rb.weight, 6
+    alpha = TruncatedSeries(sp, order, [sp.zero()] + [tri_rb.sample(rng) for _ in range(order)])
+    chi = [sp.zero() for _ in range(order + 1)]
+    chi[1] = alpha.coeff(1)
+    for n in range(2, order + 1):
+        known = TruncatedSeries(sp, order, chi)
+        if variant == "two_sided":
+            corr = bch(known.map_coeffs(tri_rb.r), known.map_coeffs(tri_rb.r_tilde))
+        else:
+            corr = bch(alpha.scale(theta), known.map_coeffs(tri_rb.r))
+        chi[n] = sp.add(alpha.coeff(n), sp.scale(1 / theta, corr.coeff(n)))
+    assert bch_recursion(tri_rb, alpha, variant) == TruncatedSeries(sp, order, chi)
 
 
 def test_spitzer_classical_grid_weights(grid_strict, grid_incl, rng):
