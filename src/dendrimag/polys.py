@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Any, Iterable
 
 from .report import VerificationReport
-from .series import CoeffSpace, FractionSpace, RATIONALS
+from .series import CoeffSpace, FractionSpace, RATIONALS, bilinear_terms
 
 __all__ = ["Poly", "PolySpace", "poly_integrate", "ibp_power_check", "random_poly"]
 
@@ -56,15 +56,9 @@ class Poly:
         return Poly(self.base, [self.base.scale(c, x) for x in self.coeffs])
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if not self.coeffs or not other.coeffs:
-            return Poly(self.base)
-        out = [self.base.zero() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, x in enumerate(self.coeffs):
-            if self.base.is_zero(x):
-                continue
-            for j, y in enumerate(other.coeffs):
-                out[i + j] = self.base.add(out[i + j], self.base.mul(x, y))
-        return Poly(self.base, out)
+        base = self.base
+        top = len(self.coeffs) + len(other.coeffs) - 2
+        return Poly(base, bilinear_terms(base, base.mul, self.coeffs, other.coeffs, 0, top))
 
     def integrate(self) -> "Poly":
         """Antiderivative with zero constant term: t^n -> t^(n+1)/(n+1)."""

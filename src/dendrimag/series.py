@@ -86,13 +86,16 @@ class CoeffSpace:
         return str(x)
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 class FractionSpace(CoeffSpace):
     """The rationals themselves, as a coefficient space."""
 
     has_product = True
 
     def zero(self) -> Fraction:
-        return Fraction(0)
+        return _ZERO
 
     def add(self, x: Fraction, y: Fraction) -> Fraction:
         return x + y
@@ -107,7 +110,7 @@ class FractionSpace(CoeffSpace):
         return x * y
 
     def one(self) -> Fraction:
-        return Fraction(1)
+        return _ONE
 
     def element_json(self, x: Fraction) -> str:
         from .scalars import rational_str
@@ -245,11 +248,13 @@ def bilinear_terms(
     dendriform half-products of unital series, the Fer corrections and the
     Magnus recursion all extend a bilinear op degree by degree through it.
     Each factor is tested for zero once per call, and within a degree the
-    terms are added in ascending i.
+    terms are added in ascending i.  Coefficients past the end of xs or ys
+    count as zero.
     """
     is_zero, add = space.is_zero, space.add
     left = [(i, x) for i, x in enumerate(xs[: hi + 1]) if not is_zero(x)]
     right = [None if is_zero(y) else y for y in ys[: hi + 1]]
+    right += [None] * (hi + 1 - len(right))
     out = []
     for n in range(lo, hi + 1):
         acc = None

@@ -145,7 +145,7 @@ def test_criterion_05_term_reduction():
     ]
     ok = ok and eval_rooted(reduced4) == rooted4
     raw5, rooted5 = magnus_free_component(5)
-    reduced5 = rewrite_reduce(raw5, budget=8000, beam=24)
+    reduced5 = rewrite_reduce(raw5)
     ok = ok and eval_rooted(reduced5) == rooted5
     # informational comparison against the reported 10 -> 7 counts
     print(

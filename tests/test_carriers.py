@@ -3,7 +3,8 @@
 RatMatrix and GridSeq compute on integer numerators over one shared
 denominator; every operation here is checked against a plain reference
 written on lists of Fractions, and every result is checked to be in the
-normalised form that equality and hashing rely on.
+normalised form that equality and hashing rely on.  The Poly product is
+checked against a naive double sum over both of its coefficient spaces.
 """
 
 import random
@@ -14,7 +15,9 @@ import pytest
 
 from dendrimag.grids import GridSeq, GridSpace, NonSummable
 from dendrimag.matrices import MatrixSpace, RatMatrix, triangular_project
+from dendrimag.polys import Poly
 from dendrimag.scalars import parse_rational
+from dendrimag.series import RATIONALS
 
 SCALES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 4), Fraction(-5, 6), 2]
 
@@ -194,6 +197,40 @@ def test_grid_spacing_mismatch():
             getattr(a, op)(b)
 
 
+# -- Poly -----------------------------------------------------------------------
+
+
+def _naive_poly_mul(base, xs, ys):
+    """Every coefficient pair, zeros included, added into a zero start."""
+    out = [base.zero() for _ in range(len(xs) + len(ys) - 1)]
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i + j] = base.add(out[i + j], base.mul(x, y))
+    return out
+
+
+@pytest.mark.parametrize("base", [RATIONALS, MatrixSpace(2)], ids=["rationals", "matrices"])
+def test_poly_mul_matches_naive_double_sum(base):
+    rng = random.Random(17)
+
+    def coeff():
+        if base is RATIONALS:
+            return _rational(rng)
+        return RatMatrix(_ref_matrix(rng, 2))
+
+    cases = [([], [base.one()]), ([base.one()], [])]
+    for _ in range(60):
+        cases.append(([coeff() for _ in range(rng.randint(1, 5))], [coeff() for _ in range(rng.randint(1, 5))]))
+    if base is not RATIONALS:
+        # zero divisors: the top coefficient E12 @ E12 vanishes
+        e12 = RatMatrix([[0, 1], [0, 0]])
+        cases.append(([base.one(), e12], [base.zero(), base.one(), e12]))
+    for xs, ys in cases:
+        got = Poly(base, xs) * Poly(base, ys)
+        assert got.coeffs == Poly(base, _naive_poly_mul(base, xs, ys)).coeffs
+        assert got.degree <= max(len(xs) + len(ys) - 2, -1)
+
+
 def test_carrier_arithmetic_builds_no_fraction():
     # Fraction appears only at the boundary: every operation below runs on ints
     rng = random.Random(5)
@@ -219,7 +256,9 @@ def test_carrier_arithmetic_builds_no_fraction():
             results += [x + y, x - y, x * y, -x, x.scale(c), x.sum_incl(), x.sum_strict(), x.tail_sum()]
             results += [x.diff(), x.diff().shift_sum(), gsp.sub(x, y), gsp.zero(), gsp.one()]
         checks = [(x.is_zero(), hash(x), x == x) for x in results]
+        scalars = [RATIONALS.zero(), RATIONALS.one()]
     finally:
         Fraction.__new__ = original
     assert made == []
     assert all(same for _, _, same in checks)
+    assert scalars == [0, 1]

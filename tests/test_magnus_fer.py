@@ -66,7 +66,7 @@ def test_degree_four_component_and_reduction():
 def test_degree_five_counts():
     raw5, rooted5 = magnus_free_component(5)
     assert monomial_count(raw5) == 10
-    reduced5 = rewrite_reduce(raw5, budget=8000, beam=24)
+    reduced5 = rewrite_reduce(raw5)
     assert monomial_count(reduced5) == 7
     assert eval_rooted(reduced5) == rooted5
 

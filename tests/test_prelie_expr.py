@@ -1,18 +1,22 @@
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 import pytest
 
+from dendrimag import prelie_expr
 from dendrimag.lincomb import LinComb
+from dendrimag.magnus_fer import magnus_free_component
 from dendrimag.prelie_expr import (
     GEN,
-    BudgetExhausted,
     PreLieExpr,
     eval_planar,
     eval_rooted,
+    minimal_forms,
     monomial_count,
     rewrite_reduce,
 )
-from dendrimag.rooted import VERTEX
+from dendrimag.rooted import VERTEX, graft
 
 
 def expr(shape):
@@ -41,6 +45,8 @@ def test_prelie_relation_instance_holds_in_both_models():
     )
     assert eval_rooted(lhs) == eval_rooted(rhs)
     assert eval_planar(lhs) == eval_planar(rhs)
+    # the relation itself is zero in the free pre-Lie algebra
+    assert minimal_forms(lhs - rhs) == [LinComb.zero()]
 
 
 def _random_expr(rng, degree):
@@ -79,37 +85,143 @@ def test_rewrite_reduce_minimal_input_unchanged():
     combo = LinComb.single(expr(AA), Fraction(-1, 2))
     assert rewrite_reduce(combo) == combo
     assert rewrite_reduce(LinComb.zero()) == LinComb.zero()
+    assert minimal_forms(LinComb.zero()) == [LinComb.zero()]
+    # below degree 4 the rooted-tree map is injective: every combination is its only form
+    three = LinComb.single(expr((AA, "a")), Fraction(2)) - LinComb.single(expr(("a", AA)), Fraction(1, 3))
+    assert minimal_forms(three) == [three]
 
 
 def test_rewrite_reduce_rejects_mixed_degrees():
     combo = LinComb.single(GEN) + LinComb.single(expr(AA))
     with pytest.raises(ValueError):
         rewrite_reduce(combo)
+    with pytest.raises(ValueError):
+        minimal_forms(combo)
 
 
-def test_rewrite_reduce_budget_exhaustion_carries_best():
-    # a single monomial cannot shrink below one term, but it does admit
-    # rewrites, so a starved search must report exhaustion with its best state
-    single = LinComb.single(expr((AA, AA)))
-    with pytest.raises(BudgetExhausted) as info:
-        rewrite_reduce(single, budget=1, beam=1)
-    assert monomial_count(info.value.best) == 1
-    assert eval_rooted(info.value.best) == eval_rooted(single)
+def _left_comb(degree):
+    e = GEN
+    for _ in range(degree - 1):
+        e = PreLieExpr(e, GEN)
+    return e
 
 
-def test_rewrite_reduce_never_returns_longer(rng):
-    for _ in range(10):
+def test_rewrite_reduce_rejects_degree_above_five(monkeypatch):
+    # degree 6 would enumerate C(42, 22) subsets: the bound must come first
+    def unreachable(n):
+        raise AssertionError(f"enumerated degree {n}")
+
+    monkeypatch.setattr(prelie_expr, "_expressions_of_degree", unreachable)
+    monkeypatch.setattr(prelie_expr, "_kernel", unreachable)
+    for degree in (6, 7, 40):
+        combo = LinComb.single(_left_comb(degree), Fraction(1, 2))
+        for reduce in (rewrite_reduce, minimal_forms):
+            with pytest.raises(ValueError, match=f"degree {degree} "):
+                reduce(combo)
+
+
+# -- independent minimality oracle ---------------------------------------------
+# Brute force over supports, smallest first.  It enumerates expressions and
+# evaluates them by grafting on its own, decides each support by plain
+# elimination (integer cross-multiplication, then Fraction back-substitution),
+# and shares no code with minimal_forms.
+
+
+def _all_expressions(n):
+    if n == 1:
+        return [GEN]
+    return [PreLieExpr(x, y) for k in range(1, n) for x in _all_expressions(k) for y in _all_expressions(n - k)]
+
+
+def _grafted(e):
+    if e.is_gen:
+        return LinComb.single(VERTEX)
+    return graft(_grafted(e.left), _grafted(e.right))
+
+
+def _solve_on_support(columns, target):
+    """The c with sum_j c_j columns[j] == target, None when there is none.
+
+    Columns and target are integer vectors.  A consistent system with
+    dependent columns fails the test: at the smallest consistent support
+    size that cannot happen.
+    """
+    rows = [[col[k] for col in columns] + [target[k]] for k in range(len(target))]
+    width = len(columns)
+    rank = 0
+    for j in range(width):
+        p = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][j]
+            if f:
+                rows[i] = [top[j] * x - f * y for x, y in zip(rows[i], top)]
+        rank += 1
+    if any(row[width] for row in rows[rank:]):
+        return None
+    assert rank == width, "a consistent support with dependent columns"
+    sol = [Fraction(0)] * width
+    for j in reversed(range(width)):
+        row = rows[j]
+        sol[j] = (row[width] - sum(row[k] * sol[k] for k in range(j + 1, width))) / Fraction(row[j])
+    return sol
+
+
+def _brute_force_minimum(combo):
+    """(fewest monomials, every form with that many) for a nonzero homogeneous combo."""
+    (degree,) = {e.degree for e in combo.terms}
+    exprs = _all_expressions(degree)
+    images = [_grafted(e) for e in exprs]
+    trees = sorted({t for img in images for t in img.terms}, key=str)
+    columns = [[int(img.coeff(t)) for t in trees] for img in images]
+    den = lcm(*(c.denominator for c in combo.terms.values()))
+    scaled = sum((img.scale(combo.coeff(e) * den) for e, img in zip(exprs, images)), LinComb.zero())
+    target = [int(scaled.coeff(t)) for t in trees]
+    for size in range(len(exprs) + 1):
+        forms = []
+        for support in combinations(range(len(exprs)), size):
+            sol = _solve_on_support([columns[j] for j in support], target)
+            if sol is not None:
+                assert all(c != 0 for c in sol), "a smaller support was missed"
+                forms.append(LinComb(zip((exprs[j] for j in support), (c / den for c in sol))))
+        if forms:
+            return size, forms
+    raise AssertionError("no representative found")
+
+
+def test_degree_five_minimum_is_seven_by_brute_force():
+    raw5, rooted5 = magnus_free_component(5)
+    size, forms = _brute_force_minimum(raw5)
+    # no support of 6 or fewer monomials is consistent
+    assert size == 7
+    assert len(forms) == 12
+    assert all(eval_rooted(f) == rooted5 for f in forms)
+    assert set(minimal_forms(raw5)) == set(forms)
+
+
+def test_random_low_degree_minimum_matches_brute_force(rng):
+    for _ in range(30):
+        degree = rng.randint(2, 4)
         combo = LinComb(
-            [(_random_expr(rng, 4), Fraction(rng.randint(-3, 3), rng.randint(1, 2))) for _ in range(3)]
+            [(_random_expr(rng, degree), Fraction(rng.randint(-3, 3), rng.randint(1, 2))) for _ in range(rng.randint(1, 4))]
         )
         if combo.is_zero():
             continue
-        try:
-            out = rewrite_reduce(combo, budget=300, beam=8)
-        except BudgetExhausted as exc:
-            out = exc.best
-        assert monomial_count(out) <= monomial_count(combo)
-        assert eval_rooted(out) == eval_rooted(combo)
+        size, forms = _brute_force_minimum(combo)
+        assert monomial_count(rewrite_reduce(combo)) == size
+        assert set(minimal_forms(combo)) == set(forms)
+
+
+def test_single_monomial_is_its_only_minimal_form():
+    for degree in range(1, 6):
+        for e in _all_expressions(degree):
+            single = LinComb.single(e, Fraction(-3, 2))
+            assert minimal_forms(single) == [single]
+    single = LinComb.single(expr((AA, AA)))
+    assert rewrite_reduce(single) == single
 
 
 def test_support_counts():
