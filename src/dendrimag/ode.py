@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lincomb import LinComb, LinCombSpace, bilinear
+from .lincomb import LinComb, LinCombSpace, bilinear, combine
 from .magnus_fer import fer, magnus
 
 __all__ = [
@@ -198,9 +198,8 @@ Row = tuple[int, float, float, float | None]
 def _integral_bracket(x, y) -> LinComb:
     """[I(x), y] on basis pairs (word, p) = s^p B_word; I(s^p) = s^(p+1)/(p+1)."""
     (wx, px), (wy, py) = x, y
-    c = Fraction(1, px + 1)
     p = px + 1 + py
-    return LinComb([((wx + wy, p), c), ((wy + wx, p), -c)])
+    return combine(((1, LinComb.single((wx + wy, p))), (-1, LinComb.single((wy + wx, p)))), px + 1)
 
 
 @functools.cache
@@ -210,14 +209,14 @@ def _weight_tables(method: str, degree: int) -> tuple:
     exact recursions truncated at grade (order - 1) and integrated over [0, h]."""
     order, nexp = _METHOD_META[method]
     ops = SimpleNamespace(space=LinCombSpace(), rhd=bilinear(_integral_bracket))
-    a = LinComb([(((k,), k), Fraction(1)) for k in range(degree + 1)])
+    a = LinComb({((k,), k): 1 for k in range(degree + 1)})
     if method.startswith("magnus"):
         factors = [magnus(ops, a, order - 1)]
     else:
         factors = fer(ops, a, order - 1)[:nexp]
     # grades have distinct word lengths, so their terms never collide
     return tuple(
-        tuple(sorted((w, p + 1, c / (p + 1)) for g in f.coeffs for (w, p), c in g.terms.items()))
+        tuple(sorted((w, p + 1, Fraction(v, g.den * (p + 1))) for g in f.coeffs for (w, p), v in g.num.items()))
         for f in factors
     )
 

@@ -145,7 +145,8 @@ def _prec_basis(s: PBT, t: PBT) -> LinComb:
     if s is LEAF or t is LEAF:
         raise UndefinedUnitProduct("basis half-products take trees of degree >= 1")
     grafted = _star_basis(s.right, t)
-    return LinComb([(PBT(s.left, w), c) for w, c in grafted.terms.items()])
+    # w -> s_l v w is injective, so the numerators stay distinct and in lowest terms
+    return LinComb._make({PBT(s.left, w): c for w, c in grafted.num.items()}, grafted.den)
 
 
 @lru_cache(maxsize=None)
@@ -153,7 +154,7 @@ def _succ_basis(s: PBT, t: PBT) -> LinComb:
     if s is LEAF or t is LEAF:
         raise UndefinedUnitProduct("basis half-products take trees of degree >= 1")
     grafted = _star_basis(s, t.left)
-    return LinComb([(PBT(w, t.right), c) for w, c in grafted.terms.items()])
+    return LinComb._make({PBT(w, t.right): c for w, c in grafted.num.items()}, grafted.den)
 
 
 class FreeDendriform(Dendriform):

@@ -19,15 +19,14 @@ picks one of those forms deterministically.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Callable
 
-from .lincomb import LinComb, LinCombSpace, bilinear
+from .lincomb import LinComb, LinCombSpace, bilinear, combine
 from .rooted import rooted_ops, rooted_trees_of_degree
-from .scalars import as_fractions, common_denominator, reduced
+from .scalars import reduced
 
 __all__ = [
     "PreLieExpr",
@@ -133,10 +132,7 @@ def eval_expr(e: PreLieExpr, gen_value, rhd: Callable, _memo=None):
 
 def eval_combo(combo: LinComb, gen_value, rhd: Callable):
     memo: dict = {}
-    terms = []
-    for e, c in combo.terms.items():
-        terms.extend((b, c * v) for b, v in eval_expr(e, gen_value, rhd, memo).terms.items())
-    return LinComb(terms)
+    return combine(((c, eval_expr(e, gen_value, rhd, memo)) for e, c in combo.num.items()), combo.den)
 
 
 def eval_rooted(combo: LinComb) -> LinComb:
@@ -155,44 +151,6 @@ def eval_planar(combo: LinComb) -> LinComb:
 
 def monomial_count(combo: LinComb) -> int:
     return combo.support_count()
-
-
-@lru_cache(maxsize=None)
-def _local_rewrites(e: PreLieExpr) -> tuple[tuple[tuple[PreLieExpr, Fraction], ...], ...]:
-    """All one-step rewrites of e by the pre-Lie identity at any position.
-
-    Each entry is a tuple of (expression, coefficient) replacing e:
-      (x>y)>z  ->  x>(y>z) + (y>x)>z - y>(x>z)
-      x>(y>z)  ->  (x>y)>z - (y>x)>z + y>(x>z)
-    applied at the root, plus every rewrite of a subexpression propagated up.
-    """
-    if e.is_gen:
-        return ()
-    results: list[tuple[tuple[PreLieExpr, Fraction], ...]] = []
-    l, r = e.left, e.right
-    if not l.is_gen:  # root matches (x>y)>z
-        x, y, z = l.left, l.right, r
-        results.append(
-            (
-                (PreLieExpr(x, PreLieExpr(y, z)), Fraction(1)),
-                (PreLieExpr(PreLieExpr(y, x), z), Fraction(1)),
-                (PreLieExpr(y, PreLieExpr(x, z)), Fraction(-1)),
-            )
-        )
-    if not r.is_gen:  # root matches x>(y>z)
-        x, y, z = l, r.left, r.right
-        results.append(
-            (
-                (PreLieExpr(PreLieExpr(x, y), z), Fraction(1)),
-                (PreLieExpr(PreLieExpr(y, x), z), Fraction(-1)),
-                (PreLieExpr(y, PreLieExpr(x, z)), Fraction(1)),
-            )
-        )
-    for repl in _local_rewrites(l):
-        results.append(tuple((PreLieExpr(sub, r), c) for sub, c in repl))
-    for repl in _local_rewrites(r):
-        results.append(tuple((PreLieExpr(l, sub), c) for sub, c in repl))
-    return tuple(results)
 
 
 # Degree 6 would mean C(42, 22), about 5e11, kernel subsets.
@@ -249,7 +207,8 @@ def _kernel(n: int) -> tuple[tuple[int, ...], ...]:
     """
     exprs = _expressions_of_degree(n)
     images = [eval_rooted(LinComb.single(e)) for e in exprs]
-    rows = [list(common_denominator(img.coeff(t) for img in images)[0]) for t in rooted_trees_of_degree(n)]
+    den = lcm(*(img.den for img in images))
+    rows = [[img.num.get(t, 0) * (den // img.den) for img in images] for t in rooted_trees_of_degree(n)]
     pivots, det = _fraction_free_reduce(rows, len(exprs))
     basis = []
     for free in sorted(set(range(len(exprs))) - set(pivots)):
@@ -263,11 +222,12 @@ def _kernel(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _rank(c: LinComb):
-    # fewer monomials first; small coefficients and short strings break ties
+    # fewer monomials first; small coefficients (|p| + q of each p/q) and short strings break ties
+    den = c.den
     return (
         c.support_count(),
-        sum(abs(v.numerator) + v.denominator for v in c.terms.values()),
-        tuple(sorted(str(e) for e in c.terms)),
+        sum((abs(v) + den) // gcd(v, den) for v in c.num.values()),
+        tuple(sorted(str(e) for e in c.num)),
     )
 
 
@@ -284,7 +244,7 @@ def minimal_forms(combo: LinComb) -> list[LinComb]:
     """
     if combo.is_zero():
         return [combo]
-    degs = {e.degree for e in combo.terms}
+    degs = {e.degree for e in combo.num}
     if len(degs) > 1:
         raise ValueError("minimal_forms expects a homogeneous combination")
     (n,) = degs
@@ -293,7 +253,7 @@ def minimal_forms(combo: LinComb) -> list[LinComb]:
     exprs = _expressions_of_degree(n)
     kernel = _kernel(n)
     d = len(kernel)
-    x0, den = common_denominator(combo.coeff(e) for e in exprs)
+    x0, den = [combo.num.get(e, 0) for e in exprs], combo.den
     best, found = len(exprs), set()
     for zeros in combinations(range(len(exprs)), d):
         rows = [[k[z] for k in kernel] + [-x0[z]] for z in zeros]
@@ -309,7 +269,7 @@ def minimal_forms(combo: LinComb) -> list[LinComb]:
             best, found = size, set()
         if size == best:
             found.add(reduced(x, det * den))
-    forms = sorted((LinComb(zip(exprs, as_fractions(*key))) for key in found), key=_rank)
+    forms = sorted((LinComb._make({e: v for e, v in zip(exprs, x) if v}, q) for x, q in found), key=_rank)
     target = eval_rooted(combo)
     if any(eval_rooted(f) != target for f in forms):
         raise AssertionError("minimal_forms produced an inequivalent combination")

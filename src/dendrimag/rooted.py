@@ -92,11 +92,14 @@ def rooted_trees_of_degree(n: int) -> tuple[RootedTree, ...]:
 
 @lru_cache(maxsize=None)
 def _graft_basis(s: RootedTree, t: RootedTree) -> LinComb:
-    terms = [(RootedTree(t.children + (s,)), 1)]  # onto the root
+    num = {RootedTree(t.children + (s,)): 1}  # onto the root
     for i, child in enumerate(t.children):
         rest = t.children[:i] + t.children[i + 1 :]
-        terms.extend((RootedTree(rest + (sub,)), c) for sub, c in _graft_basis(s, child).terms.items())
-    return LinComb(terms)
+        for sub, c in _graft_basis(s, child).num.items():
+            tree = RootedTree(rest + (sub,))
+            num[tree] = num.get(tree, 0) + c
+    # positive integer multiplicities: no zero entry, and den == 1 is lowest terms
+    return LinComb._make(num, 1)
 
 
 graft = bilinear(_graft_basis)

@@ -3,12 +3,12 @@
 The scalar field throughout the exact half of this package is the rationals.
 Single scalars (weights, Bernoulli numbers, user-facing scales, the grid
 spacing) are ``fractions.Fraction`` (arbitrary precision, always in lowest
-terms, positive denominator).  The dense carriers ``RatMatrix`` and
-``GridSeq`` instead store a vector of rationals as integer numerators over
-one shared denominator, computed in ints and kept in lowest terms by one
-``gcd`` pass (:func:`reduced`); ``Fraction`` appears there only at the
-boundary (:func:`common_denominator` on the way in, :func:`as_fractions` on
-the way out).  This module also has the serialization helpers ("p/q"
+terms, positive denominator).  The carriers ``RatMatrix``, ``GridSeq`` and
+``LinComb`` instead store integer numerators over one shared denominator,
+computed in ints and kept in lowest terms by one ``gcd`` pass
+(:func:`reduced` here, ``lincomb.combine`` for the sparse ``LinComb``);
+``Fraction`` appears there only at the boundary (for the dense ones,
+:func:`common_denominator` in and :func:`as_fractions` out).  This module also has the serialization helpers ("p/q"
 strings) used by every JSON payload, and the Bernoulli numbers that drive
 the Magnus recursion.
 

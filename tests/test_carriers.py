@@ -1,9 +1,9 @@
-"""Differential tests of the dense exact carriers against nested Fractions.
+"""Differential tests of the exact carriers against nested Fractions.
 
-RatMatrix and GridSeq compute on integer numerators over one shared
+RatMatrix, GridSeq and LinComb compute on integer numerators over one shared
 denominator; every operation here is checked against a plain reference
-written on lists of Fractions, and every result is checked to be in the
-normalised form that equality and hashing rely on.  The Poly product is
+written on lists or dicts of Fractions, and every result is checked to be in
+the normalised form that equality and hashing rely on.  The Poly product is
 checked against a naive double sum over both of its coefficient spaces.
 """
 
@@ -14,8 +14,13 @@ from math import gcd
 import pytest
 
 from dendrimag.grids import GridSeq, GridSpace, NonSummable
+from dendrimag.lincomb import LinComb, LinCombSpace, bilinear
 from dendrimag.matrices import MatrixSpace, RatMatrix, triangular_project
+from dendrimag.ode import _integral_bracket
+from dendrimag.pbt import _prec_basis, _succ_basis, free_dendriform, trees_of_degree
 from dendrimag.polys import Poly
+from dendrimag.prelie_expr import _expressions_of_degree, eval_combo, eval_planar, eval_rooted
+from dendrimag.rooted import _graft_basis, rooted_ops
 from dendrimag.scalars import parse_rational
 from dendrimag.series import RATIONALS
 
@@ -29,11 +34,12 @@ def _rational(rng: random.Random) -> Fraction:
 
 
 def _assert_normalised(x) -> None:
+    num = list(x.num.values()) if isinstance(x.num, dict) else x.num
     assert x.den > 0
-    assert gcd(x.den, *x.num) == 1
-    if not any(x.num):
+    assert gcd(x.den, *num) == 1
+    if not any(num):
         assert x.den == 1
-    assert all(type(v) is int for v in x.num)
+    assert all(type(v) is int for v in num)
 
 
 # -- RatMatrix ----------------------------------------------------------------
@@ -231,6 +237,132 @@ def test_poly_mul_matches_naive_double_sum(base):
         assert got.degree <= max(len(xs) + len(ys) - 2, -1)
 
 
+# -- LinComb ----------------------------------------------------------------------
+
+TREES = trees_of_degree(1) + trees_of_degree(2) + trees_of_degree(3)
+# ode words (word, power): the bracket [I(x), y] has constants 1/(p+1)
+WORDS = [((k,), k) for k in range(3)] + [((j, k), j + k + 1) for j in range(2) for k in range(2)]
+
+
+def _ref_comb(rng, basis) -> dict:
+    """basis -> nonzero Fraction, sometimes empty, over mixed denominators."""
+    ref: dict = {}
+    for _ in range(rng.randint(0, 5)):
+        b = rng.choice(basis)
+        ref[b] = ref.get(b, Fraction(0)) + _rational(rng)
+    return {b: v for b, v in ref.items() if v}
+
+
+def _ref_sum(*pairs) -> dict:
+    """sum of c * ref over (rational c, basis -> Fraction dict) pairs."""
+    out: dict = {}
+    for c, ref in pairs:
+        for b, v in ref.items():
+            out[b] = out.get(b, Fraction(0)) + c * v
+    return {b: v for b, v in out.items() if v}
+
+
+def _ref_bilinear(f, x: dict, y: dict) -> dict:
+    return _ref_sum(*((cx * cy, f(bx, by)) for bx, cx in x.items() for by, cy in y.items()))
+
+
+def _ref_bracket(x, y) -> dict:
+    (wx, px), (wy, py) = x, y
+    c, p = Fraction(1, px + 1), px + 1 + py
+    return _ref_sum((c, {(wx + wy, p): Fraction(1)}), (-c, {(wy + wx, p): Fraction(1)}))
+
+
+def _check_comb(x: LinComb, ref: dict) -> None:
+    _assert_normalised(x)
+    assert all(x.num.values())
+    assert x.terms == ref
+    assert x.is_zero() == (not ref) and x.support_count() == len(ref)
+
+
+def _check_hashes(results) -> None:
+    for x in results:
+        for y in results:
+            if x == y:
+                assert hash(x) == hash(y)
+
+
+def test_lincomb_ops_match_fraction_reference():
+    rng = random.Random(23)
+    bracket = bilinear(_integral_bracket)
+    dend = free_dendriform()
+    products = [
+        (TREES, dend.prec, lambda s, t: _prec_basis(s, t).terms),
+        (TREES, dend.succ, lambda s, t: _succ_basis(s, t).terms),
+        (WORDS, bracket, _ref_bracket),
+    ]
+    for i in range(240):
+        basis, prod, ref_prod = products[i % 3]
+        ra, rb = _ref_comb(rng, basis), _ref_comb(rng, basis)
+        if rng.random() < 0.3:  # b cancels all of a except part of b
+            rb = _ref_sum((-1, ra), (1, {k: v for k, v in rb.items() if rng.random() < 0.5}))
+        a, b = LinComb(ra), LinComb(rb)
+        results = [a, b, a + b, a - b, -a, a - a, prod(a, b), prod(b, a), (a + b) - b, LinComb(a.terms)]
+        _check_comb(a, ra)
+        _check_comb(a + b, _ref_sum((1, ra), (1, rb)))
+        _check_comb(a - b, _ref_sum((1, ra), (-1, rb)))
+        _check_comb(-a, _ref_sum((-1, ra)))
+        _check_comb(a - a, {})
+        for c in SCALES:
+            results.append(a.scale(c))
+            _check_comb(results[-1], _ref_sum((c, ra)))
+        _check_comb(prod(a, b), _ref_bilinear(ref_prod, ra, rb))
+        _check_comb(prod(b, a), _ref_bilinear(ref_prod, rb, ra))
+        assert (a + b) - b == a and LinComb(a.terms) == a
+        assert a.scale(Fraction(3, 7)).scale(Fraction(7, 3)) == a
+        _check_hashes(results)
+
+
+def test_eval_combo_matches_fraction_reference():
+    rng = random.Random(29)
+    rooted = rooted_ops()
+    models = [
+        (rooted.generator(), rooted.rhd, lambda s, t: _graft_basis(s, t).terms),
+        # a generator with mixed denominators under a product with constants 1/(p+1)
+        (LinComb({w: Fraction(1 - 2 * k, k + 2) for k, w in enumerate(WORDS[:3])}), bilinear(_integral_bracket), _ref_bracket),
+    ]
+    exprs = [e for n in range(1, 5) for e in _expressions_of_degree(n)]
+    for gen, rhd, ref_rhd in models:
+
+        def ref_eval(e):
+            return gen.terms if e.is_gen else _ref_bilinear(ref_rhd, ref_eval(e.left), ref_eval(e.right))
+
+        for _ in range(40):
+            ref = _ref_comb(rng, exprs)
+            got = eval_combo(LinComb(ref), gen, rhd)
+            _check_comb(got, _ref_sum(*((c, ref_eval(e)) for e, c in ref.items())))
+        # terms that cancel between monomials, and the zero combination
+        two, three = _expressions_of_degree(2)[0], _expressions_of_degree(3)
+        _check_comb(eval_combo(LinComb.zero(), gen, rhd), {})
+        relation = LinComb([(three[0], 1), (three[1], -1)])
+        _check_comb(eval_combo(relation, gen, rhd), _ref_sum((1, ref_eval(three[0])), (-1, ref_eval(three[1]))))
+        _check_comb(eval_combo(LinComb([(two, Fraction(1, 6))]), gen, rhd), _ref_sum((Fraction(1, 6), ref_eval(two))))
+
+
+def test_lincomb_zero_and_constructor_normalise():
+    s, t = trees_of_degree(2)
+    zeros = [
+        LinComb(),
+        LinComb.zero(),
+        LinComb({s: 0}),
+        LinComb([(s, Fraction(1, 3)), (s, Fraction(-1, 3))]),
+        LinComb.single(t, 0),
+        LinComb.single(t, Fraction(5, 6)).scale(0),
+        LinCombSpace().zero(),
+    ]
+    for z in zeros:
+        _check_comb(z, {})
+        assert z == LinComb.zero() and hash(z) == hash(LinComb.zero())
+    half = LinComb([(s, Fraction(1, 4)), (t, Fraction(1, 6)), (s, Fraction(1, 4))])
+    assert (half.num, half.den) == ({s: 3, t: 1}, 6)
+    assert LinComb.single(s, Fraction(-2, 4)).terms == {s: Fraction(-1, 2)}
+    assert LinComb.single(s, Fraction(-2, 4)).coeff(t) == 0
+
+
 def test_carrier_arithmetic_builds_no_fraction():
     # Fraction appears only at the boundary: every operation below runs on ints
     rng = random.Random(5)
@@ -239,6 +371,13 @@ def test_carrier_arithmetic_builds_no_fraction():
     f, g = GridSeq(theta, [_rational(rng) for _ in range(6)]), GridSeq(theta, [_rational(rng) for _ in range(4)])
     msp, gsp = MatrixSpace(3), GridSpace(theta, 6)
     c = Fraction(-3, 7)
+    x1 = LinComb({TREES[0]: Fraction(2, 35), TREES[1]: Fraction(-3, 4), TREES[5]: 1})
+    x2 = LinComb({TREES[0]: Fraction(-9, 4), TREES[2]: Fraction(5, 6), TREES[7]: 3})
+    w1 = LinComb({w: Fraction(1 - 2 * k, k + 2) for k, w in enumerate(WORDS)})
+    w2 = LinComb({w: Fraction(k + 1, 3) for k, w in enumerate(WORDS[2:])})
+    exprs = _expressions_of_degree(3) + _expressions_of_degree(4)
+    combo = LinComb({e: Fraction(k - 3, k % 4 + 1) for k, e in enumerate(exprs)})
+    dend, lsp, bracket = free_dendriform(), LinCombSpace(), bilinear(_integral_bracket)
     made = []
     original = vars(Fraction)["__new__"]
 
@@ -255,6 +394,10 @@ def test_carrier_arithmetic_builds_no_fraction():
         for x, y in ((f, g), (g, f)):
             results += [x + y, x - y, x * y, -x, x.scale(c), x.sum_incl(), x.sum_strict(), x.tail_sum()]
             results += [x.diff(), x.diff().shift_sum(), gsp.sub(x, y), gsp.zero(), gsp.one()]
+        for x, y in ((x1, x2), (x2, x1), (w1, w2)):
+            results += [x + y, x - y, -x, x.scale(c), x.scale(2), lsp.sub(x, y), lsp.neg(x), lsp.zero()]
+        results += [dend.prec(x1, x2), dend.succ(x2, x1), dend.rhd(x1, x2), bracket(w1, w2), bracket(w2, w1)]
+        results += [eval_rooted(combo), eval_planar(combo), eval_combo(combo, w1, bracket)]
         checks = [(x.is_zero(), hash(x), x == x) for x in results]
         scalars = [RATIONALS.zero(), RATIONALS.one()]
     finally:

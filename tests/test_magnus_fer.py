@@ -148,6 +148,17 @@ def test_verify_fer_free_model():
     assert rep.ok, rep.summary()
 
 
+def test_free_model_magnus_and_fer_order_9():
+    # one order past the CLI bound: 4862 planar trees in the top degree
+    free = free_dendriform()
+    for rep, checks in (
+        (verify_magnus(free, free.generator(), 9), 3),
+        (verify_fer(free, free.generator(), 9, exact_onsets=True), 9),
+    ):
+        hard = [c for c in rep.checks if not c.informational]
+        assert len(hard) == checks and all(c.ok for c in hard), rep.summary()
+
+
 def test_verify_fer_zero_input(tri_rb):
     dend = tri_rb.dendriform()
     rep = verify_fer(dend, dend.space.zero(), 4)

@@ -56,29 +56,23 @@ def _random_expr(rng, degree):
     return PreLieExpr(_random_expr(rng, split), _random_expr(rng, degree - split))
 
 
-def _random_rewrite(rng, combo):
-    """Replace one monomial by its image under the pre-Lie identity."""
-    from dendrimag.prelie_expr import _local_rewrites
-
-    candidates = [(m, c) for m, c in combo.terms.items() if _local_rewrites(m)]
-    if not candidates:
-        return combo
-    mono, coeff = rng.choice(candidates)
-    repl = rng.choice(_local_rewrites(mono))
-    delta = LinComb.single(mono, -coeff) + LinComb([(e, coeff * c) for e, c in repl])
-    return combo + delta
-
-
 def test_rooted_equality_is_universal(rng):
-    # pairs equal in the rooted model by construction stay equal in the planar model
+    # rooted trees are the free pre-Lie algebra, so the kernel of eval_rooted spans
+    # every pre-Lie relation: adding any integer kernel combination keeps a
+    # combination equal in the rooted model and in the planar (dendriform) model
     for _ in range(100):
         degree = rng.randint(2, 5)
-        start = LinComb.single(_random_expr(rng, degree), Fraction(rng.randint(1, 3)))
-        rewritten = start
-        for _ in range(rng.randint(1, 3)):
-            rewritten = _random_rewrite(rng, rewritten)
-        assert eval_rooted(start) == eval_rooted(rewritten)
-        assert eval_planar(start) == eval_planar(rewritten)
+        exprs = prelie_expr._expressions_of_degree(degree)
+        start = LinComb(
+            [(_random_expr(rng, degree), Fraction(rng.randint(-3, 3), rng.randint(1, 3))) for _ in range(rng.randint(1, 3))]
+        )
+        kernel = prelie_expr._kernel(degree)
+        ys = [rng.randint(-3, 3) for _ in kernel]
+        relation = sum((LinComb(zip(exprs, k)).scale(y) for y, k in zip(ys, kernel)), LinComb.zero())
+        moved = start + relation
+        assert relation.is_zero() == (not any(ys))
+        assert eval_rooted(start) == eval_rooted(moved)
+        assert eval_planar(start) == eval_planar(moved)
 
 
 def test_rewrite_reduce_minimal_input_unchanged():
