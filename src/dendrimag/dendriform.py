@@ -37,7 +37,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from .report import VerificationReport
 from .series import CoeffSpace, TruncatedSeries, bilinear_terms
@@ -235,11 +235,23 @@ class UnitalSpace(CoeffSpace):
     def add(self, x: UnitalDendElem, y: UnitalDendElem) -> UnitalDendElem:
         return UnitalDendElem(x.scalar + y.scalar, self.carrier.add(x.vec, y.vec))
 
+    def sub(self, x: UnitalDendElem, y: UnitalDendElem) -> UnitalDendElem:
+        return UnitalDendElem(x.scalar - y.scalar, self.carrier.sub(x.vec, y.vec))
+
+    def neg(self, x: UnitalDendElem) -> UnitalDendElem:
+        return UnitalDendElem(-x.scalar, self.carrier.neg(x.vec))
+
     def scale(self, c: Fraction, x: UnitalDendElem) -> UnitalDendElem:
         return UnitalDendElem(c * x.scalar, self.carrier.scale(c, x.vec))
 
     def is_zero(self, x: UnitalDendElem) -> bool:
         return x.scalar == 0 and self.carrier.is_zero(x.vec)
+
+    def eq(self, x: UnitalDendElem, y: UnitalDendElem) -> bool:
+        return x.scalar == y.scalar and self.carrier.eq(x.vec, y.vec)
+
+    def sum(self, terms: Sequence[UnitalDendElem]) -> UnitalDendElem:
+        return UnitalDendElem(sum(t.scalar for t in terms), self.carrier.sum([t.vec for t in terms]))
 
     def mul(self, x: UnitalDendElem, y: UnitalDendElem) -> UnitalDendElem:
         return self.dend.unital_star(x, y)

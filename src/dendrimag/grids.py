@@ -178,24 +178,6 @@ class GridSpace(CoeffSpace):
     def zero(self) -> GridSeq:
         return GridSeq._make(self.theta, (0,) * self.length, 1)
 
-    def add(self, x: GridSeq, y: GridSeq) -> GridSeq:
-        return x + y
-
-    def sub(self, x: GridSeq, y: GridSeq) -> GridSeq:
-        return x - y
-
-    def neg(self, x: GridSeq) -> GridSeq:
-        return -x
-
-    def scale(self, c: Fraction, x: GridSeq) -> GridSeq:
-        return x.scale(c)
-
-    def is_zero(self, x: GridSeq) -> bool:
-        return x.is_zero()
-
-    def eq(self, x: GridSeq, y: GridSeq) -> bool:
-        return x == y
-
     def mul(self, x: GridSeq, y: GridSeq) -> GridSeq:
         return x * y
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .scalars import rational_str
 from .series import CoeffSpace
@@ -154,23 +154,8 @@ class LinCombSpace(CoeffSpace):
     def zero(self) -> LinComb:
         return LinComb.zero()
 
-    def add(self, x: LinComb, y: LinComb) -> LinComb:
-        return x + y
-
-    def sub(self, x: LinComb, y: LinComb) -> LinComb:
-        return x - y
-
-    def neg(self, x: LinComb) -> LinComb:
-        return -x
-
-    def scale(self, c: Fraction, x: LinComb) -> LinComb:
-        return x.scale(c)
-
-    def is_zero(self, x: LinComb) -> bool:
-        return x.is_zero()
-
-    def eq(self, x: LinComb, y: LinComb) -> bool:
-        return x == y
+    def sum(self, terms: Sequence[LinComb]) -> LinComb:
+        return combine((1, t) for t in terms)
 
     def mul(self, x: LinComb, y: LinComb) -> LinComb:
         if self._mul is None:

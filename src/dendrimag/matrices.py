@@ -110,24 +110,6 @@ class MatrixSpace(CoeffSpace):
     def zero(self) -> RatMatrix:
         return RatMatrix.zeros(self.n)
 
-    def add(self, x: RatMatrix, y: RatMatrix) -> RatMatrix:
-        return x + y
-
-    def sub(self, x: RatMatrix, y: RatMatrix) -> RatMatrix:
-        return x - y
-
-    def neg(self, x: RatMatrix) -> RatMatrix:
-        return -x
-
-    def scale(self, c: Fraction, x: RatMatrix) -> RatMatrix:
-        return x.scale(c)
-
-    def is_zero(self, x: RatMatrix) -> bool:
-        return x.is_zero()
-
-    def eq(self, x: RatMatrix, y: RatMatrix) -> bool:
-        return x == y
-
     def mul(self, x: RatMatrix, y: RatMatrix) -> RatMatrix:
         return x @ y
 

@@ -1,88 +1,167 @@
 """Polynomials in one variable with exact coefficients, and exact integration.
 
-Coefficients come from any :class:`CoeffSpace` with a product (rational
-scalars or rational matrices here), so the same type serves the commutative
-weight-zero Rota-Baxter instance and the matrix-valued integration algebra.
-The integration operator I(p)(t) = integral of p from 0 to t is exact on
-polynomials and satisfies integration by parts, i.e. the weight-zero
-Rota-Baxter relation, and the iterated form (I(a))^n = n! I(a I(a ...)).
+Coefficients are rationals or n x n rational matrices (``RATIONALS`` or a
+``MatrixSpace``), so one type serves the commutative weight-zero Rota-Baxter
+instance and the matrix-valued integration algebra.  The integration operator
+I(p)(t) = integral of p from 0 to t is exact on polynomials and satisfies
+integration by parts, i.e. the weight-zero Rota-Baxter relation, and the
+iterated form (I(a))^n = n! I(a I(a ...)).
+
+A :class:`Poly` stores one flat tuple ``num`` of int numerators, in blocks of
+1 (rationals) or n*n row-major entries per coefficient, with no trailing
+all-zero block, over one positive ``den`` in lowest terms (zero is ``()``
+over 1).  Every operation runs on ints with one reduction per result; base
+elements appear only at the boundary (the constructor, ``coeffs``, the value
+of ``eval_at``, ``repr``, ``to_json``).  Mixing coefficient shapes raises
+``ValueError``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Any, Iterable
 
+from .matrices import MatrixSpace, RatMatrix, random_matrix
 from .report import VerificationReport
-from .series import CoeffSpace, FractionSpace, RATIONALS, bilinear_terms
+from .scalars import add_vectors, as_fractions, reduced, scale_vector
+from .series import CoeffSpace, FractionSpace, RATIONALS
 
 __all__ = ["Poly", "PolySpace", "poly_integrate", "ibp_power_check", "random_poly"]
 
 
+def _shape(base: CoeffSpace) -> int:
+    """0 over the rationals and n over n x n matrices."""
+    if isinstance(base, FractionSpace):
+        return 0
+    if isinstance(base, MatrixSpace):
+        return base.n
+    raise TypeError("polynomial coefficients must be rationals or rational matrices")
+
+
+def _trim(num: tuple[int, ...], b: int) -> tuple[int, ...]:
+    """num without its trailing all-zero blocks of b entries."""
+    end = len(num)
+    while end and not any(num[end - b : end]):
+        end -= b
+    return num[:end]
+
+
 class Poly:
-    __slots__ = ("base", "coeffs")
+    __slots__ = ("base", "n", "num", "den")
 
     def __init__(self, base: CoeffSpace, coeffs: Iterable[Any] = ()):
-        cs = list(coeffs)
-        while cs and base.is_zero(cs[-1]):
-            cs.pop()
-        self.base = base
-        self.coeffs = tuple(cs)
+        n, cs = _shape(base), list(coeffs)
+        if n and any(c.n != n for c in cs):
+            raise ValueError("coefficient space mismatch")
+        parts = [(c.num, c.den) if n else ((c.numerator,), c.denominator) for c in cs]
+        den = lcm(*(d for _, d in parts))
+        self.base, self.n = base, n
+        self.num, self.den = reduced(_trim([x * (den // d) for xs, d in parts for x in xs], n * n or 1), den)
+
+    def _like(self, num: tuple[int, ...], den: int) -> "Poly":
+        """num/den, in lowest terms, over the base of self, less its trailing zero blocks."""
+        p = object.__new__(Poly)
+        p.base, p.n, p.num, p.den = self.base, self.n, _trim(num, self.n * self.n or 1), den
+        return p
+
+    def _same_shape(self, other: "Poly") -> None:
+        if self.n != other.n:
+            raise ValueError("coefficient space mismatch")
+
+    @property
+    def coeffs(self) -> tuple[Any, ...]:
+        """The coefficients as base elements (Fractions or RatMatrix)."""
+        n, num = self.n, self.num
+        if not n:
+            return as_fractions(num, self.den)
+        b = n * n
+        return tuple(RatMatrix._make(n, *reduced(num[k : k + b], self.den)) for k in range(0, len(num), b))
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.num) // (self.n * self.n or 1) - 1  # -1 for the zero polynomial
 
-    def _pad(self, other: "Poly"):
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.base.zero()
-        a = self.coeffs + (z,) * (n - len(self.coeffs))
-        b = other.coeffs + (z,) * (n - len(other.coeffs))
-        return a, b
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        self._same_shape(other)
+        a, b = self.num, other.num
+        if len(a) < len(b):
+            a += (0,) * (len(b) - len(a))
+        else:
+            b += (0,) * (len(a) - len(b))
+        return self._like(*add_vectors(a, self.den, b, other.den, sign))
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self._pad(other)
-        return Poly(self.base, [self.base.add(x, y) for x, y in zip(a, b)])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        a, b = self._pad(other)
-        return Poly(self.base, [self.base.sub(x, y) for x, y in zip(a, b)])
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Poly":
-        return self.scale(Fraction(-1))
+        return self._like(tuple(-x for x in self.num), self.den)
 
-    def scale(self, c: Fraction) -> "Poly":
-        return Poly(self.base, [self.base.scale(c, x) for x in self.coeffs])
+    def scale(self, c: Fraction | int) -> "Poly":
+        return self._like(*scale_vector(self.num, self.den, c))
 
     def __mul__(self, other: "Poly") -> "Poly":
-        base = self.base
-        top = len(self.coeffs) + len(other.coeffs) - 2
-        return Poly(base, bilinear_terms(base, base.mul, self.coeffs, other.coeffs, 0, top))
+        """One int convolution of the coefficient blocks, reduced once."""
+        self._same_shape(other)
+        a, c, n = self.num, other.num, self.n
+        if not a or not c:
+            return self._like((), 1)
+        if not n:
+            out = [0] * (len(a) + len(c) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for k, y in enumerate(c, i):
+                        out[k] += x * y
+        else:
+            b = n * n
+            out = [0] * (len(a) + len(c) - b)
+            # (offset, columns) of each nonzero block of c
+            cols = [(k, [c[k + j : k + b : n] for j in range(n)]) for k in range(0, len(c), b) if any(c[k : k + b])]
+            for i in range(0, len(a), b):
+                if not any(a[i : i + b]):
+                    continue
+                rows = [a[r : r + n] for r in range(i, i + b, n)]
+                for k, block in cols:
+                    o = i + k
+                    for row in rows:
+                        for col in block:
+                            out[o] += sum(map(mul, row, col))
+                            o += 1
+        return self._like(*reduced(out, self.den * other.den))
 
     def integrate(self) -> "Poly":
-        """Antiderivative with zero constant term: t^n -> t^(n+1)/(n+1)."""
-        out = [self.base.zero()]
-        for n, x in enumerate(self.coeffs):
-            out.append(self.base.scale(Fraction(1, n + 1), x))
-        return Poly(self.base, out)
+        """Antiderivative with zero constant term: t^k -> t^(k+1)/(k+1), over
+        den * lcm(1..m) for m coefficients."""
+        b = self.n * self.n or 1
+        big = lcm(*range(1, len(self.num) // b + 1))
+        out = [0] * b + [big // (k // b + 1) * x for k, x in enumerate(self.num)]
+        return self._like(*reduced(out, self.den * big))
 
-    def eval_at(self, t: Fraction) -> Any:
-        acc = self.base.zero()
-        power = Fraction(1)
-        for x in self.coeffs:
-            acc = self.base.add(acc, self.base.scale(power, x))
-            power *= t
-        return acc
+    def eval_at(self, t: Fraction | int) -> Any:
+        """p(t) for t = p/q: sum_k num_k p^k q^(d-k) over den q^d, by Horner."""
+        num, n, b = self.num, self.n, self.n * self.n or 1
+        if not num:
+            return self.base.zero()
+        acc, qk = num[-b:], 1
+        for k in range(len(num) - 2 * b, -1, -b):
+            qk *= t.denominator
+            acc = [x * t.numerator + y * qk for x, y in zip(acc, num[k : k + b])]
+        if not n:
+            return Fraction(acc[0], self.den * qk)
+        return RatMatrix._make(n, *reduced(acc, self.den * qk))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self._pad(other)
-        return all(self.base.eq(x, y) for x, y in zip(a, b))
+        return self.n == other.n and self.den == other.den and self.num == other.num
 
     def __hash__(self):
         raise TypeError("Poly is not hashable")
@@ -95,27 +174,16 @@ class Poly:
 
 
 class PolySpace(CoeffSpace):
+    """Polynomials over RATIONALS or a MatrixSpace; any other base raises TypeError."""
+
     has_product = True
 
     def __init__(self, base: CoeffSpace = RATIONALS):
-        if not base.has_product:
-            raise TypeError("polynomial coefficients need a product")
+        _shape(base)
         self.base = base
 
     def zero(self) -> Poly:
         return Poly(self.base)
-
-    def add(self, x: Poly, y: Poly) -> Poly:
-        return x + y
-
-    def scale(self, c: Fraction, x: Poly) -> Poly:
-        return x.scale(c)
-
-    def is_zero(self, x: Poly) -> bool:
-        return x.is_zero()
-
-    def eq(self, x: Poly, y: Poly) -> bool:
-        return x == y
 
     def mul(self, x: Poly, y: Poly) -> Poly:
         return x * y
@@ -161,7 +229,5 @@ def random_poly(
             Fraction(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(max_degree + 1)
         ]
     else:
-        from .matrices import random_matrix
-
         coeffs = [random_matrix(rng, base.n, span) for _ in range(max_degree + 1)]
     return Poly(base, coeffs)

@@ -3,14 +3,16 @@
 The scalar field throughout the exact half of this package is the rationals.
 Single scalars (weights, Bernoulli numbers, user-facing scales, the grid
 spacing) are ``fractions.Fraction`` (arbitrary precision, always in lowest
-terms, positive denominator).  The carriers ``RatMatrix``, ``GridSeq`` and
-``LinComb`` instead store integer numerators over one shared denominator,
-computed in ints and kept in lowest terms by one ``gcd`` pass
-(:func:`reduced` here, ``lincomb.combine`` for the sparse ``LinComb``);
-``Fraction`` appears there only at the boundary (for the dense ones,
-:func:`common_denominator` in and :func:`as_fractions` out).  This module also has the serialization helpers ("p/q"
-strings) used by every JSON payload, and the Bernoulli numbers that drive
-the Magnus recursion.
+terms, positive denominator).  The carriers instead store integer numerators
+over one shared positive denominator, computed in ints and kept in lowest
+terms by one ``gcd`` pass per result: the dense ``RatMatrix``, ``GridSeq``
+and ``Poly`` (over rationals or rational matrices) through :func:`reduced`,
+:func:`add_vectors` and :func:`scale_vector` here, the sparse ``LinComb``
+through ``lincomb.combine``.  ``Fraction`` appears there only at the
+boundary (for the dense ones, :func:`common_denominator` in and
+:func:`as_fractions` out).  This module also has the serialization helpers
+("p/q" strings) used by every JSON payload, and the Bernoulli numbers that
+drive the Magnus recursion.
 
 Bernoulli convention
 --------------------

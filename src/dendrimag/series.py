@@ -20,6 +20,7 @@ and ``series_log`` requires constant term equal to the unit.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from typing import Any, Callable, Sequence
 
 __all__ = [
@@ -47,9 +48,13 @@ class BadConstantTerm(ValueError):
 class CoeffSpace:
     """Declared-operations contract for series coefficients.
 
-    Subclasses must implement ``zero``, ``add``, ``scale`` and ``is_zero``.
-    Spaces with a product additionally implement ``mul`` and ``one`` and
-    report ``has_product = True``.
+    Subclasses implement ``zero``.  The other operations default to the
+    element's own: ``add`` is ``x + y``, ``sub`` is ``x - y``, ``neg`` is
+    ``-x``, ``scale`` is ``x.scale(c)``, ``is_zero`` is ``x.is_zero()`` and
+    ``eq`` is ``x == y``; ``sum`` folds ``add`` over its terms in order.  A
+    space whose elements lack one of these overrides it.  Spaces with a
+    product additionally implement ``mul`` and ``one`` and report
+    ``has_product = True``.
     """
 
     has_product = False
@@ -58,22 +63,26 @@ class CoeffSpace:
         raise NotImplementedError
 
     def add(self, x: Any, y: Any) -> Any:
-        raise NotImplementedError
-
-    def scale(self, c: Fraction, x: Any) -> Any:
-        raise NotImplementedError
-
-    def is_zero(self, x: Any) -> bool:
-        raise NotImplementedError
-
-    def neg(self, x: Any) -> Any:
-        return self.scale(Fraction(-1), x)
+        return x + y
 
     def sub(self, x: Any, y: Any) -> Any:
-        return self.add(x, self.neg(y))
+        return x - y
+
+    def neg(self, x: Any) -> Any:
+        return -x
+
+    def scale(self, c: Fraction, x: Any) -> Any:
+        return x.scale(c)
+
+    def is_zero(self, x: Any) -> bool:
+        return x.is_zero()
 
     def eq(self, x: Any, y: Any) -> bool:
-        return self.is_zero(self.sub(x, y))
+        return x == y
+
+    def sum(self, terms: Sequence[Any]) -> Any:
+        """The sum of a nonempty sequence of terms, added in order."""
+        return reduce(self.add, terms)
 
     def mul(self, x: Any, y: Any) -> Any:
         raise NotImplementedError(f"{type(self).__name__} declares no product")
@@ -96,9 +105,6 @@ class FractionSpace(CoeffSpace):
 
     def zero(self) -> Fraction:
         return _ZERO
-
-    def add(self, x: Fraction, y: Fraction) -> Fraction:
-        return x + y
 
     def scale(self, c: Fraction, x: Fraction) -> Fraction:
         return c * x
@@ -247,25 +253,24 @@ def bilinear_terms(
     This is the one truncated bilinear loop: the Cauchy product, the
     dendriform half-products of unital series, the Fer corrections and the
     Magnus recursion all extend a bilinear op degree by degree through it.
-    Each factor is tested for zero once per call, and within a degree the
-    terms are added in ascending i.  Coefficients past the end of xs or ys
-    count as zero.
+    Each factor is tested for zero once per call, and the terms of each
+    degree, in ascending i, go to one ``space.sum``.  Coefficients past the
+    end of xs or ys count as zero.
     """
-    is_zero, add = space.is_zero, space.add
+    is_zero = space.is_zero
     left = [(i, x) for i, x in enumerate(xs[: hi + 1]) if not is_zero(x)]
     right = [None if is_zero(y) else y for y in ys[: hi + 1]]
     right += [None] * (hi + 1 - len(right))
     out = []
     for n in range(lo, hi + 1):
-        acc = None
+        terms = []
         for i, x in left:
             if i > n:
                 break
             y = right[n - i]
             if y is not None:
-                term = op(x, y)
-                acc = term if acc is None else add(acc, term)
-        out.append(space.zero() if acc is None else acc)
+                terms.append(op(x, y))
+        out.append(space.sum(terms) if terms else space.zero())
     return out
 
 

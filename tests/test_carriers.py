@@ -1,10 +1,11 @@
 """Differential tests of the exact carriers against nested Fractions.
 
-RatMatrix, GridSeq and LinComb compute on integer numerators over one shared
-denominator; every operation here is checked against a plain reference
-written on lists or dicts of Fractions, and every result is checked to be in
-the normalised form that equality and hashing rely on.  The Poly product is
-checked against a naive double sum over both of its coefficient spaces.
+RatMatrix, GridSeq, Poly and LinComb compute on integer numerators over one
+shared denominator; every operation here is checked against a plain
+reference written on lists or dicts of Fractions, and every result is
+checked to be in the normalised form that equality and hashing rely on.  The
+Poly product is also checked against a naive double sum over both of its
+coefficient spaces.
 """
 
 import random
@@ -18,11 +19,11 @@ from dendrimag.lincomb import LinComb, LinCombSpace, bilinear
 from dendrimag.matrices import MatrixSpace, RatMatrix, triangular_project
 from dendrimag.ode import _integral_bracket
 from dendrimag.pbt import _prec_basis, _succ_basis, free_dendriform, trees_of_degree
-from dendrimag.polys import Poly
+from dendrimag.polys import Poly, PolySpace
 from dendrimag.prelie_expr import _expressions_of_degree, eval_combo, eval_planar, eval_rooted
 from dendrimag.rooted import _graft_basis, rooted_ops
 from dendrimag.scalars import parse_rational
-from dendrimag.series import RATIONALS
+from dendrimag.series import RATIONALS, CoeffSpace
 
 SCALES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 4), Fraction(-5, 6), 2]
 
@@ -237,6 +238,130 @@ def test_poly_mul_matches_naive_double_sum(base):
         assert got.degree <= max(len(xs) + len(ys) - 2, -1)
 
 
+POLY_BASES = [RATIONALS, MatrixSpace(2)]
+POLY_IDS = ["rationals", "matrices"]
+
+
+def _width(base) -> int:
+    return 1 if base is RATIONALS else 4
+
+
+def _ref_block(rng, base) -> list:
+    """One coefficient as a flat row-major list of _width(base) Fractions."""
+    return [_rational(rng) for _ in range(_width(base))]
+
+
+def _ref_trim(ref: list) -> list:
+    ref = list(ref)
+    while ref and not any(ref[-1]):
+        ref.pop()
+    return ref
+
+
+def _ref_poly_add(a: list, b: list, width: int, sign=1) -> list:
+    n, zero = max(len(a), len(b)), [Fraction(0)] * width
+    a, b = a + [zero] * (n - len(a)), b + [zero] * (n - len(b))
+    return [[x + sign * y for x, y in zip(p, q)] for p, q in zip(a, b)]
+
+
+def _ref_block_mul(x: list, y: list) -> list:
+    if len(x) == 1:
+        return [x[0] * y[0]]
+    return [v for row in _ref_matmul([x[:2], x[2:]], [y[:2], y[2:]]) for v in row]
+
+
+def _ref_poly_mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [[Fraction(0)] * len(a[0]) for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = [u + v for u, v in zip(out[i + j], _ref_block_mul(x, y))]
+    return out
+
+
+def _ref_poly_integrate(a: list) -> list:
+    return [[Fraction(0)] * len(a[0])] + [[x / (k + 1) for x in c] for k, c in enumerate(a)] if a else []
+
+
+def _ref_poly_eval(a: list, t, b: int) -> list:
+    return [sum((c[e] * t**k for k, c in enumerate(a)), Fraction(0)) for e in range(b)]
+
+
+def _flat(c) -> list:
+    return [c] if isinstance(c, Fraction) else [x for row in c.rows for x in row]
+
+
+def _poly(base, ref: list) -> Poly:
+    return Poly(base, [c[0] if base is RATIONALS else RatMatrix([c[:2], c[2:]]) for c in ref])
+
+
+def _check_poly(p: Poly, ref: list) -> None:
+    _assert_normalised(p)
+    b = 1 if p.n == 0 else p.n * p.n
+    ref = _ref_trim(ref)
+    assert len(p.num) == b * len(ref)
+    assert not p.num or any(p.num[-b:])  # no trailing zero block
+    assert [_flat(c) for c in p.coeffs] == ref
+    assert p.degree == len(ref) - 1 and p.is_zero() == (not ref)
+
+
+@pytest.mark.parametrize("base", POLY_BASES, ids=POLY_IDS)
+def test_poly_ops_match_fraction_reference(base):
+    rng = random.Random(31)
+    b = _width(base)
+    one = [Fraction(int(k % 3 == 0)) for k in range(b)]
+    e12 = [Fraction(int(k == 1)) for k in range(b)]
+    cases = [([], []), ([], [one]), ([one, e12], [[Fraction(0)] * b, one, e12])]  # top E12 @ E12 = 0
+    for _ in range(60):
+        ra = [_ref_block(rng, base) for _ in range(rng.randint(0, 5))]
+        rb = [_ref_block(rng, base) for _ in range(rng.randint(0, 5))]
+        if ra and rng.random() < 0.3:  # opposite tops: a + b drops at least one degree
+            rb = [_ref_block(rng, base) for _ in range(len(ra) - 1)] + [[-x for x in ra[-1]]]
+        cases.append((ra, rb))
+    for ra, rb in cases:
+        a, c = _poly(base, ra), _poly(base, rb)
+        _check_poly(a, ra)
+        _check_poly(a + c, _ref_poly_add(ra, rb, b))
+        _check_poly(a - c, _ref_poly_add(ra, rb, b, -1))
+        _check_poly(a - a, [])
+        _check_poly(-a, [[-x for x in blk] for blk in ra])
+        for s in SCALES:
+            _check_poly(a.scale(s), [[s * x for x in blk] for blk in ra])
+        _check_poly(a * c, _ref_poly_mul(ra, rb))
+        _check_poly(c * a, _ref_poly_mul(rb, ra))
+        _check_poly(a.integrate(), _ref_poly_integrate(ra))
+        for t in (0, 1, Fraction(-2, 3), Fraction(5, 7)):
+            assert _flat(a.eval_at(t)) == _ref_poly_eval(ra, t, b)
+        assert (a == c) == (_ref_trim(ra) == _ref_trim(rb))
+        assert (a + c) - c == a and a.scale(Fraction(3, 7)).scale(Fraction(7, 3)) == a
+        assert Poly(base, a.coeffs) == a and a == _poly(base, ra + [[Fraction(0)] * b])
+
+
+def test_poly_coefficient_space_mismatch():
+    # block size 1 for both the rationals and 1 x 1 matrices: shapes, not sizes, must agree
+    polys = [Poly(RATIONALS, [1, Fraction(1, 2)]), Poly(MatrixSpace(1), [RatMatrix([[1]])])]
+    polys += [Poly(MatrixSpace(n), [RatMatrix.identity(n)]) for n in (2, 3)]
+    for p in polys:
+        for q in polys:
+            if p is q:
+                continue
+            for op in ("__add__", "__sub__", "__mul__"):
+                with pytest.raises(ValueError, match="coefficient space mismatch"):
+                    getattr(p, op)(q)
+            assert p != q and not (p == q)
+    # every matrix_poly_rb() builds its own MatrixSpace(2): equal shapes still mix
+    p, q = Poly(MatrixSpace(2), [RatMatrix.identity(2)]), Poly(MatrixSpace(2), [RatMatrix.identity(2)])
+    assert p == q and (p + q) == p.scale(2) and p * q == p
+    with pytest.raises(ValueError, match="coefficient space mismatch"):
+        Poly(MatrixSpace(2), [RatMatrix.identity(3)])
+    for base in (GridSpace(Fraction(1), 3), LinCombSpace(), PolySpace(), CoeffSpace()):
+        with pytest.raises(TypeError):
+            PolySpace(base)
+        with pytest.raises(TypeError):
+            Poly(base)
+
+
 # -- LinComb ----------------------------------------------------------------------
 
 TREES = trees_of_degree(1) + trees_of_degree(2) + trees_of_degree(3)
@@ -378,6 +503,13 @@ def test_carrier_arithmetic_builds_no_fraction():
     exprs = _expressions_of_degree(3) + _expressions_of_degree(4)
     combo = LinComb({e: Fraction(k - 3, k % 4 + 1) for k, e in enumerate(exprs)})
     dend, lsp, bracket = free_dendriform(), LinCombSpace(), bilinear(_integral_bracket)
+    polys_in = []
+    for base in POLY_BASES:
+        p1 = _poly(base, [_ref_block(rng, base) for _ in range(4)] + [[Fraction(1, 6)] * _width(base)])
+        p2 = _poly(base, [_ref_block(rng, base) for _ in range(3)] + [[Fraction(-5, 4)] * _width(base)])
+        polys_in += [(p1, p2, PolySpace(base)), (p2, p1, PolySpace(base))]
+    (p1r, _, _), _, (p1m, _, _), _ = polys_in
+    p0 = Poly(MatrixSpace(2))
     made = []
     original = vars(Fraction)["__new__"]
 
@@ -400,8 +532,22 @@ def test_carrier_arithmetic_builds_no_fraction():
         results += [eval_rooted(combo), eval_planar(combo), eval_combo(combo, w1, bracket)]
         checks = [(x.is_zero(), hash(x), x == x) for x in results]
         scalars = [RATIONALS.zero(), RATIONALS.one()]
+        polys = []
+        for x, y, psp in polys_in:
+            polys += [x + y, x - y, -x, x.scale(c), x.scale(2), x * y, y * x, x.integrate()]
+            polys += [psp.sub(x, y), psp.neg(x), psp.zero(), psp.one(), psp.mul(x, y)]
+        polys += [p1m.eval_at(c), p1m.eval_at(2), p0.eval_at(c)]
+        poly_checks = [(x.is_zero(), x == x) for x in polys]
     finally:
         Fraction.__new__ = original
     assert made == []
     assert all(same for _, _, same in checks)
+    assert all(same for _, same in poly_checks)
     assert scalars == [0, 1]
+    # a scalar polynomial evaluates to a Fraction: exactly one, the result itself
+    Fraction.__new__ = staticmethod(counting_new)
+    try:
+        value = p1r.eval_at(c)
+    finally:
+        Fraction.__new__ = original
+    assert len(made) == 1 and value == sum(x * c**k for k, x in enumerate(p1r.coeffs))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from dendrimag.dendriform import UndefinedUnitProduct, lift_to_unital, series_half_prec, series_half_succ
+from dendrimag.dendriform import UndefinedUnitProduct, UnitalDendElem, lift_to_unital, series_half_prec, series_half_succ
 from dendrimag.matrices import MatrixSpace, random_matrix
 from dendrimag.series import (
     RATIONALS,
@@ -167,11 +167,14 @@ def _naive(space, op, sx, sy):
     return TruncatedSeries(space, sx.order, out)
 
 
-def _sparse_matrix_series(rng, space, order):
+def _sparse_series(rng, space, order, sample):
     """Zero at degree 0 and at the top degree, random zeros in between."""
-    coeffs = [space.zero()]
-    coeffs += [space.zero() if rng.random() < 0.3 else random_matrix(rng, space.n, span=3) for _ in range(order - 1)]
+    coeffs = [space.zero()] + [space.zero() if rng.random() < 0.3 else sample() for _ in range(order - 1)]
     return TruncatedSeries(space, order, coeffs + [space.zero()])
+
+
+def _sparse_matrix_series(rng, space, order):
+    return _sparse_series(rng, space, order, lambda: random_matrix(rng, space.n, span=3))
 
 
 def test_series_product_matches_naive_double_sum(rng):
@@ -193,6 +196,43 @@ def test_half_products_match_naive_double_sum(tri_rb, rng):
         for a, b in ((x, y), (one + x, y), (x, one + y)):
             assert series_half_prec(dend, a, b) == _naive(dend.unital_space, dend.half_prec, a, b)
             assert series_half_succ(dend, a, b) == _naive(dend.unital_space, dend.half_succ, a, b)
+
+
+def test_lincomb_series_product_matches_naive_double_sum(rng):
+    # one space.sum (one lincomb.combine) per degree, over mixed denominators
+    from dendrimag.lincomb import LinCombSpace
+    from dendrimag.pbt import free_dendriform
+
+    dend = free_dendriform()
+    space = LinCombSpace(dend.star)
+    gen = TruncatedSeries(space, 5, [dend.generator()])  # a nonzero degree-0 term
+
+    def sample():
+        return dend.sample(rng).scale(Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+
+    for _ in range(5):
+        x, y = _sparse_series(rng, space, 5, sample), _sparse_series(rng, space, 5, sample)
+        for a, b in ((x, y), (gen + x, y), (x, gen + y), (gen + x, gen + y), (x, -x)):
+            assert a * b == _naive(space, space.mul, a, b)
+
+
+@pytest.mark.parametrize("carrier", ["free", "matrix_poly"])
+def test_unital_series_product_matches_naive_double_sum(carrier, rng):
+    # UnitalSpace.sum adds the unit parts and hands the carrier parts to carrier.sum
+    from dendrimag.instances import matrix_poly_rb
+    from dendrimag.pbt import free_dendriform
+
+    dend = free_dendriform() if carrier == "free" else matrix_poly_rb().dendriform()
+    usp = dend.unital_space
+    one = TruncatedSeries.one(usp, 4)
+
+    def sample():  # unit parts above degree 0 too, so each degree sums several
+        return UnitalDendElem(Fraction(rng.randint(-2, 2), rng.randint(1, 3)), dend.sample(rng))
+
+    for _ in range(3):
+        x, y = _sparse_series(rng, usp, 4, sample), _sparse_series(rng, usp, 4, sample)
+        for a, b in ((x, y), (one + x, y), (x, one + y), (one + x, one + y)):
+            assert a * b == _naive(usp, usp.mul, a, b)
 
 
 def test_half_product_of_two_unit_constant_terms_is_undefined(tri_rb):
