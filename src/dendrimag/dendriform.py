@@ -306,7 +306,7 @@ def solve_right(dend: Dendriform, a: Any, order: int) -> TruncatedSeries:
     coeffs = [usp.one()]
     xa = dend.embed(a)
     for _ in range(order):
-        coeffs.append(usp.scale(Fraction(-1), dend.half_succ(coeffs[-1], xa)))
+        coeffs.append(usp.neg(dend.half_succ(coeffs[-1], xa)))
     return TruncatedSeries(usp, order, coeffs)
 
 
@@ -345,27 +345,16 @@ def check_dendriform_axioms(
 ) -> VerificationReport:
     """(A1)-(A3), star associativity, and the Zinbiel flag when declared."""
     rep = VerificationReport(name or f"dendriform axioms [{dend.name}]")
-    eq = dend.space.eq
-    bad = [0, 0, 0, 0, 0]
-    n = 0
-    for a, b, c in triples:
-        n += 1
-        if not eq(dend.prec(dend.prec(a, b), c), dend.prec(a, dend.star(b, c))):
-            bad[0] += 1
-        if not eq(dend.prec(dend.succ(a, b), c), dend.succ(a, dend.prec(b, c))):
-            bad[1] += 1
-        if not eq(dend.succ(a, dend.succ(b, c)), dend.succ(dend.star(a, b), c)):
-            bad[2] += 1
-        if not eq(dend.star(dend.star(a, b), c), dend.star(a, dend.star(b, c))):
-            bad[3] += 1
-        if dend.commutative and not eq(dend.succ(a, b), dend.prec(b, a)):
-            bad[4] += 1
-    rep.add("(A1) (a<b)<c = a<(b*c)", bad[0] == 0, f"{n - bad[0]}/{n} triples")
-    rep.add("(A2) (a>b)<c = a>(b<c)", bad[1] == 0, f"{n - bad[1]}/{n} triples")
-    rep.add("(A3) a>(b>c) = (a*b)>c", bad[2] == 0, f"{n - bad[2]}/{n} triples")
-    rep.add("star associativity", bad[3] == 0, f"{n - bad[3]}/{n} triples")
+    eq, prec, succ, star = dend.space.eq, dend.prec, dend.succ, dend.star
+    axioms = [
+        ("(A1) (a<b)<c = a<(b*c)", lambda a, b, c: eq(prec(prec(a, b), c), prec(a, star(b, c)))),
+        ("(A2) (a>b)<c = a>(b<c)", lambda a, b, c: eq(prec(succ(a, b), c), succ(a, prec(b, c)))),
+        ("(A3) a>(b>c) = (a*b)>c", lambda a, b, c: eq(succ(a, succ(b, c)), succ(star(a, b), c))),
+        ("star associativity", lambda a, b, c: eq(star(star(a, b), c), star(a, star(b, c)))),
+    ]
     if dend.commutative:
-        rep.add("Zinbiel flag: x>y = y<x", bad[4] == 0, f"{n - bad[4]}/{n} triples")
+        axioms.append(("Zinbiel flag: x>y = y<x", lambda a, b, c: eq(succ(a, b), prec(b, a))))
+    rep.add_sampled(triples, axioms, "triples")
     return rep
 
 
@@ -375,27 +364,27 @@ def check_prelie_identities(
     """Left/right pre-Lie identities for rhd/lhd and the shared Lie bracket."""
     rep = VerificationReport(name or f"pre-Lie identities [{dend.name}]")
     sp = dend.space
-    eq, sub = sp.eq, sp.sub
-    bad = [0, 0, 0]
-    n = 0
-    for a, b, c in triples:
-        n += 1
-        lhs = sub(dend.rhd(dend.rhd(a, b), c), dend.rhd(a, dend.rhd(b, c)))
-        rhs = sub(dend.rhd(dend.rhd(b, a), c), dend.rhd(b, dend.rhd(a, c)))
-        if not eq(lhs, rhs):
-            bad[0] += 1
-        lhs = sub(dend.lhd(dend.lhd(a, b), c), dend.lhd(a, dend.lhd(b, c)))
-        rhs = sub(dend.lhd(dend.lhd(a, c), b), dend.lhd(a, dend.lhd(c, b)))
-        if not eq(lhs, rhs):
-            bad[1] += 1
-        br_star = sub(dend.star(a, b), dend.star(b, a))
-        br_rhd = sub(dend.rhd(a, b), dend.rhd(b, a))
-        br_lhd = sub(dend.lhd(a, b), dend.lhd(b, a))
-        if not (eq(br_star, br_rhd) and eq(br_star, br_lhd)):
-            bad[2] += 1
-    rep.add("left pre-Lie identity for rhd", bad[0] == 0, f"{n - bad[0]}/{n} triples")
-    rep.add("right pre-Lie identity for lhd", bad[1] == 0, f"{n - bad[1]}/{n} triples")
-    rep.add("brackets of *, rhd, lhd coincide", bad[2] == 0, f"{n - bad[2]}/{n} triples")
+    eq, sub, rhd, lhd, star = sp.eq, sp.sub, dend.rhd, dend.lhd, dend.star
+
+    def left(a, b, c):
+        return eq(sub(rhd(rhd(a, b), c), rhd(a, rhd(b, c))), sub(rhd(rhd(b, a), c), rhd(b, rhd(a, c))))
+
+    def right(a, b, c):
+        return eq(sub(lhd(lhd(a, b), c), lhd(a, lhd(b, c))), sub(lhd(lhd(a, c), b), lhd(a, lhd(c, b))))
+
+    def brackets(a, b, c):
+        br = sub(star(a, b), star(b, a))  # once per triple, compared twice
+        return eq(br, sub(rhd(a, b), rhd(b, a))) and eq(br, sub(lhd(a, b), lhd(b, a)))
+
+    rep.add_sampled(
+        triples,
+        [
+            ("left pre-Lie identity for rhd", left),
+            ("right pre-Lie identity for lhd", right),
+            ("brackets of *, rhd, lhd coincide", brackets),
+        ],
+        "triples",
+    )
     return rep
 
 
@@ -404,28 +393,18 @@ def check_tridendriform_axioms(
 ) -> VerificationReport:
     """The seven axioms plus associativity of the three-term sum product."""
     rep = VerificationReport(name or f"tridendriform axioms [{tri.name}]")
-    eq = tri.space.eq
+    eq, lt, gt, dot, star = tri.space.eq, tri.lt, tri.gt, tri.dot, tri.star
     axioms = [
-        ("(x<y)<z = x<(y*z)", lambda x, y, z: (tri.lt(tri.lt(x, y), z), tri.lt(x, tri.star(y, z)))),
-        ("(x>y)<z = x>(y<z)", lambda x, y, z: (tri.lt(tri.gt(x, y), z), tri.gt(x, tri.lt(y, z)))),
-        ("(x*y)>z = x>(y>z)", lambda x, y, z: (tri.gt(tri.star(x, y), z), tri.gt(x, tri.gt(y, z)))),
-        ("(x>y).z = x>(y.z)", lambda x, y, z: (tri.dot(tri.gt(x, y), z), tri.gt(x, tri.dot(y, z)))),
-        ("(x<y).z = x.(y>z)", lambda x, y, z: (tri.dot(tri.lt(x, y), z), tri.dot(x, tri.gt(y, z)))),
-        ("(x.y)<z = x.(y<z)", lambda x, y, z: (tri.lt(tri.dot(x, y), z), tri.dot(x, tri.lt(y, z)))),
-        ("(x.y).z = x.(y.z)", lambda x, y, z: (tri.dot(tri.dot(x, y), z), tri.dot(x, tri.dot(y, z)))),
-        (
-            "star associativity",
-            lambda x, y, z: (tri.star(tri.star(x, y), z), tri.star(x, tri.star(y, z))),
-        ),
+        ("(x<y)<z = x<(y*z)", lambda x, y, z: eq(lt(lt(x, y), z), lt(x, star(y, z)))),
+        ("(x>y)<z = x>(y<z)", lambda x, y, z: eq(lt(gt(x, y), z), gt(x, lt(y, z)))),
+        ("(x*y)>z = x>(y>z)", lambda x, y, z: eq(gt(star(x, y), z), gt(x, gt(y, z)))),
+        ("(x>y).z = x>(y.z)", lambda x, y, z: eq(dot(gt(x, y), z), gt(x, dot(y, z)))),
+        ("(x<y).z = x.(y>z)", lambda x, y, z: eq(dot(lt(x, y), z), dot(x, gt(y, z)))),
+        ("(x.y)<z = x.(y<z)", lambda x, y, z: eq(lt(dot(x, y), z), dot(x, lt(y, z)))),
+        ("(x.y).z = x.(y.z)", lambda x, y, z: eq(dot(dot(x, y), z), dot(x, dot(y, z)))),
+        ("star associativity", lambda x, y, z: eq(star(star(x, y), z), star(x, star(y, z)))),
     ]
-    triples = list(triples)
-    for label, fn in axioms:
-        bad = 0
-        for x, y, z in triples:
-            lhs, rhs = fn(x, y, z)
-            if not eq(lhs, rhs):
-                bad += 1
-        rep.add(label, bad == 0, f"{len(triples) - bad}/{len(triples)} triples")
+    rep.add_sampled(triples, axioms, "triples")
     return rep
 
 
@@ -434,12 +413,10 @@ def check_unit_rules(dend: Dendriform, elems: Iterable[Any]) -> VerificationRepo
     rep = VerificationReport(f"unit adjunction [{dend.name}]")
     usp = dend.unital_space
     one = usp.one()
-    bad = 0
-    n = 0
-    for a in elems:
-        n += 1
+
+    def unit_rules(a):
         x = dend.embed(a)
-        ok = (
+        return (
             usp.eq(dend.half_prec(x, one), x)
             and usp.eq(dend.half_succ(one, x), x)
             and usp.is_zero(dend.half_prec(one, x))
@@ -447,9 +424,8 @@ def check_unit_rules(dend: Dendriform, elems: Iterable[Any]) -> VerificationRepo
             and usp.eq(dend.unital_star(x, one), x)
             and usp.eq(dend.unital_star(one, x), x)
         )
-        if not ok:
-            bad += 1
-    rep.add("a<1 = a = 1>a and 1<a = 0 = a>1", bad == 0, f"{n - bad}/{n} samples")
+
+    rep.add_sampled(((a,) for a in elems), [("a<1 = a = 1>a and 1<a = 0 = a>1", unit_rules)], "samples")
     rep.add("1*1 = 1", usp.eq(dend.unital_star(one, one), one))
     for label, op in (("1<1", dend.half_prec), ("1>1", dend.half_succ)):
         try:

@@ -16,17 +16,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .scalars import rational_str
+from .scalars import ratio, rational_str
 from .series import CoeffSpace
 
 __all__ = ["LinComb", "LinCombSpace", "bilinear", "combine"]
-
-
-def _ratio(c) -> tuple[int, int]:
-    """(numerator, positive denominator) of an int or rational c."""
-    if not isinstance(c, (int, Fraction)):
-        c = Fraction(c)
-    return c.numerator, c.denominator
 
 
 def combine(pairs: Iterable[tuple[int, "LinComb"]], den: int = 1) -> "LinComb":
@@ -71,7 +64,7 @@ class LinComb:
 
     @classmethod
     def single(cls, basis: Any, coeff: Fraction | int = 1) -> "LinComb":
-        p, q = _ratio(coeff)
+        p, q = ratio(coeff)
         return cls._make({basis: p} if p else {}, q if p else 1)
 
     @classmethod
@@ -96,7 +89,7 @@ class LinComb:
         return LinComb._make({b: -v for b, v in self.num.items()}, self.den)
 
     def scale(self, c: Fraction | int) -> "LinComb":
-        p, q = _ratio(c)
+        p, q = ratio(c)
         if not p:
             return LinComb.zero()
         # gcd(p, q) == 1 and the input is in lowest terms, so only p/den and q/num can cancel

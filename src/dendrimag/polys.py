@@ -26,7 +26,7 @@ from typing import Any, Iterable
 
 from .matrices import MatrixSpace, RatMatrix, random_matrix
 from .report import VerificationReport
-from .scalars import add_vectors, as_fractions, reduced, scale_vector
+from .scalars import add_vectors, as_fractions, ratio, reduced, scale_vector
 from .series import CoeffSpace, FractionSpace, RATIONALS
 
 __all__ = ["Poly", "PolySpace", "poly_integrate", "ibp_power_check", "random_poly"]
@@ -56,7 +56,7 @@ class Poly:
         n, cs = _shape(base), list(coeffs)
         if n and any(c.n != n for c in cs):
             raise ValueError("coefficient space mismatch")
-        parts = [(c.num, c.den) if n else ((c.numerator,), c.denominator) for c in cs]
+        parts = [(c.num, c.den) for c in cs] if n else [((p,), q) for p, q in map(ratio, cs)]
         den = lcm(*(d for _, d in parts))
         self.base, self.n = base, n
         self.num, self.den = reduced(_trim([x * (den // d) for xs, d in parts for x in xs], n * n or 1), den)

@@ -4,11 +4,16 @@ Every identity checker in this package returns a :class:`VerificationReport`
 rather than a bare boolean, so callers (and the CLI) can print per-degree
 residual diagnostics.  A report distinguishes hard checks, which gate the
 exit code, from informational entries, which are printed but never fail.
+Hard checks on series come from :meth:`VerificationReport.add_residuals`,
+which names each degree with a nonzero residual; hard checks on sampled
+identities come from :meth:`VerificationReport.add_sampled`, which counts
+the samples that pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable
 
 __all__ = ["Check", "VerificationReport"]
 
@@ -38,16 +43,22 @@ class VerificationReport:
         bad = [k for k, c in enumerate(diff.coeffs) if not diff.space.is_zero(c)]
         self.add(label, not bad, f"nonzero residual at degrees {bad}" if bad else "all residuals zero")
 
-    def extend(self, other: "VerificationReport") -> None:
-        for c in other.checks:
-            self.checks.append(Check(f"{other.name}: {c.label}", c.ok, c.detail, c.informational))
+    def add_sampled(
+        self, samples: Iterable[tuple], identities: Iterable[tuple[str, Callable[..., Any]]], noun: str
+    ) -> None:
+        """One hard check per ``(label, holds)``: ``holds(*sample)`` on every sample.
+
+        ``samples`` is read once, so a generator will do; the detail is the
+        count ``passed/total noun``.
+        """
+        samples = list(samples)
+        for label, holds in identities:
+            passed = sum(1 for s in samples if holds(*s))
+            self.add(label, passed == len(samples), f"{passed}/{len(samples)} {noun}")
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks if not c.informational)
-
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if not c.ok and not c.informational]
 
     def summary(self) -> str:
         lines = [f"[{'ok' if self.ok else 'FAIL'}] {self.name}"]

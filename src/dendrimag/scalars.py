@@ -41,6 +41,7 @@ __all__ = [
     "bernoulli_weight",
     "rational_str",
     "parse_rational",
+    "ratio",
     "reduced",
     "common_denominator",
     "as_fractions",
@@ -62,6 +63,14 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(s.strip())
 
 
+def ratio(c) -> tuple[int, int]:
+    """(numerator, positive denominator) of an int or rational c, read without a
+    new ``Fraction``; any other type goes through ``Fraction(c)``."""
+    if not isinstance(c, (int, Fraction)):
+        c = Fraction(c)
+    return c.numerator, c.denominator
+
+
 def reduced(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     """The vector num/den, for a positive den, in lowest terms: gcd(den, *num) == 1.
 
@@ -81,9 +90,9 @@ def common_denominator(values: Iterable[Fraction | int]) -> tuple[tuple[int, ...
     dividing the lcm to its full power divides the denominator of some
     entry, whose numerator it does not divide.
     """
-    fs = [Fraction(v) for v in values]
-    den = lcm(*(f.denominator for f in fs))
-    return tuple(f.numerator * (den // f.denominator) for f in fs), den
+    pq = [ratio(v) for v in values]
+    den = lcm(*(q for _, q in pq))
+    return tuple(p * (den // q) for p, q in pq), den
 
 
 def add_vectors(
@@ -100,11 +109,9 @@ def add_vectors(
 
 
 def scale_vector(num: Sequence[int], den: int, c: Fraction | int) -> tuple[tuple[int, ...], int]:
-    """c * num/den in lowest terms (an int or Fraction c is used as it is)."""
-    if not isinstance(c, (int, Fraction)):
-        c = Fraction(c)
-    p = c.numerator
-    return reduced([p * x for x in num], den * c.denominator)
+    """c * num/den in lowest terms."""
+    p, q = ratio(c)
+    return reduced([p * x for x in num], den * q)
 
 
 def as_fractions(num: Iterable[int], den: int) -> tuple[Fraction, ...]:

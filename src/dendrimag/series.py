@@ -167,18 +167,18 @@ class TruncatedSeries:
         if self.space is not other.space or self.order != other.order:
             raise ValueError("series must share coefficient space and order")
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+    def _zip(self, op: Callable[[Any, Any], Any], other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same(other)
-        add = self.space.add
-        return TruncatedSeries(
-            self.space, self.order, [add(a, b) for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return TruncatedSeries(self.space, self.order, [op(a, b) for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        return self._zip(self.space.add, other)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
+        return self._zip(self.space.sub, other)
 
     def __neg__(self) -> "TruncatedSeries":
-        return self.scale(Fraction(-1))
+        return self.map_coeffs(self.space.neg)
 
     def scale(self, c: Fraction) -> "TruncatedSeries":
         sc = self.space.scale

@@ -104,18 +104,15 @@ def suite_dendriform(order: int, seed: int) -> list[VerificationReport]:
     )
 
     rep = VerificationReport("free pre-Lie model (rooted trees, exhaustive)")
-    ops = rooted_ops()
-    bad = 0
-    count = 0
-    for a, b, c in _basis_triples(rooted_trees_of_degree, EXHAUSTIVE_DEGREE):
-        count += 1
-        lhs = ops.rhd(ops.rhd(a, b), c) - ops.rhd(a, ops.rhd(b, c))
-        rhs = ops.rhd(ops.rhd(b, a), c) - ops.rhd(b, ops.rhd(a, c))
-        if lhs != rhs:
-            bad += 1
-    rep.add("left pre-Lie identity for grafting", bad == 0, f"{count - bad}/{count} basis triples")
+    rhd = rooted_ops().rhd
+    left = lambda a, b, c: rhd(rhd(a, b), c) - rhd(a, rhd(b, c)) == rhd(rhd(b, a), c) - rhd(b, rhd(a, c))
+    rep.add_sampled(
+        _basis_triples(rooted_trees_of_degree, EXHAUSTIVE_DEGREE),
+        [("left pre-Lie identity for grafting", left)],
+        "basis triples",
+    )
     deg_ok = all(
-        (ops.rhd(LinComb.single(s), LinComb.single(t))).sorted_terms()[0][0].degree == s.degree + t.degree
+        rhd(LinComb.single(s), LinComb.single(t)).sorted_terms()[0][0].degree == s.degree + t.degree
         for s in rooted_trees_of_degree(2)
         for t in rooted_trees_of_degree(3)
     )
@@ -146,31 +143,21 @@ def suite_tridendriform(order: int, seed: int) -> list[VerificationReport]:
         dend = tri.as_dendriform()
         reports.append(check_dendriform_axioms(dend, triples))
         rep = VerificationReport(f"collapse to dendriform [{tri.name}]")
-        sp = tri.space
-        bad = sum(
-            0 if sp.eq(dend.star(a, b), tri.star(a, b)) else 1
-            for a, b, _ in triples
-        )
-        rep.add(
-            "dendriform star equals tridendriform star",
-            bad == 0,
-            f"{len(triples) - bad}/{len(triples)} pairs",
-        )
+        collapse = lambda a, b, _: tri.space.eq(dend.star(a, b), tri.star(a, b))
+        rep.add_sampled(triples, [("dendriform star equals tridendriform star", collapse)], "pairs")
         reports.append(rep)
 
     # the summation instance is the Rota-Baxter construction for tail sums
     rep = VerificationReport("summation instance matches its Rota-Baxter form")
     rb_form = induced_structures(summation_rb(Fraction(1))).tridendriform
-    rng = random.Random(seed + 7)
-    bad = 0
-    for a, b in sample_tuples(summation, rng, 50, 2):
-        same = (
-            summation.lt(a, b) == rb_form.lt(a, b)
-            and summation.gt(a, b) == rb_form.gt(a, b)
-            and summation.dot(a, b) == rb_form.dot(a, b)
-        )
-        bad += 0 if same else 1
-    rep.add("lt/gt/dot coincide with aR(b), R(a)b, theta ab", bad == 0, f"{50 - bad}/50 pairs")
+    same = lambda a, b: all(
+        getattr(summation, op)(a, b) == getattr(rb_form, op)(a, b) for op in ("lt", "gt", "dot")
+    )
+    rep.add_sampled(
+        sample_tuples(summation, random.Random(seed + 7), 50, 2),
+        [("lt/gt/dot coincide with aR(b), R(a)b, theta ab", same)],
+        "pairs",
+    )
     reports.append(rep)
     return reports
 
@@ -257,15 +244,12 @@ def suite_rb(order: int, seed: int) -> list[VerificationReport]:
         reports.append(check_rb_relation(rb, SAMPLE_TRIPLES, seed + idx))
 
     rep = VerificationReport("triangular projection")
-    rng = random.Random(seed + 31)
     tri = triangular_rb()
-    sp = tri.space
-    bad = 0
-    for _ in range(50):
-        m = tri.sample(rng)
-        if not sp.eq(tri.r(tri.r(m)), tri.r(m)):
-            bad += 1
-    rep.add("idempotent", bad == 0, f"{50 - bad}/50 samples")
+    rep.add_sampled(
+        sample_tuples(tri, random.Random(seed + 31), 50, 1),
+        [("idempotent", lambda m: tri.space.eq(tri.r(tri.r(m)), tri.r(m)))],
+        "samples",
+    )
     from .matrices import RatMatrix
 
     example = tri.r(RatMatrix([[1, 2], [3, 4]]))
@@ -277,23 +261,11 @@ def suite_rb(order: int, seed: int) -> list[VerificationReport]:
     from .grids import random_gridseq
 
     theta = Fraction(1, 2)
-    bad_rule = bad_inverse = 0
-    trials = 100
-    for _ in range(trials):
-        f = random_gridseq(rng, theta, 6)
-        g = random_gridseq(rng, theta, 6)
-        lhs = (f * g).diff()
-        rhs = f.diff() * g + f * g.diff() + (f.diff() * g.diff()).scale(theta)
-        if lhs != rhs:
-            bad_rule += 1
-        if f.diff().shift_sum() != f:
-            bad_inverse += 1
-    rep.add(
-        "d(fg) = d(f)g + f d(g) + theta d(f)d(g)",
-        bad_rule == 0,
-        f"{trials - bad_rule}/{trials} pairs",
-    )
-    rep.add("S(d(f)) = f on finitely supported f", bad_inverse == 0, f"{trials - bad_inverse}/{trials} samples")
+    pairs = [(random_gridseq(rng, theta, 6), random_gridseq(rng, theta, 6)) for _ in range(100)]
+    rule = lambda f, g: (f * g).diff() == f.diff() * g + f * g.diff() + (f.diff() * g.diff()).scale(theta)
+    rep.add_sampled(pairs, [("d(fg) = d(f)g + f d(g) + theta d(f)d(g)", rule)], "pairs")
+    inverse = lambda f, _: f.diff().shift_sum() == f
+    rep.add_sampled(pairs, [("S(d(f)) = f on finitely supported f", inverse)], "samples")
     reports.append(rep)
 
     rep = VerificationReport("iterated integration by parts")

@@ -510,6 +510,7 @@ def test_carrier_arithmetic_builds_no_fraction():
         polys_in += [(p1, p2, PolySpace(base)), (p2, p1, PolySpace(base))]
     (p1r, _, _), _, (p1m, _, _), _ = polys_in
     p0 = Poly(MatrixSpace(2))
+    int_rows, mixed_rows = [[1, -2], [0, 7]], [[Fraction(1, 6), -2], [Fraction(-3, 4), 0]]
     made = []
     original = vars(Fraction)["__new__"]
 
@@ -520,6 +521,7 @@ def test_carrier_arithmetic_builds_no_fraction():
     Fraction.__new__ = staticmethod(counting_new)
     try:
         results = []
+        results += [RatMatrix(int_rows), RatMatrix(mixed_rows)]
         for x, y in ((a, b), (b, a)):
             results += [x + y, x - y, -x, x.scale(c), x.scale(2), x @ y, triangular_project(x)]
             results += [msp.sub(x, y), msp.zero(), msp.one()]
@@ -541,6 +543,7 @@ def test_carrier_arithmetic_builds_no_fraction():
     finally:
         Fraction.__new__ = original
     assert made == []
+    assert [results[0].rows, results[1].rows] == [tuple(map(tuple, rows)) for rows in (int_rows, mixed_rows)]
     assert all(same for _, _, same in checks)
     assert all(same for _, same in poly_checks)
     assert scalars == [0, 1]
@@ -551,3 +554,12 @@ def test_carrier_arithmetic_builds_no_fraction():
     finally:
         Fraction.__new__ = original
     assert len(made) == 1 and value == sum(x * c**k for k, x in enumerate(p1r.coeffs))
+
+
+def test_constructors_read_scalars_alike():
+    # ints and Fractions are read as they are, anything else through Fraction()
+    values, want = [Fraction(1, 6), -2, 0.5, "-3/4"], (Fraction(1, 6), -2, Fraction(1, 2), Fraction(-3, 4))
+    assert Poly(RATIONALS, values).coeffs == want
+    assert RatMatrix([values[:2], values[2:]]).rows == (want[:2], want[2:])
+    assert GridSeq(Fraction(1), values).values == want
+    assert LinComb(zip(TREES, values)).terms == dict(zip(TREES, want))

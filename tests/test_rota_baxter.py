@@ -5,7 +5,7 @@ import pytest
 
 from dendrimag.dendriform import check_tridendriform_axioms, sample_tuples
 from dendrimag.grids import GridSeq, NonSummable, random_gridseq
-from dendrimag.instances import summation_rb
+from dendrimag.instances import grid_rb, matrix_poly_rb, poly_rb, summation_rb, triangular_rb
 from dendrimag.matrices import RatMatrix, random_matrix, triangular_project
 from dendrimag.polys import Poly, ibp_power_check, poly_integrate, random_poly
 from dendrimag.rota_baxter import (
@@ -45,6 +45,32 @@ def test_rescaled_weight_relation(tri_rb):
         rb = tri_rb.rescaled(c)
         assert rb.weight == -c
         assert check_rb_relation(rb, 50, seed=5).ok
+
+
+def test_r_tilde_is_minus_weight_minus_r(rng):
+    base = [triangular_rb(), grid_rb(), grid_rb(strict=False), summation_rb(), poly_rb(), matrix_poly_rb()]
+    for rb in base + [rb.rescaled(c) for rb in base for c in (Fraction(-1, 2), Fraction(3), Fraction(0))]:
+        for _ in range(4):
+            x = rb.sample(rng)
+            assert rb.space.eq(rb.r_tilde(x), x.scale(-rb.weight) - rb.r(x)), rb.name
+
+
+def test_r_tilde_at_weight_zero_builds_no_fraction(poly_scalar, poly_matrix, rng):
+    samples = [(rb, rb.sample(rng)) for rb in (poly_scalar, poly_matrix) for _ in range(4)]
+    made = []
+    original = vars(Fraction)["__new__"]
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting_new)
+    try:
+        results = [(rb, x, rb.r_tilde(x)) for rb, x in samples]
+    finally:
+        Fraction.__new__ = original
+    assert made == []
+    assert all(rt == -rb.r(x) for rb, x, rt in results)
 
 
 def test_triangular_projection_basics(rng):
