@@ -31,8 +31,9 @@ from .ode import (
     fit_slope,
     rows_to_csv,
 )
-from .pbt import ascii_render, trees_of_degree
-from .prelie_expr import eval_planar, eval_rooted, formal_ops
+from .pbt import ascii_render, free_dendriform, trees_of_degree
+from .prelie_expr import formal_ops
+from .rooted import rooted_ops
 from .suites import SUITES, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -41,7 +42,8 @@ USAGE_ERROR = 2
 VERIFY_FAILURE = 1
 
 # Highest --order for expand, verify and trees: the free-model products grow
-# about x5 per order, and free Magnus alone takes about 15 s at order 9.
+# about x5 per order; on a 2-CPU Xeon, free Magnus alone takes about 0.5 s at
+# order 9 and 2.5 s at order 10.
 MAX_ORDER = 8
 
 # solve input bounds.  The reference solution runs 64 x max(--steps) steps and
@@ -95,21 +97,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The pre-Lie ops bundle that each --basis computes in.
+_BASIS_OPS = {"prelie": formal_ops, "rooted": rooted_ops, "planar": free_dendriform}
+
+
 def _expansion_components(kind: str, order: int, basis: str) -> list[tuple[str, dict[int, LinComb]]]:
-    ops = formal_ops()
-    convert = {"prelie": lambda c: c, "rooted": eval_rooted, "planar": eval_planar}[basis]
-    blocks: list[tuple[str, dict[int, LinComb]]] = []
+    """Magnus or Fer coefficients per degree, computed in the target model.
+
+    Both recursions use rhd alone, and evaluating a formal pre-Lie expression
+    in a model sends formal rhd to the model's rhd, so running them on the
+    model's ops equals evaluating the formal coefficients there.  A Fer
+    block lists only the degrees whose coefficient is nonzero in the model.
+    """
+    ops = _BASIS_OPS[basis]()
     if kind == "magnus":
         series = magnus(ops, ops.generator(), order)
-        blocks.append(("magnus", {n: convert(series.coeff(n)) for n in range(1, order + 1)}))
-    else:
-        for idx, factor in enumerate(fer(ops, ops.generator(), order)):
-            comps = {
-                n: convert(factor.coeff(n))
-                for n in range(1, order + 1)
-                if not factor.coeff(n).is_zero()
-            }
-            blocks.append((f"U_{idx}", comps))
+        return [("magnus", {n: series.coeff(n) for n in range(1, order + 1)})]
+    blocks: list[tuple[str, dict[int, LinComb]]] = []
+    for idx, factor in enumerate(fer(ops, ops.generator(), order)):
+        comps = {n: factor.coeff(n) for n in range(1, order + 1) if not factor.coeff(n).is_zero()}
+        blocks.append((f"U_{idx}", comps))
     return blocks
 
 

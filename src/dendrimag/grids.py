@@ -39,7 +39,15 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable
 
-from .scalars import add_vectors, as_fractions, common_denominator, rational_str, reduced, scale_vector
+from .scalars import (
+    add_vectors,
+    as_fractions,
+    common_denominator,
+    random_rationals,
+    rational_str,
+    reduced,
+    scale_vector,
+)
 from .series import CoeffSpace
 
 __all__ = ["GridSeq", "GridSpace", "NonSummable", "random_gridseq"]
@@ -50,7 +58,8 @@ class NonSummable(ValueError):
 
 
 def _positive_theta(theta: Fraction) -> Fraction:
-    theta = Fraction(theta)
+    if not isinstance(theta, Fraction):
+        theta = Fraction(theta)
     if theta <= 0:
         raise ValueError(f"grid spacing theta must be positive, got {theta}")
     return theta
@@ -189,6 +198,4 @@ class GridSpace(CoeffSpace):
 
 
 def random_gridseq(rng: random.Random, theta: Fraction, length: int, span: int = 4) -> GridSeq:
-    return GridSeq(
-        theta, [Fraction(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(length)]
-    )
+    return GridSeq._make(_positive_theta(theta), *random_rationals(rng, length, span))

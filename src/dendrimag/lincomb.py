@@ -83,6 +83,8 @@ class LinComb:
         return combine(((1, self), (1, other)))
 
     def __sub__(self, other: "LinComb") -> "LinComb":
+        if not isinstance(other, LinComb):
+            return NotImplemented
         return combine(((1, self), (-1, other)))
 
     def __neg__(self) -> "LinComb":

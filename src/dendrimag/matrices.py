@@ -19,7 +19,15 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable
 
-from .scalars import add_vectors, as_fractions, common_denominator, rational_str, reduced, scale_vector
+from .scalars import (
+    add_vectors,
+    as_fractions,
+    common_denominator,
+    random_rationals,
+    rational_str,
+    reduced,
+    scale_vector,
+)
 from .series import CoeffSpace
 
 __all__ = ["RatMatrix", "MatrixSpace", "triangular_project", "random_matrix"]
@@ -135,9 +143,4 @@ def triangular_project(m: RatMatrix) -> RatMatrix:
 
 
 def random_matrix(rng: random.Random, n: int, span: int = 4) -> RatMatrix:
-    return RatMatrix(
-        [
-            [Fraction(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(n)]
-            for _ in range(n)
-        ]
-    )
+    return RatMatrix._make(n, *random_rationals(rng, n * n, span))

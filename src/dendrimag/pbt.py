@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 
 from .dendriform import Dendriform, UndefinedUnitProduct
-from .lincomb import LinComb, LinCombSpace, bilinear
+from .lincomb import LinComb, LinCombSpace, bilinear, combine
 
 __all__ = [
     "PBT",
@@ -157,8 +157,18 @@ def _succ_basis(s: PBT, t: PBT) -> LinComb:
     return LinComb._make({PBT(w, t.right): c for w, c in grafted.num.items()}, grafted.den)
 
 
+@lru_cache(maxsize=None)
+def _rhd_basis(s: PBT, t: PBT) -> LinComb:
+    """s rhd t = s succ t - t prec s on basis trees of degree >= 1."""
+    return combine(((1, _succ_basis(s, t)), (-1, _prec_basis(t, s))))
+
+
 class FreeDendriform(Dendriform):
-    """The free dendriform algebra on one generator, over planar binary trees."""
+    """The free dendriform algebra on one generator, over planar binary trees.
+
+    ``star`` and ``rhd`` each extend one cached basis product, so a product
+    of combinations is one ``combine`` pass; ``lhd`` is ``-(b rhd a)``.
+    """
 
     name = "free-dendriform"
 
@@ -166,12 +176,23 @@ class FreeDendriform(Dendriform):
         super().__init__(LinCombSpace())
         self._prec = bilinear(_prec_basis)
         self._succ = bilinear(_succ_basis)
+        self._star = bilinear(_star_basis)
+        self._rhd = bilinear(_rhd_basis)
 
     def prec(self, a: LinComb, b: LinComb) -> LinComb:
         return self._prec(a, b)
 
     def succ(self, a: LinComb, b: LinComb) -> LinComb:
         return self._succ(a, b)
+
+    def star(self, a: LinComb, b: LinComb) -> LinComb:
+        return self._star(a, b)
+
+    def rhd(self, a: LinComb, b: LinComb) -> LinComb:
+        return self._rhd(a, b)
+
+    def lhd(self, a: LinComb, b: LinComb) -> LinComb:
+        return -self._rhd(b, a)  # a prec b - b succ a = -(b succ a - a prec b)
 
     def generator(self) -> LinComb:
         return LinComb.single(GENERATOR)

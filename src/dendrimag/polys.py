@@ -26,7 +26,7 @@ from typing import Any, Iterable
 
 from .matrices import MatrixSpace, RatMatrix, random_matrix
 from .report import VerificationReport
-from .scalars import add_vectors, as_fractions, ratio, reduced, scale_vector
+from .scalars import add_vectors, as_fractions, random_rationals, ratio, reduced, scale_vector
 from .series import CoeffSpace, FractionSpace, RATIONALS
 
 __all__ = ["Poly", "PolySpace", "poly_integrate", "ibp_power_check", "random_poly"]
@@ -225,9 +225,5 @@ def random_poly(
     rng: random.Random, max_degree: int, base: CoeffSpace = RATIONALS, span: int = 4
 ) -> Poly:
     if isinstance(base, FractionSpace):
-        coeffs = [
-            Fraction(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(max_degree + 1)
-        ]
-    else:
-        coeffs = [random_matrix(rng, base.n, span) for _ in range(max_degree + 1)]
-    return Poly(base, coeffs)
+        return Poly(base)._like(*random_rationals(rng, max_degree + 1, span))
+    return Poly(base, [random_matrix(rng, base.n, span) for _ in range(max_degree + 1)])

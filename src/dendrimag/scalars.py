@@ -10,7 +10,8 @@ and ``Poly`` (over rationals or rational matrices) through :func:`reduced`,
 :func:`add_vectors` and :func:`scale_vector` here, the sparse ``LinComb``
 through ``lincomb.combine``.  ``Fraction`` appears there only at the
 boundary (for the dense ones, :func:`common_denominator` in and
-:func:`as_fractions` out).  This module also has the serialization helpers
+:func:`as_fractions` out; the samplers draw ints through
+:func:`random_rationals`).  This module also has the serialization helpers
 ("p/q" strings) used by every JSON payload, and the Bernoulli numbers that
 drive the Magnus recursion.
 
@@ -30,6 +31,7 @@ generating function) that appears in the expansion formulas.
 
 from __future__ import annotations
 
+import random
 import threading
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -43,6 +45,7 @@ __all__ = [
     "parse_rational",
     "ratio",
     "reduced",
+    "random_rationals",
     "common_denominator",
     "as_fractions",
     "add_vectors",
@@ -81,6 +84,14 @@ def reduced(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     if g == 1:
         return tuple(num), den
     return tuple(x // g for x in num), den // g
+
+
+def random_rationals(rng: random.Random, count: int, span: int) -> tuple[tuple[int, ...], int]:
+    """count rationals randint(-span, span) / randint(1, 3), drawn in that order,
+    as int numerators over one denominator in lowest terms (no ``Fraction``)."""
+    pq = [(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(count)]
+    den = lcm(*(q for _, q in pq))
+    return reduced([p * (den // q) for p, q in pq], den)
 
 
 def common_denominator(values: Iterable[Fraction | int]) -> tuple[tuple[int, ...], int]:

@@ -14,12 +14,12 @@ from math import gcd
 
 import pytest
 
-from dendrimag.grids import GridSeq, GridSpace, NonSummable
+from dendrimag.grids import GridSeq, GridSpace, NonSummable, random_gridseq
 from dendrimag.lincomb import LinComb, LinCombSpace, bilinear
-from dendrimag.matrices import MatrixSpace, RatMatrix, triangular_project
+from dendrimag.matrices import MatrixSpace, RatMatrix, random_matrix, triangular_project
 from dendrimag.ode import _integral_bracket
 from dendrimag.pbt import _prec_basis, _succ_basis, free_dendriform, trees_of_degree
-from dendrimag.polys import Poly, PolySpace
+from dendrimag.polys import Poly, PolySpace, random_poly
 from dendrimag.prelie_expr import _expressions_of_degree, eval_combo, eval_planar, eval_rooted
 from dendrimag.rooted import _graft_basis, rooted_ops
 from dendrimag.scalars import parse_rational
@@ -563,3 +563,40 @@ def test_constructors_read_scalars_alike():
     assert RatMatrix([values[:2], values[2:]]).rows == (want[:2], want[2:])
     assert GridSeq(Fraction(1), values).values == want
     assert LinComb(zip(TREES, values)).terms == dict(zip(TREES, want))
+
+
+def test_lincomb_rejects_non_lincomb_operands():
+    x = LinComb.single(trees_of_degree(1)[0], Fraction(1, 2))
+    for op in (lambda: x + 3, lambda: x - 3, lambda: 3 + x, lambda: 3 - x, lambda: x - Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            op()
+
+
+# -- samplers ---------------------------------------------------------------------
+
+
+def _entries(rng, count, span):
+    """The sampled entries as the samplers drew them before they built ints directly."""
+    return [Fraction(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 101, 20240501])
+def test_seeded_samples_keep_their_values(seed):
+    """Same draws in the same order: the same (num, den), and the same rng state after."""
+    new, old = random.Random(seed), random.Random(seed)
+    theta, m2 = Fraction(1, 3), MatrixSpace(2)
+    for _ in range(25):
+        for span in (4, 3):
+            pairs = [
+                (random_matrix(new, 3, span), RatMatrix([_entries(old, 3, span) for _ in range(3)])),
+                (random_gridseq(new, theta, 6, span), GridSeq(theta, _entries(old, 6, span))),
+                (random_poly(new, 3, span=span), Poly(RATIONALS, _entries(old, 4, span))),
+                (
+                    random_poly(new, 1, m2, span),
+                    Poly(m2, [RatMatrix([_entries(old, 2, span) for _ in range(2)]) for _ in range(2)]),
+                ),
+            ]
+            for got, want in pairs:
+                assert type(got) is type(want) and (got.num, got.den) == (want.num, want.den)
+            assert pairs[1][0].theta is theta and pairs[2][0].base is RATIONALS
+        assert new.random() == old.random()

@@ -1,4 +1,7 @@
+import hashlib
+import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +43,20 @@ def test_expand_json_deterministic(capsys):
     assert out1 == out2
     payload = json.loads(out1)
     assert payload["blocks"][0]["components"]["2"] == {"(a>a)": "-1/2"}
+
+
+GOLDEN_EXPAND = Path(__file__).parent / "golden" / "expand_sha256.txt"
+
+
+def test_expand_matches_golden_digests(capsys):
+    """Every expand output, orders 1..8, against its pinned sha256 (one line per command)."""
+    golden = dict(line.split("  ")[::-1] for line in GOLDEN_EXPAND.read_text().splitlines())
+    grid = itertools.product(("magnus", "fer"), ("prelie", "rooted", "planar"), range(1, 9), ("text", "json"))
+    commands = [f"expand {kind} --order {n} --basis {basis} --format {fmt}" for kind, basis, n, fmt in grid]
+    assert sorted(golden) == sorted(commands)
+    for command in commands:
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == golden[command], command
 
 
 def test_expand_bad_order(capsys):

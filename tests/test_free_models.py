@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from dendrimag.dendriform import check_dendriform_axioms, check_prelie_identities
+from dendrimag.dendriform import Dendriform, check_dendriform_axioms, check_prelie_identities
 from dendrimag.lincomb import LinComb, bilinear
+from dendrimag.magnus_fer import fer, magnus
 from dendrimag.pbt import (
     GENERATOR,
     LEAF,
@@ -16,7 +17,7 @@ from dendrimag.pbt import (
     parse_tree,
     trees_of_degree,
 )
-from dendrimag.prelie_expr import GEN, PreLieExpr
+from dendrimag.prelie_expr import GEN, PreLieExpr, eval_planar, eval_rooted, formal_ops
 from dendrimag.rooted import RootedTree, VERTEX, graft, rooted_ops, rooted_trees_of_degree
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -118,6 +119,37 @@ def test_unit_rules_through_unital_layer():
     one = dend.unital_space.one()
     assert dend.unital_space.eq(dend.half_prec(a, one), a)
     assert dend.unital_space.is_zero(dend.half_succ(a, one))
+
+
+def _basis_pairs(max_total):
+    for i in range(1, max_total):
+        for j in range(1, max_total - i + 1):
+            for s in trees_of_degree(i):
+                for t in trees_of_degree(j):
+                    yield LinComb.single(s), LinComb.single(t)
+
+
+def test_fused_products_match_generic_formulas(rng):
+    """FreeDendriform's cached star/rhd and lhd = -(b rhd a) against the
+    Dendriform base formulas built from prec and succ."""
+    dend = free_dendriform()
+    pairs = list(_basis_pairs(6)) + [(dend.sample(rng), dend.sample(rng)) for _ in range(40)]
+    for a, b in pairs:
+        assert dend.star(a, b) == Dendriform.star(dend, a, b)
+        assert dend.rhd(a, b) == Dendriform.rhd(dend, a, b)
+        assert dend.lhd(a, b) == Dendriform.lhd(dend, a, b)
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_expansions_in_the_model_equal_evaluated_formal_ones(order):
+    """Magnus and Fer run on a model's ops equal the formal expansions evaluated there."""
+    formal = formal_ops()
+    raw = [magnus(formal, formal.generator(), order)] + fer(formal, formal.generator(), order)
+    for ops, evaluate in ((free_dendriform(), eval_planar), (rooted_ops(), eval_rooted)):
+        direct = [magnus(ops, ops.generator(), order)] + fer(ops, ops.generator(), order)
+        assert len(raw) == len(direct)
+        for u, v in zip(raw, direct):
+            assert [evaluate(c) for c in u.coeffs] == list(v.coeffs)
 
 
 def _basis_triples(kind, max_total):
