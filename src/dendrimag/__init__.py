@@ -8,8 +8,9 @@ The package has an exact half and a floating-point half:
   ``rooted``, ``prelie_expr``), the Magnus and Fer recursions
   (``magnus_fer``), and weighted Rota-Baxter structure with its identity
   suite (``rota_baxter``, ``instances``);
-* floating point: Magnus/Fer one-step integrators for polynomial matrix
-  ODEs with convergence measurement (``ode``).
+* floating point: Magnus/Fer integrators for polynomial matrix ODEs whose
+  step exponents come from the exact recursions, with convergence
+  measurement (``ode``).
 
 ``suites`` bundles the named verification suites behind the ``dendrimag``
 command-line tool (``cli``).
@@ -22,12 +23,10 @@ from .dendriform import (
     UnitalDendElem,
     solve_left,
     solve_right,
-    word_left,
-    word_right,
 )
 from .magnus_fer import fer, magnus, magnus_free_component, verify_fer, verify_magnus
 from .report import VerificationReport
-from .rota_baxter import RotaBaxter, bch_recursion, induced_structures
+from .rota_baxter import RotaBaxter, bch_recursion
 from .scalars import bernoulli, bernoulli_weight
 from .series import TruncatedSeries, bch, series_exp, series_log
 
@@ -46,7 +45,6 @@ __all__ = [
     "bernoulli",
     "bernoulli_weight",
     "fer",
-    "induced_structures",
     "magnus",
     "magnus_free_component",
     "series_exp",
@@ -55,7 +53,5 @@ __all__ = [
     "solve_right",
     "verify_fer",
     "verify_magnus",
-    "word_left",
-    "word_right",
     "__version__",
 ]

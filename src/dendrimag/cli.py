@@ -47,8 +47,9 @@ VERIFY_FAILURE = 1
 MAX_ORDER = 8
 
 # solve input bounds.  The reference solution runs 64 x max(--steps) steps and
-# keeps every n x n transition, so its cost is bounded jointly as well; the
-# weight tables grow about as (degree + 1)^3.
+# holds only one batch of step matrices at a time, so the joint bound on its
+# matrix entries limits its time, not its memory; the weight tables grow about
+# as (degree + 1)^3.
 MAX_STEPS = 4096
 MAX_N = 64
 MAX_DEGREE = 8
@@ -88,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="JSON file with n, degree, coeffs")
     p.add_argument("--t-final", type=float, default=1.0, dest="t_final")
     p.add_argument("--steps", default="8,16,32,64,128", help="comma-separated step counts")
-    p.add_argument("--method", choices=sorted(METHODS), default="magnus4")
+    p.add_argument("--method", choices=METHODS, default="magnus4")
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
 
     p = sub.add_parser("trees", help="list the planar binary trees of one degree")
@@ -203,12 +204,13 @@ def _load_matrix_poly(path: str) -> FloatMatrixPoly:
             raise ValueError(
                 f"matrix file: coeffs[{j}] must be a flat row-major list of {n * n} numbers"
             )
-        if any(isinstance(x, bool) for x in flat):
-            raise ValueError(f"matrix file: coeffs[{j}] contains a boolean entry")
+        # JSON numbers only: float() would also parse strings, and bool is an int
+        if not all(type(x) in (int, float) for x in flat):
+            raise ValueError(f"matrix file: coeffs[{j}] contains a non-numeric entry")
         try:
             vals = [float(x) for x in flat]
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"matrix file: coeffs[{j}] contains a non-numeric entry") from exc
+        except OverflowError as exc:  # an integer literal beyond the float range
+            raise ValueError(f"matrix file: coeffs[{j}] contains a non-finite entry") from exc
         if not all(math.isfinite(v) for v in vals):
             raise ValueError(f"matrix file: coeffs[{j}] contains a non-finite entry")
         mats.append([vals[i * n : (i + 1) * n] for i in range(n)])

@@ -26,8 +26,7 @@ multiple of the formal unit plus a carrier element, with
 
 while "1 prec 1" and "1 succ 1" stay undefined and raise
 :class:`UndefinedUnitProduct`.  The sum product extends totally
-(1 * 1 = 1).  On top of this sit the word power sums and the order-by-order
-solvers for
+(1 * 1 = 1).  On top of this sit the order-by-order solvers for
 
     X = 1 + lambda a prec X,        Y = 1 - Y succ lambda a.
 """
@@ -50,8 +49,6 @@ __all__ = [
     "AssocDendriform",
     "UnitalDendElem",
     "UnitalSpace",
-    "word_left",
-    "word_right",
     "solve_left",
     "solve_right",
     "series_half_prec",
@@ -265,29 +262,7 @@ class UnitalSpace(CoeffSpace):
         return {"unit": rational_str(x.scalar), "carrier": self.carrier.element_json(x.vec)}
 
 
-# -- word power sums and the two fundamental equations ----------------------
-
-
-def word_left(dend: Dendriform, a: Any, n: int) -> UnitalDendElem:
-    """w(0) = 1, w(n) = a prec w(n-1)."""
-    if n < 0:
-        raise ValueError("word index must be >= 0")
-    w = dend.unit()
-    xa = dend.embed(a)
-    for _ in range(n):
-        w = dend.half_prec(xa, w)
-    return w
-
-
-def word_right(dend: Dendriform, a: Any, n: int) -> UnitalDendElem:
-    """w(0) = 1, w(n) = w(n-1) succ a."""
-    if n < 0:
-        raise ValueError("word index must be >= 0")
-    w = dend.unit()
-    xa = dend.embed(a)
-    for _ in range(n):
-        w = dend.half_succ(w, xa)
-    return w
+# -- the two fundamental equations ------------------------------------------
 
 
 def solve_left(dend: Dendriform, a: Any, order: int) -> TruncatedSeries:

@@ -119,6 +119,8 @@ class GridSeq:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GridSeq):
             return NotImplemented
+        if self.theta is not other.theta and self.theta != other.theta:
+            return False  # sequences on different grids differ, as their hashes do
         a, b = self._padded(other)
         return self.den == other.den and a == b
 

@@ -16,22 +16,25 @@ least as h^d, so keeping grade 1 gives a second-order method and grades up
 to 3 a fourth-order one.  The grade-2 term is a commutator with an inner
 integral and is actually O(h^3), not O(h^2), which is why "order 2" needs
 only grade 1; the same cancellation makes the two-exponential Fer variant
-fourth order.
+fourth order.  ``METHODS`` names the four steppers: ``magnus2`` and
+``magnus4`` keep grades 1 and 1..3 of the Magnus exponent; ``fer1`` takes
+exp(I(U_0)) alone and ``fer2`` follows it with the first Fer correction
+truncated at grade 3.
 
-Reference solutions are self-consistent (the order-4 method on a 64x finer
-grid), not an external solver.  Errors are max-norm differences at the
-horizon; convergence slopes come from a least-squares fit of log(error)
-against log(h).
+``convergence_sweep`` measures each step count against a self-consistent
+reference (the order-4 method on a 64x finer grid, not an external solver),
+as max-norm differences at the horizon; ``fit_slope`` turns the sweep into
+a least-squares slope of log(error) against log(h).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,14 +47,10 @@ __all__ = [
     "matrix_exp",
     "FloatMatrixPoly",
     "StepResult",
-    "magnus_step",
-    "fer_step",
     "integrate",
     "METHODS",
     "reference_solution",
-    "convergence_rows",
     "convergence_sweep",
-    "convergence_order",
     "fit_slope",
     "rows_to_csv",
     "liouville_defect",
@@ -167,23 +166,6 @@ class FloatMatrixPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def integrate(self) -> "FloatMatrixPoly":
-        out = [np.zeros((self.n, self.n))]
-        out.extend(c / (j + 1) for j, c in enumerate(self.coeffs))
-        return FloatMatrixPoly(out)
-
-    def eval_at(self, t: float) -> np.ndarray:
-        acc = np.zeros((self.n, self.n))
-        power = 1.0
-        for c in self.coeffs:
-            acc = acc + power * c
-            power *= t
-        return acc
-
-    def shifted(self, t0: float) -> "FloatMatrixPoly":
-        """The polynomial s -> A(t0 + s)."""
-        return FloatMatrixPoly(_shifted(self.coeffs, np.array([t0]))[0])
-
 
 _METHOD_META = {  # method -> (convergence order, exponentials per step)
     "magnus2": (2, 1),
@@ -191,6 +173,7 @@ _METHOD_META = {  # method -> (convergence order, exponentials per step)
     "fer1": (2, 1),
     "fer2": (4, 2),
 }
+METHODS = tuple(sorted(_METHOD_META))
 
 Row = tuple[int, float, float, float | None]
 
@@ -242,36 +225,12 @@ def _transitions(a: FloatMatrixPoly, t0s: np.ndarray, h: float, method: str) -> 
     return u
 
 
-def magnus_step(a: FloatMatrixPoly, t0: float, h: float, order: int = 4) -> np.ndarray:
-    """One Magnus step over [t0, t0+h]; order 2 keeps grade 1, order 4 grades 1..3."""
-    if order not in (2, 4):
-        raise ValueError("supported orders are 2 and 4")
-    return _transitions(a, np.array([t0]), h, f"magnus{order}")[0]
-
-
-def fer_step(a: FloatMatrixPoly, t0: float, h: float, exponentials: int = 2) -> np.ndarray:
-    """One Fer step: exp(I(U_0)) alone (order 2) or followed by the first
-    correction truncated at grade 3 (order 4)."""
-    if exponentials not in (1, 2):
-        raise ValueError("supported exponential counts are 1 and 2")
-    return _transitions(a, np.array([t0]), h, f"fer{exponentials}")[0]
-
-
-METHODS: dict[str, Callable[[FloatMatrixPoly, float, float], np.ndarray]] = {
-    "magnus2": lambda a, t0, h: magnus_step(a, t0, h, order=2),
-    "magnus4": lambda a, t0, h: magnus_step(a, t0, h, order=4),
-    "fer1": lambda a, t0, h: fer_step(a, t0, h, exponentials=1),
-    "fer2": lambda a, t0, h: fer_step(a, t0, h, exponentials=2),
-}
-
-
 @dataclass
 class StepResult:
     final: np.ndarray
-    transitions: list[np.ndarray] = field(default_factory=list)
-    method: str = ""
-    order: int = 0
-    exponentials_per_step: int = 1
+    method: str
+    order: int
+    exponentials_per_step: int
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -282,20 +241,18 @@ def integrate(
     if steps < 1:
         raise ValueError("need at least one step")
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
+        raise ValueError(f"unknown method {method!r}; choose from {list(METHODS)}")
     h = horizon / steps
     t0s = t_start + np.arange(steps) * h
     block = max(1, 2048 // (a.n * a.n))  # steps per batch: 2048 entries per stacked array
     phi = np.eye(a.n)
-    transitions = []
     for lo in range(0, steps, block):
         for u in _transitions(a, t0s[lo : lo + block], h, method):
-            transitions.append(u)
             phi = u @ phi
     if not np.all(np.isfinite(phi)):
         raise NonFinite("propagator overflowed")
     order, nexp = _METHOD_META[method]
-    return StepResult(phi, transitions, method, order, nexp)
+    return StepResult(phi, method, order, nexp)
 
 
 def reference_solution(
@@ -308,7 +265,8 @@ def reference_solution(
 def convergence_sweep(
     a: FloatMatrixPoly, horizon: float, method: str, step_counts: Sequence[int], reference=None
 ) -> tuple[list[Row], np.ndarray]:
-    """``convergence_rows`` together with the final at the finest step count."""
+    """(steps, h, error, slope_window) per step count, against the fine
+    reference, together with the final at the finest step count."""
     counts = sorted(step_counts)
     if reference is None:
         reference = reference_solution(a, horizon, counts[-1])
@@ -326,13 +284,6 @@ def convergence_sweep(
     return rows, final
 
 
-def convergence_rows(
-    a: FloatMatrixPoly, horizon: float, method: str, step_counts: Sequence[int], reference=None
-) -> list[Row]:
-    """(steps, h, error, slope_window) per step count, against the fine reference."""
-    return convergence_sweep(a, horizon, method, step_counts, reference)[0]
-
-
 def fit_slope(rows: Sequence[Row]) -> float:
     """Least-squares slope of log(error) vs log(h) over convergence rows."""
     if len(rows) < 4:
@@ -343,13 +294,6 @@ def fit_slope(rows: Sequence[Row]) -> float:
     hs = [r[1] for r in rows]
     slope, _ = np.polyfit(np.log(hs), np.log(errors), 1)
     return float(slope)
-
-
-def convergence_order(
-    a: FloatMatrixPoly, horizon: float, method: str, step_counts: Sequence[int], reference=None
-) -> float:
-    """Least-squares slope of log(error) vs log(h) over the sweep."""
-    return fit_slope(convergence_rows(a, horizon, method, step_counts, reference))
 
 
 def rows_to_csv(rows: Sequence[Row]) -> str:
@@ -367,8 +311,8 @@ def liouville_defect(a: FloatMatrixPoly, horizon: float, steps: int, method: str
     only floating point shows up here.
     """
     phi = integrate(a, horizon, steps, method).final
-    trace_poly = FloatMatrixPoly([np.array([[np.trace(c)]]) for c in a.coeffs])
-    expected = math.exp(trace_poly.integrate().eval_at(horizon)[0, 0])
+    trace_integral = sum(np.trace(c) * horizon ** (j + 1) / (j + 1) for j, c in enumerate(a.coeffs))
+    expected = math.exp(trace_integral)
     return abs(float(np.linalg.det(phi)) - expected) / abs(expected)
 
 

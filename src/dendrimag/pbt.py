@@ -29,7 +29,6 @@ __all__ = [
     "LEAF",
     "GENERATOR",
     "trees_of_degree",
-    "parse_tree",
     "ascii_render",
     "FreeDendriform",
     "free_dendriform",
@@ -90,28 +89,6 @@ def trees_of_degree(n: int) -> tuple[PBT, ...]:
             for right in trees_of_degree(n - 1 - i):
                 out.append(PBT(left, right))
     return tuple(out)
-
-
-def parse_tree(s: str) -> PBT:
-    """Inverse of str(): parse the "o" / "(L^R)" grammar."""
-
-    def rec(i: int) -> tuple[PBT, int]:
-        if s[i] == "o":
-            return LEAF, i + 1
-        if s[i] != "(":
-            raise ValueError(f"bad tree string at index {i}: {s!r}")
-        left, j = rec(i + 1)
-        if s[j] != "^":
-            raise ValueError(f"expected '^' at index {j}: {s!r}")
-        right, k = rec(j + 1)
-        if s[k] != ")":
-            raise ValueError(f"expected ')' at index {k}: {s!r}")
-        return PBT(left, right), k + 1
-
-    tree, end = rec(0)
-    if end != len(s):
-        raise ValueError(f"trailing input after tree: {s!r}")
-    return tree
 
 
 def ascii_render(t: PBT) -> str:

@@ -29,7 +29,7 @@ from .report import VerificationReport
 from .scalars import add_vectors, as_fractions, random_rationals, ratio, reduced, scale_vector
 from .series import CoeffSpace, FractionSpace, RATIONALS
 
-__all__ = ["Poly", "PolySpace", "poly_integrate", "ibp_power_check", "random_poly"]
+__all__ = ["Poly", "PolySpace", "ibp_power_check", "random_poly"]
 
 
 def _shape(base: CoeffSpace) -> int:
@@ -193,10 +193,6 @@ class PolySpace(CoeffSpace):
 
     def element_json(self, x: Poly):
         return x.to_json()
-
-
-def poly_integrate(p: Poly) -> Poly:
-    return p.integrate()
 
 
 def ibp_power_check(a: Poly, n: int) -> VerificationReport:

@@ -49,7 +49,6 @@ Yh = 1 - lambda R(Yh a)), not different normalizations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -63,12 +62,9 @@ __all__ = [
     "ZeroWeight",
     "RBTridendriform",
     "RBDendriform",
-    "InducedStructures",
-    "induced_structures",
     "double_product",
     "check_rb_relation",
     "atkinson_factor",
-    "rb_magnus",
     "bch_recursion",
     "atkinson_check",
     "factor_exponentials_check",
@@ -184,16 +180,6 @@ class RBDendriform(Dendriform):
         return self.rb.sample(rng)
 
 
-@dataclass(frozen=True)
-class InducedStructures:
-    tridendriform: RBTridendriform
-    dendriform: RBDendriform
-
-
-def induced_structures(rb: RotaBaxter) -> InducedStructures:
-    return InducedStructures(RBTridendriform(rb), rb.dendriform())
-
-
 def double_product(rb: RotaBaxter, a: Any, b: Any) -> Any:
     """a *t b = aR(b) + R(a)b + theta ab; R and -Rt are morphisms for it."""
     sp = rb.space
@@ -257,11 +243,6 @@ def atkinson_factor(rb: RotaBaxter, a: Any, side: str, order: int) -> TruncatedS
     return TruncatedSeries(sp, order, coeffs)
 
 
-def rb_magnus(rb: RotaBaxter, a: Any, order: int, variant: str = "left_rhd") -> TruncatedSeries:
-    """Magnus series of the induced dendriform structure (carrier coefficients)."""
-    return magnus(rb.dendriform(), a, order, variant)
-
-
 def bch_recursion(
     rb: RotaBaxter, alpha: TruncatedSeries, variant: str = "two_sided"
 ) -> TruncatedSeries:
@@ -312,7 +293,7 @@ def atkinson_check(rb: RotaBaxter, a: Any, order: int) -> VerificationReport:
     rep.add_residuals("Yh substituted back into Yh = 1 - lambda R(Yh a)", yh, one - (yh * lam_a).map_coeffs(rb.r))
     mid = _one_minus_theta_a(rb, a, order)
     rep.add_residuals("Yh (1 - theta lambda a) Xh = 1", yh * mid * xh, one)
-    w = rb_magnus(rb, a, order)
+    w = magnus(rb.dendriform(), a, order)
     rep.add_residuals(
         "1 - theta lambda a = exp(R(W)) exp(Rt(W))",
         mid,
@@ -324,7 +305,7 @@ def atkinson_check(rb: RotaBaxter, a: Any, order: int) -> VerificationReport:
 def factor_exponentials_check(rb: RotaBaxter, a: Any, order: int) -> VerificationReport:
     """Xh = exp(-Rt(W)) and Yh = exp(-R(W)) with W the induced Magnus series."""
     rep = VerificationReport(f"factor exponentials [{rb.name}]")
-    w = rb_magnus(rb, a, order)
+    w = magnus(rb.dendriform(), a, order)
     rep.add_residuals(
         "Xh = exp(-Rt(W))",
         atkinson_factor(rb, a, "X", order),
@@ -416,7 +397,7 @@ def spitzer_noncommutative_check(
     chi_one = bch_recursion(rb, alpha_t, "one_sided")
     rep.add_residuals("two-sided and one-sided chi forms agree", chi_two, chi_one)
 
-    w = rb_magnus(rb, a, order)
+    w = magnus(rb.dendriform(), a, order)
     rep.add_residuals("W = chi(-log(1 - theta lambda a)/theta)", w, chi_two)
 
     rep.add_residuals(

@@ -42,7 +42,6 @@ __all__ = [
     "bernoulli",
     "bernoulli_weight",
     "rational_str",
-    "parse_rational",
     "ratio",
     "reduced",
     "random_rationals",
@@ -59,11 +58,6 @@ def rational_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    """Parse the "p/q" / "p" format produced by :func:`rational_str`."""
-    return Fraction(s.strip())
 
 
 def ratio(c) -> tuple[int, int]:

@@ -191,14 +191,6 @@ class TruncatedSeries:
         coeffs = bilinear_terms(sp, sp.mul, self.coeffs, other.coeffs, 0, self.order)
         return TruncatedSeries(sp, self.order, coeffs)
 
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by lambda^k (same order bound; top k coefficients fall off)."""
-        if k < 0:
-            raise ValueError("shift must be >= 0")
-        sp = self.space
-        cs = [sp.zero()] * min(k, self.order + 1) + list(self.coeffs[: self.order + 1 - k])
-        return TruncatedSeries(sp, self.order, cs)
-
     def truncated(self, m: int) -> "TruncatedSeries":
         """The same series modulo lambda^(m+1), m <= order."""
         if m > self.order:

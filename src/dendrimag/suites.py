@@ -46,6 +46,7 @@ from .prelie_expr import eval_planar, eval_rooted, monomial_count, rewrite_reduc
 from .report import VerificationReport
 from .rooted import rooted_trees_of_degree, rooted_ops
 from .rota_baxter import (
+    RBTridendriform,
     atkinson_check,
     bch_recursion,
     check_rb_relation,
@@ -53,7 +54,6 @@ from .rota_baxter import (
     exp_image_check,
     factor_exponentials_check,
     factor_products_check,
-    induced_structures,
     spitzer_classical_check,
     spitzer_noncommutative_check,
 )
@@ -134,7 +134,7 @@ def suite_dendriform(order: int, seed: int) -> list[VerificationReport]:
 def suite_tridendriform(order: int, seed: int) -> list[VerificationReport]:
     reports = []
     summation = summation_tridendriform()
-    rb_induced = induced_structures(triangular_rb()).tridendriform
+    rb_induced = RBTridendriform(triangular_rb())
     for idx, tri in enumerate((summation, rb_induced)):
         rng = random.Random(seed + idx)
         triples = sample_tuples(tri, rng, SAMPLE_TRIPLES, 3)
@@ -149,7 +149,7 @@ def suite_tridendriform(order: int, seed: int) -> list[VerificationReport]:
 
     # the summation instance is the Rota-Baxter construction for tail sums
     rep = VerificationReport("summation instance matches its Rota-Baxter form")
-    rb_form = induced_structures(summation_rb(Fraction(1))).tridendriform
+    rb_form = RBTridendriform(summation_rb(Fraction(1)))
     same = lambda a, b: all(
         getattr(summation, op)(a, b) == getattr(rb_form, op)(a, b) for op in ("lt", "gt", "dot")
     )

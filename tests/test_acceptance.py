@@ -34,8 +34,9 @@ from dendrimag.grids import random_gridseq
 from dendrimag.lincomb import LinComb
 from dendrimag.magnus_fer import fer_depth, magnus, magnus_free_component, verify_fer, verify_magnus
 from dendrimag.ode import (
-    convergence_order,
+    convergence_sweep,
     default_test_problem,
+    fit_slope,
     liouville_defect,
     reference_solution,
 )
@@ -43,10 +44,10 @@ from dendrimag.pbt import free_dendriform, trees_of_degree
 from dendrimag.polys import ibp_power_check, random_poly
 from dendrimag.prelie_expr import eval_rooted, monomial_count, rewrite_reduce
 from dendrimag.rota_baxter import (
+    RBTridendriform,
     atkinson_check,
     factor_exponentials_check,
     factor_products_check,
-    induced_structures,
     spitzer_classical_check,
     spitzer_noncommutative_check,
 )
@@ -95,7 +96,7 @@ def test_criterion_01_dendriform_axioms():
 def test_criterion_02_tridendriform_axioms():
     ok = True
     for idx, tri in enumerate(
-        (summation_tridendriform(), induced_structures(triangular_rb()).tridendriform)
+        (summation_tridendriform(), RBTridendriform(triangular_rb()))
     ):
         triples = sample_tuples(tri, random.Random(SEED + 50 + idx), 200, 3)
         ok = ok and check_tridendriform_axioms(tri, triples).ok
@@ -235,7 +236,7 @@ def test_criterion_12_convergence_orders():
     counts = [8, 16, 32, 64, 128]
     reference = reference_solution(problem, 1.0, counts[-1])
     slopes = {
-        m: convergence_order(problem, 1.0, m, counts, reference)
+        m: fit_slope(convergence_sweep(problem, 1.0, m, counts, reference)[0])
         for m in ("magnus2", "fer1", "magnus4", "fer2")
     }
     ok = 1.6 <= slopes["magnus2"] <= 2.4 and 1.6 <= slopes["fer1"] <= 2.4

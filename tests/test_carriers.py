@@ -22,7 +22,6 @@ from dendrimag.pbt import _prec_basis, _succ_basis, free_dendriform, trees_of_de
 from dendrimag.polys import Poly, PolySpace, random_poly
 from dendrimag.prelie_expr import _expressions_of_degree, eval_combo, eval_planar, eval_rooted
 from dendrimag.rooted import _graft_basis, rooted_ops
-from dendrimag.scalars import parse_rational
 from dendrimag.series import RATIONALS, CoeffSpace
 
 SCALES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 4), Fraction(-5, 6), 2]
@@ -93,7 +92,7 @@ def test_matrix_equality_hash_and_round_trips():
         assert space.eq(c, a) and space.sub(c, a).is_zero()
         assert (a == b) == (ra == rb)
         assert RatMatrix(a.rows) == a
-        assert [parse_rational(s) for s in a.to_json()] == [x for row in ra for x in row]
+        assert [Fraction(s) for s in a.to_json()] == [x for row in ra for x in row]
     zero = RatMatrix.zeros(3)
     assert zero == RatMatrix([[0] * 3] * 3) == space.zero()
     assert hash(zero) == hash(RatMatrix([[Fraction(0, 5)] * 3] * 3))
@@ -180,8 +179,8 @@ def test_grid_equality_hash_and_round_trips():
         assert longer == a and a == longer and hash(longer) == hash(a)
         assert GridSeq(a.theta, a.values) == a
         payload = a.to_json()
-        assert parse_rational(payload["theta"]) == theta
-        assert [parse_rational(s) for s in payload["values"]] == va
+        assert Fraction(payload["theta"]) == theta
+        assert [Fraction(s) for s in payload["values"]] == va
     assert GridSeq(theta, []) == space.zero() == GridSeq(theta, [0] * 3)
     assert hash(GridSeq(theta, [])) == hash(space.zero())
     assert space.one().values == (Fraction(1),) * 5
@@ -199,9 +198,13 @@ def test_grid_rejects_nonpositive_theta(theta):
 
 def test_grid_spacing_mismatch():
     a, b = GridSeq(Fraction(1), [1]), GridSeq(Fraction(2), [1])
-    for op in ("__add__", "__sub__", "__mul__", "__eq__"):
+    for op in ("__add__", "__sub__", "__mul__"):
         with pytest.raises(ValueError, match="grid spacing mismatch"):
             getattr(a, op)(b)
+    # equality tells the grids apart, as the hash does
+    assert a != b and not a == b
+    assert GridSeq(Fraction(1, 2), [1]) != GridSeq(Fraction(1, 3), [1])
+    assert GridSeq(Fraction(1), []) != GridSeq(Fraction(2), [])
 
 
 # -- Poly -----------------------------------------------------------------------

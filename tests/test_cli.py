@@ -206,6 +206,8 @@ def test_solve_missing_file(capsys, tmp_path):
         ({"n": 1, "degree": 1, "coeffs": [[0.0], [float("inf")]]}, "coeffs[1]"),
         ({"n": True, "degree": 0, "coeffs": [[1.0]]}, "field 'n'"),
         ({"n": 2, "degree": 0, "coeffs": [[True, False, False, True]]}, "coeffs[0]"),
+        ({"n": 2, "degree": 0, "coeffs": [["0", "1", "-1", "0"]]}, "coeffs[0] contains a non-numeric entry"),
+        ({"n": 1, "degree": 0, "coeffs": [[10**400]]}, "coeffs[0] contains a non-finite entry"),
     ],
 )
 def test_solve_malformed_input_names_field(capsys, tmp_path, payload, field):

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -13,12 +12,10 @@ from dendrimag.dendriform import (
     series_half_prec,
     solve_left,
     solve_right,
-    word_left,
-    word_right,
 )
 from dendrimag.instances import standard_rb_instances
 from dendrimag.pbt import free_dendriform
-from dendrimag.rota_baxter import induced_structures
+from dendrimag.rota_baxter import RBTridendriform
 from dendrimag.series import TruncatedSeries
 
 
@@ -79,15 +76,17 @@ def test_associative_degeneration_prelie(assoc_dend, rng):
 
 
 def test_words_low_indices(tri_rb, rng):
+    # X and (-1)^n Y carry the words a prec (a prec ...) and (... succ a) succ a
     dend = tri_rb.dendriform()
     a = tri_rb.sample(rng)
     usp = dend.unital_space
-    assert usp.eq(word_left(dend, a, 0), usp.one())
-    assert usp.eq(word_right(dend, a, 0), usp.one())
-    assert usp.eq(word_left(dend, a, 1), dend.embed(a))
-    assert usp.eq(word_right(dend, a, 1), dend.embed(a))
-    assert usp.eq(word_left(dend, a, 2), dend.embed(dend.prec(a, a)))
-    assert usp.eq(word_right(dend, a, 2), dend.embed(dend.succ(a, a)))
+    x, y = solve_left(dend, a, 2), solve_right(dend, a, 2)
+    assert usp.eq(x.coeff(0), usp.one())
+    assert usp.eq(y.coeff(0), usp.one())
+    assert usp.eq(x.coeff(1), dend.embed(a))
+    assert usp.eq(y.coeff(1), usp.neg(dend.embed(a)))
+    assert usp.eq(x.coeff(2), dend.embed(dend.prec(a, a)))
+    assert usp.eq(y.coeff(2), dend.embed(dend.succ(a, a)))
 
 
 def test_solve_left_zero_input(tri_rb):
@@ -123,17 +122,6 @@ def test_solve_truncation_coherence(tri_rb, rng):
         assert full.truncated(m) == solve_left(dend, a, m)
 
 
-def test_words_match_series_coefficients(tri_rb, rng):
-    dend = tri_rb.dendriform()
-    a = tri_rb.sample(rng)
-    usp = dend.unital_space
-    x = solve_left(dend, a, 6)
-    y = solve_right(dend, a, 6)
-    for n in range(7):
-        assert usp.eq(x.coeff(n), word_left(dend, a, n))
-        assert usp.eq(y.coeff(n), usp.scale(Fraction(-1) ** n, word_right(dend, a, n)))
-
-
 def test_geometric_series_in_associative_degeneration(assoc_dend, rng):
     a = assoc_dend.sample(rng)
     x = solve_left(assoc_dend, a, 6)
@@ -149,7 +137,7 @@ def test_geometric_series_in_associative_degeneration(assoc_dend, rng):
 
 def test_tridendriform_collapse(poly_scalar, summation_tri, rng):
     # weight zero kills the dot product, so the collapse returns (lt, gt)
-    tri = induced_structures(poly_scalar).tridendriform
+    tri = RBTridendriform(poly_scalar)
     dend = tri.as_dendriform()
     for _ in range(20):
         a, b = tri.sample(rng), tri.sample(rng)

@@ -14,7 +14,6 @@ from dendrimag.pbt import (
     PBT,
     ascii_render,
     free_dendriform,
-    parse_tree,
     trees_of_degree,
 )
 from dendrimag.prelie_expr import GEN, PreLieExpr, eval_planar, eval_rooted, formal_ops
@@ -35,9 +34,13 @@ def test_rooted_tree_counts(n):
 
 
 def test_tree_string_grammar_roundtrip():
+    strings = set()
     for n in range(6):
         for t in trees_of_degree(n):
-            assert parse_tree(str(t)) is t
+            if t is not LEAF:
+                assert str(t) == f"({t.left}^{t.right})"
+            strings.add(str(t))
+    assert len(strings) == sum(CATALAN[:6])  # distinct trees print distinctly
     assert str(LEAF) == "o"
     assert str(GENERATOR) == "(o^o)"
     assert "o" in ascii_render(GENERATOR)

@@ -7,13 +7,13 @@ from dendrimag.ode import (
     FloatMatrixPoly,
     METHODS,
     NonFinite,
-    convergence_order,
-    convergence_rows,
+    _shifted,
+    _transitions,
+    convergence_sweep,
     default_test_problem,
-    fer_step,
+    fit_slope,
     integrate,
     liouville_defect,
-    magnus_step,
     matrix_exp,
     reference_solution,
     rows_to_csv,
@@ -84,11 +84,7 @@ def test_commuting_family_is_exact():
 
 def test_step_input_validation(problem):
     with pytest.raises(ValueError):
-        magnus_step(problem, 0.0, -0.1)
-    with pytest.raises(ValueError):
-        magnus_step(problem, 0.0, 0.1, order=3)
-    with pytest.raises(ValueError):
-        fer_step(problem, 0.0, 0.1, exponentials=3)
+        _transitions(problem, np.array([0.0]), -0.1, "magnus4")
     with pytest.raises(ValueError):
         integrate(problem, 1.0, 0)
     with pytest.raises(ValueError):
@@ -96,7 +92,7 @@ def test_step_input_validation(problem):
 
 
 def test_single_step_equals_integrate(problem):
-    u = magnus_step(problem, 0.0, 1.0, 4)
+    u = _transitions(problem, np.array([0.0]), 1.0, "magnus4")[0]
     assert np.array_equal(integrate(problem, 1.0, 1, "magnus4").final, u)
 
 
@@ -112,13 +108,13 @@ def test_composition_consistency(problem):
     [("magnus2", 1.6, 2.4), ("fer1", 1.6, 2.4), ("magnus4", 3.6, 4.4), ("fer2", 3.6, 4.4)],
 )
 def test_convergence_slopes(problem, reference, method, lo, hi):
-    slope = convergence_order(problem, 1.0, method, STEP_COUNTS, reference)
+    slope = fit_slope(convergence_sweep(problem, 1.0, method, STEP_COUNTS, reference)[0])
     assert lo <= slope <= hi, f"{method} slope {slope}"
 
 
 def test_errors_decrease_monotonically(problem, reference):
     for method in METHODS:
-        rows = convergence_rows(problem, 1.0, method, STEP_COUNTS, reference)
+        rows, _ = convergence_sweep(problem, 1.0, method, STEP_COUNTS, reference)
         errors = [r[2] for r in rows]
         assert all(a > b for a, b in zip(errors, errors[1:])), (method, errors)
 
@@ -126,17 +122,20 @@ def test_errors_decrease_monotonically(problem, reference):
 def test_degenerate_fit_on_constant_problem():
     a = FloatMatrixPoly([np.array([[0.0, 1.0], [-1.0, 0.0]])])
     with pytest.raises(DegenerateFit):
-        convergence_order(a, 1.0, "magnus4", STEP_COUNTS)
+        fit_slope(convergence_sweep(a, 1.0, "magnus4", STEP_COUNTS)[0])
 
 
 def test_convergence_needs_enough_counts(problem):
     with pytest.raises(ValueError):
-        convergence_order(problem, 1.0, "magnus4", [8, 16])
+        fit_slope(convergence_sweep(problem, 1.0, "magnus4", [8, 16])[0])
 
 
 def test_liouville_determinant(problem):
+    # the default problem is traceless; the shifted one checks the trace integral too
+    traced = FloatMatrixPoly([c + (0.3 - 0.2 * j) * np.eye(2) for j, c in enumerate(problem.coeffs)])
     for method in ("magnus2", "magnus4", "fer1", "fer2"):
         assert liouville_defect(problem, 1.0, 64, method) <= 1e-8
+        assert liouville_defect(traced, 1.5, 64, method) <= 1e-8
 
 
 def test_fer_and_magnus_agree_within_error_bounds(problem, reference):
@@ -151,7 +150,7 @@ def test_fer_and_magnus_agree_within_error_bounds(problem, reference):
 
 
 def test_csv_format(problem, reference):
-    rows = convergence_rows(problem, 1.0, "magnus4", [8, 16, 32, 64], reference)
+    rows, _ = convergence_sweep(problem, 1.0, "magnus4", [8, 16, 32, 64], reference)
     text = rows_to_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == "steps,h,error,slope_window"
@@ -165,16 +164,10 @@ def test_csv_format(problem, reference):
 
 
 def test_poly_shift_matches_evaluation(problem):
-    shifted = problem.shifted(0.3)
-    for s in (0.0, 0.17, 0.5):
-        assert np.allclose(shifted.eval_at(s), problem.eval_at(0.3 + s), atol=1e-14)
+    def value(coeffs, t):
+        return sum(c * t**j for j, c in enumerate(coeffs))
 
-
-def test_transitions_recorded(problem):
-    res = integrate(problem, 1.0, 5, "fer2")
-    assert len(res.transitions) == 5
-    acc = np.eye(2)
-    for u in res.transitions:
-        acc = u @ acc
-    assert np.array_equal(acc, res.final)
-    assert res.order == 4 and res.exponentials_per_step == 2
+    t0s = np.array([0.3, -1.25])
+    for t0, shifted in zip(t0s, _shifted(problem.coeffs, t0s)):
+        for s in (0.0, 0.17, 0.5):
+            assert np.allclose(value(shifted, s), value(problem.coeffs, t0 + s), atol=1e-14)

@@ -16,7 +16,7 @@ import scipy.linalg
 from dendrimag.instances import matrix_poly_rb
 from dendrimag.magnus_fer import fer, magnus
 from dendrimag.matrices import RatMatrix, random_matrix
-from dendrimag.ode import FloatMatrixPoly, METHODS, _weight_tables, integrate, magnus_step, matrix_exp
+from dendrimag.ode import FloatMatrixPoly, METHODS, _transitions, _weight_tables, integrate, matrix_exp
 from dendrimag.polys import Poly
 
 # method -> the exact series whose grades 1..N make each exponential factor
@@ -86,7 +86,7 @@ def test_float_step_matches_exact_exponent(rng, method):
         expected = np.eye(2)
         for e in _exact_exponents(method, _shifted_exact(coeffs, t0), h):
             expected = expected @ scipy.linalg.expm(np.array([[float(x) for x in r] for r in e.rows]))
-        got = METHODS[method](a, float(t0), float(h))
+        got = _transitions(a, np.array([float(t0)]), float(h), method)[0]
         assert np.max(np.abs(got - expected)) <= 1e-13 * max(1.0, float(np.max(np.abs(expected))))
 
 
@@ -102,11 +102,16 @@ def test_matrix_exp_stack_matches_single_matrices():
         assert np.max(np.abs(out[idx] - oracle)) / max(1.0, float(np.max(np.abs(oracle)))) <= 1e-12
 
 
-def test_batches_split_long_runs_without_changing_steps():
+@pytest.mark.parametrize("method", METHODS)
+def test_batches_split_long_runs_without_changing_steps(method):
     # at n = 8 one batch holds 32 steps, so 130 steps span five batches
     rng = np.random.default_rng(11)
     a = FloatMatrixPoly([c / np.linalg.norm(c, 1) for c in rng.normal(size=(2, 8, 8))])
-    res = integrate(a, 1.0, 130, "magnus2")
+    res = integrate(a, 1.0, 130, method)
     h = 1.0 / 130
-    for k in (0, 31, 32, 127, 128, 129):
-        assert np.array_equal(res.transitions[k], magnus_step(a, k * h, h, order=2))
+    expected = np.eye(8)
+    for k in range(130):
+        expected = _transitions(a, np.array([k * h]), h, method)[0] @ expected
+    assert np.array_equal(res.final, expected)
+    meta = {"magnus2": (2, 1), "magnus4": (4, 1), "fer1": (2, 1), "fer2": (4, 2)}
+    assert (res.method, res.order, res.exponentials_per_step) == (method, *meta[method])

@@ -6,9 +6,11 @@ import pytest
 from dendrimag.dendriform import check_tridendriform_axioms, sample_tuples
 from dendrimag.grids import GridSeq, NonSummable, random_gridseq
 from dendrimag.instances import grid_rb, matrix_poly_rb, poly_rb, summation_rb, triangular_rb
+from dendrimag.magnus_fer import magnus
 from dendrimag.matrices import RatMatrix, random_matrix, triangular_project
-from dendrimag.polys import Poly, ibp_power_check, poly_integrate, random_poly
+from dendrimag.polys import Poly, ibp_power_check, random_poly
 from dendrimag.rota_baxter import (
+    RBTridendriform,
     ZeroWeight,
     atkinson_check,
     atkinson_factor,
@@ -19,8 +21,6 @@ from dendrimag.rota_baxter import (
     exp_image_check,
     factor_exponentials_check,
     factor_products_check,
-    induced_structures,
-    rb_magnus,
     spitzer_classical_check,
     spitzer_noncommutative_check,
 )
@@ -83,7 +83,7 @@ def test_triangular_projection_basics(rng):
 
 def test_induced_tridendriform_axioms(tri_rb, grid_strict, rng):
     for rb in (tri_rb, grid_strict):
-        tri = induced_structures(rb).tridendriform
+        tri = RBTridendriform(rb)
         triples = sample_tuples(tri, rng, 200, 3)
         rep = check_tridendriform_axioms(tri, triples)
         assert rep.ok, rep.summary()
@@ -321,7 +321,7 @@ def test_poly_integrate_monomials():
     for n in range(6):
         p = Poly(RATIONALS, [0] * n + [1])
         expected = Poly(RATIONALS, [0] * (n + 1) + [Fraction(1, n + 1)])
-        assert poly_integrate(p) == expected
+        assert p.integrate() == expected
 
 
 def test_integration_by_parts_squared(rng):
@@ -345,6 +345,6 @@ def test_ibp_quintic_on_random_cubic(rng):
 def test_factor_exponential_consistency_with_magnus(tri_rb, rng):
     # Xh and Yh really are the exponentials of -Rt(W) and -R(W)
     a = tri_rb.sample(rng)
-    w = rb_magnus(tri_rb, a, 5)
+    w = magnus(tri_rb.dendriform(), a, 5)
     xh = atkinson_factor(tri_rb, a, "X", 5)
     assert xh == series_exp(-w.map_coeffs(tri_rb.r_tilde))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dendrimag.scalars import bernoulli, bernoulli_weight, parse_rational, rational_str
+from dendrimag.scalars import bernoulli, bernoulli_weight, rational_str
 
 
 def test_bernoulli_base_values():
@@ -62,4 +62,4 @@ def test_rational_str_roundtrip(rng):
     assert rational_str(Fraction(-7, 2)) == "-7/2"
     for _ in range(100):
         x = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
-        assert parse_rational(rational_str(x)) == x
+        assert Fraction(rational_str(x)) == x

@@ -142,7 +142,7 @@ def test_series_equality_needs_all_coefficients():
 
 def test_shift_and_low_degree():
     s = scalar_series(4, [1, 2])
-    shifted = s.shift(2)
+    shifted = TruncatedSeries.single(RATIONALS, 4, 2, Fraction(1)) * s  # lambda^2 s
     assert shifted == scalar_series(4, [0, 0, 1, 2])
     assert shifted.low_degree() == 2
     assert TruncatedSeries.zero(RATIONALS, 4).low_degree() is None
