@@ -23,10 +23,10 @@ from .instances import DEFAULT_SEED
 from .lincomb import LinComb
 from .magnus_fer import fer, magnus
 from .ode import (
-    DegenerateFit,
     FloatMatrixPoly,
     METHODS,
     NonFinite,
+    REFERENCE_REFINEMENT,
     convergence_sweep,
     fit_slope,
     rows_to_csv,
@@ -41,19 +41,21 @@ __all__ = ["main", "build_parser"]
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
 
-# Highest --order for expand, verify and trees: the free-model products grow
-# about x5 per order; on a 2-CPU Xeon, free Magnus alone takes about 0.5 s at
-# order 9 and 2.5 s at order 10.
+# Highest --order for expand, verify and trees, and the package's one order
+# bound: every suite checks its instances at exactly --order.  On a 2-CPU Xeon
+# `verify --suite all` takes about 4.4 s at order 5 and 5.3 s at order 8; run
+# in one process, the suites take about 7.5 s at order 9 (40 MB peak RSS) and
+# 27 s at order 10 (106 MB), most of it in free-model Magnus and Fer.
 MAX_ORDER = 8
 
-# solve input bounds.  The reference solution runs 64 x max(--steps) steps and
-# holds only one batch of step matrices at a time, so the joint bound on its
-# matrix entries limits its time, not its memory; the weight tables grow about
-# as (degree + 1)^3.
+# solve input bounds.  The reference solution runs REFERENCE_REFINEMENT x
+# max(--steps) steps and holds only one batch of step matrices at a time, so
+# the joint bound on its matrix entries limits its time, not its memory; the
+# weight tables grow about as (degree + 1)^3.
 MAX_STEPS = 4096
 MAX_N = 64
 MAX_DEGREE = 8
-MAX_REFERENCE_ENTRIES = 1 << 22  # 64 * max(--steps) * n * n
+MAX_REFERENCE_ENTRIES = 1 << 22  # REFERENCE_REFINEMENT * max(--steps) * n * n
 
 
 def _default_seed() -> int:
@@ -76,13 +78,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="print the free-model expansion per degree")
     p.add_argument("kind", choices=("magnus", "fer"))
-    p.add_argument("--order", type=int, default=4, help="highest degree, 1..8")
+    p.add_argument("--order", type=int, default=4, help=f"highest degree, 1..{MAX_ORDER}")
     p.add_argument("--basis", choices=("prelie", "rooted", "planar"), default="prelie")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("verify", help="run exact verification suites")
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--order", type=int, default=5, help="truncation order for the suites, 1..8")
+    p.add_argument("--order", type=int, default=5, help=f"truncation order for the suites, 1..{MAX_ORDER}")
     p.add_argument("--seed", type=int, default=None, help="sample seed (default: fixed constant)")
 
     p = sub.add_parser("solve", help="integrate x' = A(t) x and emit a convergence CSV")
@@ -93,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
 
     p = sub.add_parser("trees", help="list the planar binary trees of one degree")
-    p.add_argument("--order", type=int, required=True, help="tree degree, 0..8")
+    p.add_argument("--order", type=int, required=True, help=f"tree degree, 0..{MAX_ORDER}")
     p.add_argument("--render", choices=("strings", "ascii"), default="strings")
     return parser
 
@@ -235,10 +237,10 @@ def cmd_solve(args) -> int:
     if counts[-1] > MAX_STEPS:
         print(f"solve: --steps entries must be <= {MAX_STEPS}, got {counts[-1]}", file=sys.stderr)
         return USAGE_ERROR
-    if 64 * counts[-1] * a.n * a.n > MAX_REFERENCE_ENTRIES:
+    if REFERENCE_REFINEMENT * counts[-1] * a.n * a.n > MAX_REFERENCE_ENTRIES:
         print(
             f"solve: --steps {counts[-1]} with n = {a.n} is too large: the reference needs "
-            f"64 * steps * n * n <= {MAX_REFERENCE_ENTRIES} matrix entries",
+            f"{REFERENCE_REFINEMENT} * steps * n * n <= {MAX_REFERENCE_ENTRIES} matrix entries",
             file=sys.stderr,
         )
         return USAGE_ERROR
@@ -298,11 +300,7 @@ def main(argv: list[str] | None = None) -> int:
         "solve": cmd_solve,
         "trees": cmd_trees,
     }
-    try:
-        return handlers[args.command](args)
-    except DegenerateFit as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    return handlers[args.command](args)
 
 
 if __name__ == "__main__":

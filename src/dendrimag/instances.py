@@ -36,7 +36,6 @@ __all__ = [
     "grid_rb",
     "summation_rb",
     "SummationTridendriform",
-    "summation_tridendriform",
     "poly_rb",
     "matrix_poly_rb",
     "assoc_matrix_dendriform",
@@ -126,10 +125,6 @@ class SummationTridendriform(Tridendriform):
 
     def sample(self, rng: random.Random) -> GridSeq:
         return random_gridseq(rng, Fraction(1), self.length)
-
-
-def summation_tridendriform(length: int = 8) -> SummationTridendriform:
-    return SummationTridendriform(length)
 
 
 def poly_rb(max_degree: int = 3) -> RotaBaxter:

@@ -140,22 +140,13 @@ class LinComb:
 
 
 class LinCombSpace(CoeffSpace):
-    """LinComb as a series coefficient space; a product may be plugged in."""
-
-    def __init__(self, mul: Callable[[LinComb, LinComb], LinComb] | None = None):
-        self._mul = mul
-        self.has_product = mul is not None
+    """LinComb as a series coefficient space, without a product."""
 
     def zero(self) -> LinComb:
         return LinComb.zero()
 
     def sum(self, terms: Sequence[LinComb]) -> LinComb:
         return combine((1, t) for t in terms)
-
-    def mul(self, x: LinComb, y: LinComb) -> LinComb:
-        if self._mul is None:
-            raise NotImplementedError("this LinComb space declares no product")
-        return self._mul(x, y)
 
     def element_json(self, x: LinComb):
         return x.to_json()

@@ -215,8 +215,8 @@ def magnus_free_component(n: int) -> tuple[LinComb, LinComb]:
     exactly as the recursion produces it, and its expansion in the
     rooted-tree basis.
     """
-    if not 1 <= n <= 8:
-        raise ValueError("supported degrees are 1..8")
+    if n < 1:
+        raise ValueError(f"degree must be >= 1, got {n}")
     ops = formal_ops()
     series = magnus(ops, ops.generator(), n)
     raw = series.coeff(n)

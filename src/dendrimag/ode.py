@@ -49,6 +49,7 @@ __all__ = [
     "StepResult",
     "integrate",
     "METHODS",
+    "REFERENCE_REFINEMENT",
     "reference_solution",
     "convergence_sweep",
     "fit_slope",
@@ -255,11 +256,13 @@ def integrate(
     return StepResult(phi, method, order, nexp)
 
 
-def reference_solution(
-    a: FloatMatrixPoly, horizon: float, finest_steps: int, refinement: int = 64
-) -> np.ndarray:
-    """Order-4 Magnus on a grid ``refinement`` times finer than the finest sweep."""
-    return integrate(a, horizon, finest_steps * refinement, "magnus4").final
+# The reference grid is this many times finer than the finest sweep.
+REFERENCE_REFINEMENT = 64
+
+
+def reference_solution(a: FloatMatrixPoly, horizon: float, finest_steps: int) -> np.ndarray:
+    """Order-4 Magnus on a grid ``REFERENCE_REFINEMENT`` times finer than the finest sweep."""
+    return integrate(a, horizon, finest_steps * REFERENCE_REFINEMENT, "magnus4").final
 
 
 def convergence_sweep(

@@ -3,11 +3,11 @@ import random
 import pytest
 
 from dendrimag.instances import (
+    SummationTridendriform,
     assoc_matrix_dendriform,
     grid_rb,
     matrix_poly_rb,
     poly_rb,
-    summation_tridendriform,
     triangular_rb,
 )
 
@@ -49,4 +49,4 @@ def assoc_dend():
 
 @pytest.fixture(scope="session")
 def summation_tri():
-    return summation_tridendriform()
+    return SummationTridendriform()

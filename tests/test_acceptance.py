@@ -23,11 +23,11 @@ from dendrimag.dendriform import (
     solve_left,
 )
 from dendrimag.instances import (
+    SummationTridendriform,
     assoc_matrix_dendriform,
     grid_rb,
     poly_rb,
     standard_rb_instances,
-    summation_tridendriform,
     triangular_rb,
 )
 from dendrimag.grids import random_gridseq
@@ -55,6 +55,7 @@ from dendrimag.series import TruncatedSeries, series_exp, series_log
 
 SEED = 20071215
 GOLDEN_VERIFY_ALL = Path(__file__).parent / "golden" / "verify_all_order5.txt"
+GOLDEN_VERIFY_ALL_ORDER8 = Path(__file__).parent / "golden" / "verify_all_order8.txt"
 # stdout of verify --suite S --order 5 --seed 101 for each S below, in order
 GOLDEN_EXACT_SEED101 = Path(__file__).parent / "golden" / "verify_exact_order5_seed101.txt"
 EXACT_SUITES = ("tridendriform", "rb", "spitzer", "atkinson", "chi")
@@ -96,7 +97,7 @@ def test_criterion_01_dendriform_axioms():
 def test_criterion_02_tridendriform_axioms():
     ok = True
     for idx, tri in enumerate(
-        (summation_tridendriform(), RBTridendriform(triangular_rb()))
+        (SummationTridendriform(), RBTridendriform(triangular_rb()))
     ):
         triples = sample_tuples(tri, random.Random(SEED + 50 + idx), 200, 3)
         ok = ok and check_tridendriform_axioms(tri, triples).ok
@@ -287,3 +288,10 @@ def test_exact_suites_second_seed_match_golden(capsys):
         assert cli.main(["verify", "--suite", suite, "--order", "5", "--seed", "101"]) == 0
         out.append(capsys.readouterr().out)
     assert "".join(out) == GOLDEN_EXACT_SEED101.read_text()
+
+
+def test_verify_all_order8_matches_golden(capsys, monkeypatch):
+    # every instance runs at the requested order, so this pins orders 6 to 8
+    monkeypatch.delenv("DENDRIMAG_SEED", raising=False)
+    assert cli.main(["verify", "--suite", "all", "--order", "8"]) == 0
+    assert capsys.readouterr().out == GOLDEN_VERIFY_ALL_ORDER8.read_text()

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from dendrimag import cli
+from dendrimag import cli, suites
+from dendrimag.ode import REFERENCE_REFINEMENT
 from dendrimag.report import VerificationReport
 
 
@@ -92,10 +93,40 @@ def test_verify_small_suite_exit_zero(capsys):
     assert "4 monomials" in out and "2 monomials" in out
 
 
-def test_verify_magnus_suite_order_eight(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "magnus", "--order", "8")
-    assert code == 0
-    assert "magnus order 8 [free-dendriform]" in out
+# every checker a suite hands --order to; each takes the order as its third argument
+ORDER_TAKING_CHECKERS = (
+    "verify_magnus",
+    "verify_fer",
+    "power_sum_bridge_check",
+    "spitzer_classical_check",
+    "spitzer_noncommutative_check",
+    "exp_image_check",
+    "atkinson_check",
+    "factor_exponentials_check",
+    "factor_products_check",
+    "classical_magnus_check",
+)
+
+
+def test_verify_passes_order_to_every_checker(capsys, monkeypatch):
+    calls = []
+
+    def recorder(name):
+        def record(target, a, order, *args, **kwargs):
+            calls.append((name, order, kwargs.get("exact_onsets", False)))
+            return VerificationReport(f"{name} stub")
+
+        return record
+
+    for name in ORDER_TAKING_CHECKERS:
+        monkeypatch.setattr(suites, name, recorder(name))
+    for suite in ("magnus", "fer", "spitzer", "atkinson", "chi"):
+        code, _, _ = run_cli(capsys, "verify", "--suite", suite, "--order", "7")
+        assert code == 0
+    assert {name for name, _, _ in calls} == set(ORDER_TAKING_CHECKERS)
+    # only the free Fer onsets keep their floor of 8
+    assert [order for _, order, onsets in calls if onsets] == [8]
+    assert {order for _, order, onsets in calls if not onsets} == {7}, calls
 
 
 def test_verify_deterministic_output(capsys):
@@ -240,6 +271,12 @@ def test_solve_rejects_non_finite_t_final(capsys, tmp_path, value):
         ({"n": 1, "degree": 9, "coeffs": [[0.0]] * 10}, "8", ["field 'degree'"]),
         ({"n": 1, "degree": 0, "coeffs": [[1.0]]}, "8,4097", ["--steps"]),
         ({"n": 64, "degree": 0, "coeffs": [[0.0] * 64 * 64]}, "32", ["--steps", "n = 64"]),
+        # one step past the reference bound at n = 8, from the refinement ode uses
+        (
+            {"n": 8, "degree": 0, "coeffs": [[0.0] * 8 * 8]},
+            str(cli.MAX_REFERENCE_ENTRIES // (REFERENCE_REFINEMENT * 8 * 8) + 1),
+            ["--steps", "n = 8", f"{REFERENCE_REFINEMENT} * steps * n * n"],
+        ),
     ],
 )
 def test_solve_input_bounds(capsys, tmp_path, monkeypatch, payload, steps, names):

@@ -16,8 +16,8 @@ from dendrimag.magnus_fer import (
     verify_magnus,
 )
 from dendrimag.pbt import free_dendriform
-from dendrimag.prelie_expr import GEN, PreLieExpr, eval_rooted, monomial_count, rewrite_reduce
-from dendrimag.rooted import RootedTree, VERTEX
+from dendrimag.prelie_expr import GEN, PreLieExpr, eval_rooted, formal_ops, monomial_count, rewrite_reduce
+from dendrimag.rooted import RootedTree, VERTEX, rooted_ops
 from dendrimag.series import TruncatedSeries, series_exp, series_log
 
 
@@ -157,6 +157,17 @@ def test_free_model_magnus_and_fer_order_9():
     ):
         hard = [c for c in rep.checks if not c.informational]
         assert len(hard) == checks and all(c.ok for c in hard), rep.summary()
+
+
+def test_magnus_free_component_past_the_cli_bound():
+    # the library takes any degree >= 1; 9 is one past the CLI's MAX_ORDER
+    ops = formal_ops()
+    formal = magnus(ops, ops.generator(), 9).coeff(9)
+    assert magnus_free_component(9) == (formal, eval_rooted(formal))
+    rooted = rooted_ops()
+    assert eval_rooted(formal) == magnus(rooted, rooted.generator(), 9).coeff(9)
+    with pytest.raises(ValueError, match="degree"):
+        magnus_free_component(0)
 
 
 def test_verify_fer_zero_input(tri_rb):

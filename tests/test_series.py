@@ -204,7 +204,14 @@ def test_lincomb_series_product_matches_naive_double_sum(rng):
     from dendrimag.pbt import free_dendriform
 
     dend = free_dendriform()
-    space = LinCombSpace(dend.star)
+
+    class StarSpace(LinCombSpace):
+        has_product = True
+
+        def mul(self, x, y):
+            return dend.star(x, y)
+
+    space = StarSpace()
     gen = TruncatedSeries(space, 5, [dend.generator()])  # a nonzero degree-0 term
 
     def sample():
