@@ -93,6 +93,12 @@ def test_verify_small_suite_exit_zero(capsys):
     assert "4 monomials" in out and "2 monomials" in out
 
 
+def test_verify_magnus_suite_order_eight(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "magnus", "--order", "8")
+    assert code == 0
+    assert "magnus order 8 [free-dendriform]" in out
+
+
 # every checker a suite hands --order to; each takes the order as its third argument
 ORDER_TAKING_CHECKERS = (
     "verify_magnus",
