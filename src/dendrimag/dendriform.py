@@ -36,6 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Any, Callable, Iterable, Sequence
 
 from .report import VerificationReport
@@ -142,10 +143,11 @@ class Dendriform:
     def unital_star(self, x: UnitalDendElem, y: UnitalDendElem) -> UnitalDendElem:
         """Total: the unit cases follow the unit rules, never the half-products."""
         sp = self.space
-        vec = sp.add(sp.scale(x.scalar, y.vec), sp.scale(y.scalar, x.vec))
+        # a unit scalar is nonzero only in degree 0 of a series: build no zero terms
+        terms = [v if c == 1 else sp.scale(c, v) for c, v in ((x.scalar, y.vec), (y.scalar, x.vec)) if c]
         if not (sp.is_zero(x.vec) or sp.is_zero(y.vec)):
-            vec = sp.add(vec, self.star(x.vec, y.vec))
-        return UnitalDendElem(x.scalar * y.scalar, vec)
+            terms.append(self.star(x.vec, y.vec))
+        return UnitalDendElem(x.scalar * y.scalar, reduce(sp.add, terms) if terms else sp.zero())
 
 
 class Tridendriform:

@@ -80,11 +80,20 @@ class LinComb:
     def __add__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
             return NotImplemented
+        # combinations are never mutated, so a zero operand can hand back the other
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         return combine(((1, self), (1, other)))
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
             return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return -other
         return combine(((1, self), (-1, other)))
 
     def __neg__(self) -> "LinComb":

@@ -154,11 +154,16 @@ def fer(ops, a, order: int) -> list[TruncatedSeries]:
     return factors
 
 
-def _fer_closed_step(dend: Dendriform, u_unital: TruncatedSeries) -> TruncatedSeries:
-    """The two-term closed recursion (exp*(-u) - 1) < exp*(u) + exp*(-u) > u < exp*(u)."""
+# The closed two-term recursion is checked for U_1 and U_2, from U_0 and U_1.
+_CLOSED_STEPS = (1, 2)
+
+
+def _fer_closed_step(
+    dend: Dendriform, u_unital: TruncatedSeries, e_plus: TruncatedSeries, e_minus: TruncatedSeries
+) -> TruncatedSeries:
+    """The two-term closed recursion (exp*(-u) - 1) < exp*(u) + exp*(-u) > u < exp*(u),
+    given e_plus = exp*(u) and e_minus = exp*(-u)."""
     one = TruncatedSeries.one(dend.unital_space, u_unital.order)
-    e_plus = series_exp(u_unital)
-    e_minus = series_exp(-u_unital)
     first = series_half_prec(dend, e_minus - one, e_plus)
     second = series_half_prec(dend, series_half_succ(dend, e_minus, u_unital), e_plus)
     return first + second
@@ -176,14 +181,24 @@ def verify_fer(dend: Dendriform, a, order: int, exact_onsets: bool = False) -> V
     factors = fer(dend, a, order)
     lifted = [lift_to_unital(dend, u) for u in factors]
 
+    # exp*(U_n) and exp*(-U_n) for the U_n the closed-step checks read; the rest are dropped
+    kept = {n - 1 for n in _CLOSED_STEPS if n < len(factors)}
+    e_plus, e_minus = {}, {}
+
     prod = TruncatedSeries.one(dend.unital_space, order)
-    for u in lifted:
-        prod = prod * series_exp(u)
+    for n, u in enumerate(lifted):
+        e = series_exp(u)
+        if n in kept:
+            e_plus[n] = e
+        prod = prod * e
     rep.add_residuals(f"forward product of {len(factors)} exponentials equals X", prod, solve_left(dend, a, order))
 
     prod = TruncatedSeries.one(dend.unital_space, order)
-    for u in reversed(lifted):
-        prod = prod * series_exp(-u)
+    for n in reversed(range(len(lifted))):
+        e = series_exp(-lifted[n])
+        if n in kept:
+            e_minus[n] = e
+        prod = prod * e
     rep.add_residuals("reversed product of negated exponentials equals Y", prod, solve_right(dend, a, order))
 
     for n, u in enumerate(factors):
@@ -200,10 +215,10 @@ def verify_fer(dend: Dendriform, a, order: int, exact_onsets: bool = False) -> V
                 f"low degree {onset}",
             )
 
-    for n in (1, 2):
+    for n in _CLOSED_STEPS:
         if n >= len(factors):
             break
-        closed = _fer_closed_step(dend, lifted[n - 1])
+        closed = _fer_closed_step(dend, lifted[n - 1], e_plus[n - 1], e_minus[n - 1])
         rep.add_residuals(f"pre-Lie form of U_{n} matches the closed recursion", lifted[n], closed)
     return rep
 

@@ -7,22 +7,48 @@ the half-products of basis trees are
 
     s prec t = s_l v (s_r * t),        s succ t = (s * t_l) v t_r,
 
-extended bilinearly, with the leaf acting through the unit rules.  Degree-n
-basis trees are counted by the n-th Catalan number.
+extended bilinearly, with the leaf acting through the unit rules.  These are
+the half-products of Loday & Ronco (Adv. Math. 139 (1998)); in their algebra
+the product s * t of two trees is a sum of distinct trees, each with
+coefficient 1.
 
-Trees are interned, so equality is identity, hashing is O(1) and the basis
-products memoize cleanly.  The string grammar is "o" for the leaf and
-"(L^R)" for a node; it is the canonical form used by the CLI and in JSON.
+Degree-n basis trees are counted by the Catalan number C_n, and
+``trees_of_degree(n)`` lists them by left degree, then left tree, then right
+tree.  So every tree carries its position ``index`` there, computed when it
+is interned: for a node (L^R) of degree n,
+
+    index = off(n, deg L) + index(L) * C_(deg R) + index(R),
+    off(n, i) = sum_{k<i} C_k C_(n-1-k).
+
+The free products then run on positions alone.  A ``FreeDendriform``
+instance holds one table, filled on demand, whose row for a basis pair
+(s, t) lists the positions of the trees of s * t.  The half-products are
+star rows seen through affine grafting maps, with n = deg s + deg t:
+
+    s prec t:  row (s_r, t) under k -> off(n, deg s_l) + index(s_l) * C_(deg s_r + deg t) + k,
+    s succ t:  row (s, t_l) under k -> off(n, deg s + deg t_l) + k * C_(deg t_r) + index(t_r),
+
+and s rhd t = s succ t - t prec s needs no row of its own.  The two maps
+land in disjoint blocks (left degree below deg s, resp. at least deg s),
+which is why s * t = s prec t + s succ t stays a sum of distinct trees.
+
+Trees are interned, so equality is identity and hashing is O(1).  The
+string grammar is "o" for the leaf and "(L^R)" for a node; it is the
+canonical form used by the CLI and in JSON.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from collections import defaultdict
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import compress
+from math import comb, gcd
 
 from .dendriform import Dendriform, UndefinedUnitProduct
-from .lincomb import LinComb, LinCombSpace, bilinear, combine
+from .lincomb import LinComb, LinCombSpace
 
 __all__ = [
     "PBT",
@@ -35,10 +61,28 @@ __all__ = [
 ]
 
 
-class PBT:
-    """An interned planar binary tree; left/right are None only on the leaf."""
+@cache
+def _catalan(n: int) -> int:
+    return comb(2 * n, n) // (n + 1)
 
-    __slots__ = ("left", "right", "degree", "_str")
+
+@cache
+def _offsets(n: int) -> tuple[int, ...]:
+    """off(n, i) = sum_{k<i} C_k C_{n-1-k} for i = 0..n: where the degree-n
+    trees with a degree-i left subtree start in trees_of_degree(n)."""
+    out = [0]
+    for k in range(n):
+        out.append(out[-1] + _catalan(k) * _catalan(n - 1 - k))
+    return tuple(out)
+
+
+class PBT:
+    """An interned planar binary tree; left/right are None only on the leaf.
+
+    ``index`` is the tree's position in ``trees_of_degree(degree)``.
+    """
+
+    __slots__ = ("left", "right", "degree", "index", "_str")
     _cache: dict[tuple[int, int], "PBT"] = {}
     _leaf: "PBT | None" = None
 
@@ -49,7 +93,7 @@ class PBT:
             if cls._leaf is None:
                 leaf = object.__new__(cls)
                 leaf.left = leaf.right = None
-                leaf.degree = 0
+                leaf.degree = leaf.index = 0
                 leaf._str = "o"
                 cls._leaf = leaf
             return cls._leaf
@@ -60,7 +104,8 @@ class PBT:
         self = object.__new__(cls)
         self.left = left
         self.right = right
-        self.degree = left.degree + right.degree + 1
+        self.degree = n = left.degree + right.degree + 1
+        self.index = _offsets(n)[left.degree] + left.index * _catalan(right.degree) + right.index
         self._str = f"({left._str}^{right._str})"
         # setdefault is atomic: a thread that lost the race gets the winner's object
         return cls._cache.setdefault(key, self)
@@ -105,71 +150,170 @@ def ascii_render(t: PBT) -> str:
     return "\n".join(lines)
 
 
-@lru_cache(maxsize=None)
-def _star_basis(s: PBT, t: PBT) -> LinComb:
-    """Unit-aware star on basis trees; the leaf is the structural unit."""
-    if s is LEAF and t is LEAF:
-        return LinComb.single(LEAF)
-    if s is LEAF:
-        return LinComb.single(t)
-    if t is LEAF:
-        return LinComb.single(s)
-    return _prec_basis(s, t) + _succ_basis(s, t)
+def _tree_at(n: int, k: int) -> PBT:
+    """trees_of_degree(n)[k], built from the Catalan offsets without listing the degree."""
+    if n == 0:
+        return LEAF
+    offs = _offsets(n)
+    i = bisect_right(offs, k) - 1
+    q, r = divmod(k - offs[i], _catalan(n - 1 - i))
+    return PBT(_tree_at(i, q), _tree_at(n - 1 - i, r))
 
 
-@lru_cache(maxsize=None)
-def _prec_basis(s: PBT, t: PBT) -> LinComb:
-    if s is LEAF or t is LEAF:
+def _by_degree(x: LinComb) -> dict[int, list[tuple[PBT, int]]]:
+    """The (tree, numerator) terms of x, grouped by degree."""
+    degrees = {t.degree for t in x.num}
+    if len(degrees) == 1:  # the common case: a coefficient of a graded series
+        return {degrees.pop(): list(x.num.items())}
+    out: dict[int, list[tuple[PBT, int]]] = {}
+    for t, v in x.num.items():
+        out.setdefault(t.degree, []).append((t, v))
+    return out
+
+
+def _half_operands(a: LinComb, b: LinComb):
+    xs, ys = _by_degree(a), _by_degree(b)
+    if 0 in xs or 0 in ys:
         raise UndefinedUnitProduct("basis half-products take trees of degree >= 1")
-    grafted = _star_basis(s.right, t)
-    # w -> s_l v w is injective, so the numerators stay distinct and in lowest terms
-    return LinComb._make({PBT(s.left, w): c for w, c in grafted.num.items()}, grafted.den)
+    return xs, ys
 
 
-@lru_cache(maxsize=None)
-def _succ_basis(s: PBT, t: PBT) -> LinComb:
-    if s is LEAF or t is LEAF:
-        raise UndefinedUnitProduct("basis half-products take trees of degree >= 1")
-    grafted = _star_basis(s, t.left)
-    return LinComb._make({PBT(w, t.right): c for w, c in grafted.num.items()}, grafted.den)
+# Products in degrees up to this one sum into a dense list over the listed basis
+# (C_10 = 16796 trees); above it they sum into a dict keyed by position.
+_LISTED_DEGREE = 10
 
 
-@lru_cache(maxsize=None)
-def _rhd_basis(s: PBT, t: PBT) -> LinComb:
-    """s rhd t = s succ t - t prec s on basis trees of degree >= 1."""
-    return combine(((1, _succ_basis(s, t)), (-1, _prec_basis(t, s))))
+class _Accumulator:
+    """Numerators per output degree, indexed by tree position."""
+
+    __slots__ = ("sums",)
+
+    def __init__(self):
+        self.sums: dict[int, list[int] | defaultdict[int, int]] = {}
+
+    def degree(self, n: int) -> list[int] | defaultdict[int, int]:
+        d = self.sums.get(n)
+        if d is None:
+            d = self.sums[n] = [0] * _catalan(n) if n <= _LISTED_DEGREE else defaultdict(int)
+        return d
+
+    def comb(self, den: int) -> LinComb:
+        num = {}
+        for n in sorted(self.sums):
+            d = self.sums[n]
+            if n <= _LISTED_DEGREE:
+                num.update(zip(compress(trees_of_degree(n), d), filter(None, d)))
+            else:
+                num.update((_tree_at(n, k), v) for k, v in sorted(d.items()) if v)
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {t: v // g for t, v in num.items()}
+        return LinComb._make(num, den // g)
 
 
 class FreeDendriform(Dendriform):
     """The free dendriform algebra on one generator, over planar binary trees.
 
-    ``star`` and ``rhd`` each extend one cached basis product, so a product
-    of combinations is one ``combine`` pass; ``lhd`` is ``-(b rhd a)``.
+    All four products read the instance's one table of star rows (module
+    docstring): ``prec`` and ``succ`` through the affine grafting maps,
+    ``rhd(a, b) = succ(a, b) - prec(b, a)`` per basis pair, and
+    ``lhd(a, b) = -rhd(b, a)``.  Each product splits its operands once by
+    degree, adds every basis pair into one int sum per output degree and
+    builds one ``LinComb`` at the end.  Rows are published whole, so threads
+    may share an instance.
     """
 
     name = "free-dendriform"
 
     def __init__(self):
         super().__init__(LinCombSpace())
-        self._prec = bilinear(_prec_basis)
-        self._succ = bilinear(_succ_basis)
-        self._star = bilinear(_star_basis)
-        self._rhd = bilinear(_rhd_basis)
+        self._rows: dict[tuple[PBT, PBT], tuple[int, ...]] = {}
 
-    def prec(self, a: LinComb, b: LinComb) -> LinComb:
-        return self._prec(a, b)
-
-    def succ(self, a: LinComb, b: LinComb) -> LinComb:
-        return self._succ(a, b)
+    def _row(self, s: PBT, t: PBT) -> tuple[int, ...]:
+        """Positions in trees_of_degree(deg s + deg t) of the trees of s * t."""
+        row = self._rows.get((s, t))
+        if row is not None:
+            return row
+        if s is LEAF:
+            row = (t.index,)
+        elif t is LEAF:
+            row = (s.index,)
+        else:
+            offs = _offsets(s.degree + t.degree)
+            sl, sr, tl, tr = s.left, s.right, t.left, t.right
+            base = offs[sl.degree] + sl.index * _catalan(sr.degree + t.degree)
+            prec = [base + k for k in self._row(sr, t)]
+            base, stride = offs[s.degree + tl.degree] + tr.index, _catalan(tr.degree)
+            row = tuple(prec + [base + k * stride for k in self._row(s, tl)])
+        # setdefault publishes whole rows: a thread that lost the race reads the winner's
+        return self._rows.setdefault((s, t), row)
 
     def star(self, a: LinComb, b: LinComb) -> LinComb:
-        return self._star(a, b)
+        acc, rows, row_of = _Accumulator(), self._rows, self._row
+        ys_by_degree = _by_degree(b).items()
+        for i, xs in _by_degree(a).items():
+            for j, ys in ys_by_degree:
+                d = acc.degree(i + j)
+                for s, u in xs:
+                    for t, v in ys:
+                        c = u * v
+                        for k in rows.get((s, t)) or row_of(s, t):
+                            d[k] += c
+        return acc.comb(a.den * b.den)
+
+    def prec(self, a: LinComb, b: LinComb) -> LinComb:
+        """s prec t = s_l v (s_r * t): row (s_r, t) shifted into the block of s_l."""
+        acc, rows, row_of = _Accumulator(), self._rows, self._row
+        xs_by_degree, ys_by_degree = _half_operands(a, b)
+        for i, xs in xs_by_degree.items():
+            for j, ys in ys_by_degree.items():
+                d, offs = acc.degree(i + j), _offsets(i + j)
+                for s, u in xs:
+                    sl, sr = s.left, s.right
+                    base = offs[sl.degree] + sl.index * _catalan(sr.degree + j)
+                    for t, v in ys:
+                        c = u * v
+                        for k in rows.get((sr, t)) or row_of(sr, t):
+                            d[base + k] += c
+        return acc.comb(a.den * b.den)
+
+    def succ(self, a: LinComb, b: LinComb) -> LinComb:
+        """s succ t = (s * t_l) v t_r: row (s, t_l) strided by the count of t_r's."""
+        acc, rows, row_of = _Accumulator(), self._rows, self._row
+        xs_by_degree, ys_by_degree = _half_operands(a, b)
+        for j, ys in ys_by_degree.items():
+            for i, xs in xs_by_degree.items():
+                d, offs = acc.degree(i + j), _offsets(i + j)
+                for t, v in ys:
+                    tl, tr = t.left, t.right
+                    base, stride = offs[i + tl.degree] + tr.index, _catalan(tr.degree)
+                    for s, u in xs:
+                        c = u * v
+                        for k in rows.get((s, tl)) or row_of(s, tl):
+                            d[base + k * stride] += c
+        return acc.comb(a.den * b.den)
 
     def rhd(self, a: LinComb, b: LinComb) -> LinComb:
-        return self._rhd(a, b)
+        """a succ b - b prec a, both read per basis pair (s, t) of a and b."""
+        acc, rows, row_of = _Accumulator(), self._rows, self._row
+        xs_by_degree, ys_by_degree = _half_operands(a, b)
+        for j, ys in ys_by_degree.items():
+            for i, xs in xs_by_degree.items():
+                d, offs = acc.degree(i + j), _offsets(i + j)
+                for t, v in ys:
+                    tl, tr = t.left, t.right
+                    succ_base, stride = offs[i + tl.degree] + tr.index, _catalan(tr.degree)
+                    prec_base = offs[tl.degree] + tl.index * _catalan(tr.degree + i)
+                    for s, u in xs:
+                        c = u * v
+                        for k in rows.get((s, tl)) or row_of(s, tl):
+                            d[succ_base + k * stride] += c
+                        for k in rows.get((tr, s)) or row_of(tr, s):
+                            d[prec_base + k] -= c
+        return acc.comb(a.den * b.den)
 
     def lhd(self, a: LinComb, b: LinComb) -> LinComb:
-        return -self._rhd(b, a)  # a prec b - b succ a = -(b succ a - a prec b)
+        return -self.rhd(b, a)  # a prec b - b succ a = -(b succ a - a prec b)
 
     def generator(self) -> LinComb:
         return LinComb.single(GENERATOR)
@@ -187,5 +331,5 @@ class FreeDendriform(Dendriform):
 
 @cache
 def free_dendriform() -> FreeDendriform:
-    """The shared instance (products are memoized globally, reuse it)."""
+    """The shared instance; it holds the product table, so reuse it."""
     return FreeDendriform()

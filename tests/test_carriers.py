@@ -18,7 +18,7 @@ from dendrimag.grids import GridSeq, GridSpace, NonSummable, random_gridseq
 from dendrimag.lincomb import LinComb, LinCombSpace, bilinear
 from dendrimag.matrices import MatrixSpace, RatMatrix, random_matrix, triangular_project
 from dendrimag.ode import _integral_bracket
-from dendrimag.pbt import _prec_basis, _succ_basis, free_dendriform, trees_of_degree
+from dendrimag.pbt import LEAF, PBT, _catalan, _tree_at, free_dendriform, trees_of_degree
 from dendrimag.polys import Poly, PolySpace, random_poly
 from dendrimag.prelie_expr import _expressions_of_degree, eval_combo, eval_planar, eval_rooted
 from dendrimag.rooted import _graft_basis, rooted_ops
@@ -394,6 +394,32 @@ def _ref_bilinear(f, x: dict, y: dict) -> dict:
     return _ref_sum(*((cx * cy, f(bx, by)) for bx, cx in x.items() for by, cy in y.items()))
 
 
+def _ref_star(s: PBT, t: PBT) -> dict:
+    """The module formulas of ``pbt``, recursive and uncached: the leaf is the
+    unit of *, s prec t = s_l v (s_r * t) and s succ t = (s * t_l) v t_r."""
+    if s is LEAF:
+        return {t: Fraction(1)}
+    if t is LEAF:
+        return {s: Fraction(1)}
+    return _ref_sum((1, _ref_prec(s, t)), (1, _ref_succ(s, t)))
+
+
+def _ref_prec(s: PBT, t: PBT) -> dict:
+    return {PBT(s.left, w): c for w, c in _ref_star(s.right, t).items()}
+
+
+def _ref_succ(s: PBT, t: PBT) -> dict:
+    return {PBT(w, t.right): c for w, c in _ref_star(s, t.left).items()}
+
+
+def _ref_rhd(s: PBT, t: PBT) -> dict:
+    return _ref_sum((1, _ref_succ(s, t)), (-1, _ref_prec(t, s)))
+
+
+def _ref_lhd(s: PBT, t: PBT) -> dict:
+    return _ref_sum((1, _ref_prec(s, t)), (-1, _ref_succ(t, s)))
+
+
 def _ref_bracket(x, y) -> dict:
     (wx, px), (wy, py) = x, y
     c, p = Fraction(1, px + 1), px + 1 + py
@@ -419,8 +445,8 @@ def test_lincomb_ops_match_fraction_reference():
     bracket = bilinear(_integral_bracket)
     dend = free_dendriform()
     products = [
-        (TREES, dend.prec, lambda s, t: _prec_basis(s, t).terms),
-        (TREES, dend.succ, lambda s, t: _succ_basis(s, t).terms),
+        (TREES, dend.prec, _ref_prec),
+        (TREES, dend.succ, _ref_succ),
         (WORDS, bracket, _ref_bracket),
     ]
     for i in range(240):
@@ -443,6 +469,39 @@ def test_lincomb_ops_match_fraction_reference():
         assert (a + b) - b == a and LinComb(a.terms) == a
         assert a.scale(Fraction(3, 7)).scale(Fraction(7, 3)) == a
         _check_hashes(results)
+
+
+def test_free_products_match_recursive_reference():
+    # every basis pair up to total degree 7, against the uncached module formulas
+    dend = free_dendriform()
+    products = [
+        (dend.prec, _ref_prec),
+        (dend.succ, _ref_succ),
+        (dend.star, _ref_star),
+        (dend.rhd, _ref_rhd),
+        (dend.lhd, _ref_lhd),
+    ]
+    pairs = 0
+    for i in range(1, 7):
+        for j in range(1, 8 - i):
+            for s in trees_of_degree(i):
+                for t in trees_of_degree(j):
+                    pairs += 1
+                    for prod, ref in products:
+                        _check_comb(prod(LinComb.single(s), LinComb.single(t)), ref(s, t))
+    assert pairs == 804  # sum over n = 2..7 of C_(n+1) - 2 C_n
+
+
+def test_free_products_above_the_listed_degrees_match_reference():
+    # products landing in degree 14 sum over positions without listing the degree
+    rng = random.Random(11)
+    dend = free_dendriform()
+    products = [(dend.prec, _ref_prec), (dend.succ, _ref_succ), (dend.star, _ref_star), (dend.rhd, _ref_rhd)]
+    for _ in range(12):
+        i = rng.randint(1, 3)
+        s, t = rng.choice(trees_of_degree(i)), _tree_at(14 - i, rng.randrange(_catalan(14 - i)))
+        for prod, ref in products:
+            _check_comb(prod(LinComb.single(s), LinComb.single(t)), ref(s, t))
 
 
 def test_eval_combo_matches_fraction_reference():

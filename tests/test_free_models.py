@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import threading
@@ -12,6 +13,8 @@ from dendrimag.pbt import (
     GENERATOR,
     LEAF,
     PBT,
+    FreeDendriform,
+    _tree_at,
     ascii_render,
     free_dendriform,
     trees_of_degree,
@@ -101,6 +104,83 @@ def test_interning_is_thread_safe():
         assert built is not None
         for trees, expected in zip(built, again):
             assert all(x is y for x, y in zip(trees, expected))
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_tree_index_is_its_position(n):
+    trees = trees_of_degree(n)
+    assert all(trees[t.index] is t for t in trees)
+    assert all(_tree_at(n, k) is t for k, t in enumerate(trees))
+
+
+def _catalan(n):
+    return math.comb(2 * n, n) // (n + 1)
+
+
+def _rank(t):
+    """Position of t among the trees of its degree, ordered by left degree, then
+    left position, then right position, as trees_of_degree lists them."""
+    if t is LEAF:
+        return 0
+    n, i = t.degree, t.left.degree
+    before = sum(_catalan(k) * _catalan(n - 1 - k) for k in range(i))
+    return before + _rank(t.left) * _catalan(n - 1 - i) + _rank(t.right)
+
+
+def test_deep_tree_index_needs_no_enumeration():
+    # a degree-60 tree is one of C_60 ~ 5.7e32; its position comes from the
+    # Catalan offsets alone, and no new degree is ever listed
+    rng = random.Random(60)
+    listed = trees_of_degree.cache_info().currsize
+    trees = [_build(_random_shape(rng, 60), "pbt") for _ in range(5)]
+    assert trees_of_degree.cache_info().currsize == listed
+    for t in trees:
+        assert t.degree == 60
+        assert t.index == _rank(t) and 0 <= t.index < _catalan(60)
+
+
+def _product_results(dend, pairs):
+    ops = (dend.star, dend.prec, dend.succ, dend.rhd, dend.lhd)
+    return [op(a, b) for a, b in pairs for op in ops]
+
+
+def test_product_table_fills_safely_from_threads():
+    # 8 threads fill the star rows of one fresh instance at once, each taking
+    # the pairs in its own order; a row published half built, or an entry
+    # lost in a race, would change some thread's products
+    rng = random.Random(20261018)
+    trees = [t for n in range(1, 5) for t in trees_of_degree(n)]
+    pairs = []
+    for _ in range(60):
+        a, b = (LinComb([(rng.choice(trees), Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for _ in range(3)]) for _ in "ab")
+        if not (a.is_zero() or b.is_zero()):
+            pairs.append((a, b))
+    expected = _product_results(FreeDendriform(), pairs)
+    shared = FreeDendriform()
+    workers = 8
+    orders = [random.Random(i).sample(range(len(pairs)), len(pairs)) for i in range(workers)]
+    results = [None] * workers
+    barrier = threading.Barrier(workers)
+
+    def work(i):
+        barrier.wait(timeout=30)
+        got = _product_results(shared, [pairs[k] for k in orders[i]])
+        results[i] = {k: got[5 * m : 5 * m + 5] for m, k in enumerate(orders[i])}
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert got is not None
+        assert [x for k in range(len(pairs)) for x in got[k]] == expected
 
 
 def test_generator_products():
