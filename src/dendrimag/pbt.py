@@ -171,13 +171,6 @@ def _by_degree(x: LinComb) -> dict[int, list[tuple[PBT, int]]]:
     return out
 
 
-def _half_operands(a: LinComb, b: LinComb):
-    xs, ys = _by_degree(a), _by_degree(b)
-    if 0 in xs or 0 in ys:
-        raise UndefinedUnitProduct("basis half-products take trees of degree >= 1")
-    return xs, ys
-
-
 # Products in degrees up to this one sum into a dense list over the listed basis
 # (C_10 = 16796 trees); above it they sum into a dict keyed by position.
 _LISTED_DEGREE = 10
@@ -261,42 +254,16 @@ class FreeDendriform(Dendriform):
                             d[k] += c
         return acc.comb(a.den * b.den)
 
-    def prec(self, a: LinComb, b: LinComb) -> LinComb:
-        """s prec t = s_l v (s_r * t): row (s_r, t) shifted into the block of s_l."""
+    def _half_sum(self, a: LinComb, b: LinComb, w_succ: int, w_prec: int) -> LinComb:
+        """w_succ * (a succ b) + w_prec * (b prec a), read per basis pair (s, t)
+        of a and b: s succ t = (s * t_l) v t_r is row (s, t_l) strided by the
+        count of t_r's, t prec s = t_l v (t_r * s) is row (t_r, s) shifted
+        into the block of t_l."""
         acc, rows, row_of = _Accumulator(), self._rows, self._row
-        xs_by_degree, ys_by_degree = _half_operands(a, b)
-        for i, xs in xs_by_degree.items():
-            for j, ys in ys_by_degree.items():
-                d, offs = acc.degree(i + j), _offsets(i + j)
-                for s, u in xs:
-                    sl, sr = s.left, s.right
-                    base = offs[sl.degree] + sl.index * _catalan(sr.degree + j)
-                    for t, v in ys:
-                        c = u * v
-                        for k in rows.get((sr, t)) or row_of(sr, t):
-                            d[base + k] += c
-        return acc.comb(a.den * b.den)
-
-    def succ(self, a: LinComb, b: LinComb) -> LinComb:
-        """s succ t = (s * t_l) v t_r: row (s, t_l) strided by the count of t_r's."""
-        acc, rows, row_of = _Accumulator(), self._rows, self._row
-        xs_by_degree, ys_by_degree = _half_operands(a, b)
-        for j, ys in ys_by_degree.items():
-            for i, xs in xs_by_degree.items():
-                d, offs = acc.degree(i + j), _offsets(i + j)
-                for t, v in ys:
-                    tl, tr = t.left, t.right
-                    base, stride = offs[i + tl.degree] + tr.index, _catalan(tr.degree)
-                    for s, u in xs:
-                        c = u * v
-                        for k in rows.get((s, tl)) or row_of(s, tl):
-                            d[base + k * stride] += c
-        return acc.comb(a.den * b.den)
-
-    def rhd(self, a: LinComb, b: LinComb) -> LinComb:
-        """a succ b - b prec a, both read per basis pair (s, t) of a and b."""
-        acc, rows, row_of = _Accumulator(), self._rows, self._row
-        xs_by_degree, ys_by_degree = _half_operands(a, b)
+        xs_by_degree = _by_degree(a)
+        ys_by_degree = _by_degree(b)
+        if 0 in xs_by_degree or 0 in ys_by_degree:
+            raise UndefinedUnitProduct("basis half-products take trees of degree >= 1")
         for j, ys in ys_by_degree.items():
             for i, xs in xs_by_degree.items():
                 d, offs = acc.degree(i + j), _offsets(i + j)
@@ -305,12 +272,24 @@ class FreeDendriform(Dendriform):
                     succ_base, stride = offs[i + tl.degree] + tr.index, _catalan(tr.degree)
                     prec_base = offs[tl.degree] + tl.index * _catalan(tr.degree + i)
                     for s, u in xs:
-                        c = u * v
-                        for k in rows.get((s, tl)) or row_of(s, tl):
-                            d[succ_base + k * stride] += c
-                        for k in rows.get((tr, s)) or row_of(tr, s):
-                            d[prec_base + k] -= c
+                        if w_succ:
+                            c = w_succ * u * v
+                            for k in rows.get((s, tl)) or row_of(s, tl):
+                                d[succ_base + k * stride] += c
+                        if w_prec:
+                            c = w_prec * u * v
+                            for k in rows.get((tr, s)) or row_of(tr, s):
+                                d[prec_base + k] += c
         return acc.comb(a.den * b.den)
+
+    def prec(self, a: LinComb, b: LinComb) -> LinComb:
+        return self._half_sum(b, a, 0, 1)
+
+    def succ(self, a: LinComb, b: LinComb) -> LinComb:
+        return self._half_sum(a, b, 1, 0)
+
+    def rhd(self, a: LinComb, b: LinComb) -> LinComb:
+        return self._half_sum(a, b, 1, -1)  # a succ b - b prec a
 
     def lhd(self, a: LinComb, b: LinComb) -> LinComb:
         return -self.rhd(b, a)  # a prec b - b succ a = -(b succ a - a prec b)
