@@ -68,7 +68,7 @@ def _catalan(n: int) -> int:
 
 @cache
 def _offsets(n: int) -> tuple[int, ...]:
-    """off(n, i) = sum_{k<i} C_k C_{n-1-k} for i = 0..n: where the degree-n
+    """off(n, i) = sum_{k<i} C_k C_(n-1-k) for i = 0..n: where the degree-n
     trees with a degree-i left subtree start in trees_of_degree(n)."""
     out = [0]
     for k in range(n):

@@ -128,7 +128,7 @@ def _rank(t):
 
 
 def test_deep_tree_index_needs_no_enumeration():
-    # a degree-60 tree is one of C_60 ~ 5.7e32; its position comes from the
+    # a degree-60 tree is one of C_60 ~ 1.6e33; its position comes from the
     # Catalan offsets alone, and no new degree is ever listed
     rng = random.Random(60)
     listed = trees_of_degree.cache_info().currsize
@@ -150,11 +150,11 @@ def test_product_table_fills_safely_from_threads():
     # lost in a race, would change some thread's products
     rng = random.Random(20261018)
     trees = [t for n in range(1, 5) for t in trees_of_degree(n)]
-    pairs = []
-    for _ in range(60):
-        a, b = (LinComb([(rng.choice(trees), Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for _ in range(3)]) for _ in "ab")
-        if not (a.is_zero() or b.is_zero()):
-            pairs.append((a, b))
+
+    def combo():
+        return LinComb([(rng.choice(trees), Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for _ in range(3)])
+
+    pairs = [(a, b) for a, b in ((combo(), combo()) for _ in range(60)) if not (a.is_zero() or b.is_zero())]
     expected = _product_results(FreeDendriform(), pairs)
     shared = FreeDendriform()
     workers = 8
