@@ -32,7 +32,8 @@ and s rhd t = s succ t - t prec s needs no row of its own.  The two maps
 land in disjoint blocks (left degree below deg s, resp. at least deg s),
 which is why s * t = s prec t + s succ t stays a sum of distinct trees.
 
-Trees are interned, so equality is identity and hashing is O(1).  The
+Trees are interned by (degree, index), so equality is identity, hashing is
+O(1) and the tree at a position is one lookup once it has been built.  The
 string grammar is "o" for the leaf and "(L^R)" for a node; it is the
 canonical form used by the CLI and in JSON.
 """
@@ -97,15 +98,15 @@ class PBT:
                 leaf._str = "o"
                 cls._leaf = leaf
             return cls._leaf
-        key = (id(left), id(right))
+        n = left.degree + right.degree + 1
+        key = (n, _offsets(n)[left.degree] + left.index * _catalan(right.degree) + right.index)
         hit = cls._cache.get(key)
         if hit is not None:
             return hit
         self = object.__new__(cls)
         self.left = left
         self.right = right
-        self.degree = n = left.degree + right.degree + 1
-        self.index = _offsets(n)[left.degree] + left.index * _catalan(right.degree) + right.index
+        self.degree, self.index = key
         self._str = f"({left._str}^{right._str})"
         # setdefault is atomic: a thread that lost the race gets the winner's object
         return cls._cache.setdefault(key, self)
@@ -152,6 +153,9 @@ def ascii_render(t: PBT) -> str:
 
 def _tree_at(n: int, k: int) -> PBT:
     """trees_of_degree(n)[k], built from the Catalan offsets without listing the degree."""
+    hit = PBT._cache.get((n, k))
+    if hit is not None:
+        return hit
     if n == 0:
         return LEAF
     offs = _offsets(n)
@@ -162,46 +166,43 @@ def _tree_at(n: int, k: int) -> PBT:
 
 def _by_degree(x: LinComb) -> dict[int, list[tuple[PBT, int]]]:
     """The (tree, numerator) terms of x, grouped by degree."""
-    degrees = {t.degree for t in x.num}
-    if len(degrees) == 1:  # the common case: a coefficient of a graded series
-        return {degrees.pop(): list(x.num.items())}
     out: dict[int, list[tuple[PBT, int]]] = {}
     for t, v in x.num.items():
         out.setdefault(t.degree, []).append((t, v))
     return out
 
 
-# Products in degrees up to this one sum into a dense list over the listed basis
-# (C_10 = 16796 trees); above it they sum into a dict keyed by position.
-_LISTED_DEGREE = 10
+def _sums(
+    xs_by_degree: dict[int, list[tuple[PBT, int]]], ys_by_degree: dict[int, list[tuple[PBT, int]]]
+) -> dict[int, list[int] | defaultdict[int, int]]:
+    """One numerator sum per output degree of a product, indexed by tree position.
+
+    A row of a degree-i tree by a degree-j tree holds at most C(i+j, i)
+    positions (the tests check i + j <= 8), so the basis pairs bound how many
+    trees of degree n the product can reach.  Where that bound reaches C_n
+    the sum is a list over trees_of_degree(n), the faster of the two; below
+    it the sum is a dict of positions, so a sparse product never lists or
+    scans its whole degree.
+    """
+    bound: defaultdict[int, int] = defaultdict(int)
+    for i, xs in xs_by_degree.items():
+        for j, ys in ys_by_degree.items():
+            bound[i + j] += len(xs) * len(ys) * comb(i + j, i)
+    return {n: [0] * _catalan(n) if b >= _catalan(n) else defaultdict(int) for n, b in bound.items()}
 
 
-class _Accumulator:
-    """Numerators per output degree, indexed by tree position."""
-
-    __slots__ = ("sums",)
-
-    def __init__(self):
-        self.sums: dict[int, list[int] | defaultdict[int, int]] = {}
-
-    def degree(self, n: int) -> list[int] | defaultdict[int, int]:
-        d = self.sums.get(n)
-        if d is None:
-            d = self.sums[n] = [0] * _catalan(n) if n <= _LISTED_DEGREE else defaultdict(int)
-        return d
-
-    def comb(self, den: int) -> LinComb:
-        num = {}
-        for n in sorted(self.sums):
-            d = self.sums[n]
-            if n <= _LISTED_DEGREE:
-                num.update(zip(compress(trees_of_degree(n), d), filter(None, d)))
-            else:
-                num.update((_tree_at(n, k), v) for k, v in sorted(d.items()) if v)
-        g = gcd(den, *num.values())
-        if g != 1:
-            num = {t: v // g for t, v in num.items()}
-        return LinComb._make(num, den // g)
+def _lincomb(sums: dict[int, list[int] | defaultdict[int, int]], den: int) -> LinComb:
+    """The LinComb with numerator sums[n][k] on trees_of_degree(n)[k], over den."""
+    num = {}
+    for n, d in sums.items():
+        if isinstance(d, list):
+            num.update(zip(compress(trees_of_degree(n), d), filter(None, d)))
+        else:
+            num.update((_tree_at(n, k), v) for k, v in d.items() if v)
+    g = gcd(den, *num.values())
+    if g != 1:
+        num = {t: v // g for t, v in num.items()}
+    return LinComb._make(num, den // g)
 
 
 class FreeDendriform(Dendriform):
@@ -211,9 +212,9 @@ class FreeDendriform(Dendriform):
     docstring): ``prec`` and ``succ`` through the affine grafting maps,
     ``rhd(a, b) = succ(a, b) - prec(b, a)`` per basis pair, and
     ``lhd(a, b) = -rhd(b, a)``.  Each product splits its operands once by
-    degree, adds every basis pair into one int sum per output degree and
-    builds one ``LinComb`` at the end.  Rows are published whole, so threads
-    may share an instance.
+    degree, adds every basis pair into one int sum per output degree (see
+    ``_sums``) and builds one ``LinComb`` at the end.  Rows are published
+    whole, so threads may share an instance.
     """
 
     name = "free-dendriform"
@@ -242,31 +243,32 @@ class FreeDendriform(Dendriform):
         return self._rows.setdefault((s, t), row)
 
     def star(self, a: LinComb, b: LinComb) -> LinComb:
-        acc, rows, row_of = _Accumulator(), self._rows, self._row
-        ys_by_degree = _by_degree(b).items()
-        for i, xs in _by_degree(a).items():
-            for j, ys in ys_by_degree:
-                d = acc.degree(i + j)
+        rows, row_of = self._rows, self._row
+        xs_by_degree, ys_by_degree = _by_degree(a), _by_degree(b)
+        sums = _sums(xs_by_degree, ys_by_degree)
+        for i, xs in xs_by_degree.items():
+            for j, ys in ys_by_degree.items():
+                d = sums[i + j]
                 for s, u in xs:
                     for t, v in ys:
                         c = u * v
                         for k in rows.get((s, t)) or row_of(s, t):
                             d[k] += c
-        return acc.comb(a.den * b.den)
+        return _lincomb(sums, a.den * b.den)
 
     def _half_sum(self, a: LinComb, b: LinComb, w_succ: int, w_prec: int) -> LinComb:
         """w_succ * (a succ b) + w_prec * (b prec a), read per basis pair (s, t)
         of a and b: s succ t = (s * t_l) v t_r is row (s, t_l) strided by the
         count of t_r's, t prec s = t_l v (t_r * s) is row (t_r, s) shifted
         into the block of t_l."""
-        acc, rows, row_of = _Accumulator(), self._rows, self._row
-        xs_by_degree = _by_degree(a)
-        ys_by_degree = _by_degree(b)
+        rows, row_of = self._rows, self._row
+        xs_by_degree, ys_by_degree = _by_degree(a), _by_degree(b)
         if 0 in xs_by_degree or 0 in ys_by_degree:
             raise UndefinedUnitProduct("basis half-products take trees of degree >= 1")
+        sums = _sums(xs_by_degree, ys_by_degree)
         for j, ys in ys_by_degree.items():
             for i, xs in xs_by_degree.items():
-                d, offs = acc.degree(i + j), _offsets(i + j)
+                d, offs = sums[i + j], _offsets(i + j)
                 for t, v in ys:
                     tl, tr = t.left, t.right
                     succ_base, stride = offs[i + tl.degree] + tr.index, _catalan(tr.degree)
@@ -280,7 +282,7 @@ class FreeDendriform(Dendriform):
                             c = w_prec * u * v
                             for k in rows.get((tr, s)) or row_of(tr, s):
                                 d[prec_base + k] += c
-        return acc.comb(a.den * b.den)
+        return _lincomb(sums, a.den * b.den)
 
     def prec(self, a: LinComb, b: LinComb) -> LinComb:
         return self._half_sum(b, a, 0, 1)

@@ -10,7 +10,7 @@ coefficient spaces.
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -18,7 +18,7 @@ from dendrimag.grids import GridSeq, GridSpace, NonSummable, random_gridseq
 from dendrimag.lincomb import LinComb, LinCombSpace, bilinear
 from dendrimag.matrices import MatrixSpace, RatMatrix, random_matrix, triangular_project
 from dendrimag.ode import _integral_bracket
-from dendrimag.pbt import LEAF, PBT, _catalan, _tree_at, free_dendriform, trees_of_degree
+from dendrimag.pbt import LEAF, PBT, _by_degree, _catalan, _sums, _tree_at, free_dendriform, trees_of_degree
 from dendrimag.polys import Poly, PolySpace, random_poly
 from dendrimag.prelie_expr import _expressions_of_degree, eval_combo, eval_planar, eval_rooted
 from dendrimag.rooted import _graft_basis, rooted_ops
@@ -492,16 +492,36 @@ def test_free_products_match_recursive_reference():
     assert pairs == 804  # sum over n = 2..7 of C_(n+1) - 2 C_n
 
 
-def test_free_products_above_the_listed_degrees_match_reference():
-    # products landing in degree 14 sum over positions without listing the degree
+def test_sparse_free_products_match_reference():
+    # products of single trees reach few trees of degree 10 or 14, so they sum
+    # over positions without listing the degree
     rng = random.Random(11)
     dend = free_dendriform()
     products = [(dend.prec, _ref_prec), (dend.succ, _ref_succ), (dend.star, _ref_star), (dend.rhd, _ref_rhd)]
-    for _ in range(12):
-        i = rng.randint(1, 3)
-        s, t = rng.choice(trees_of_degree(i)), _tree_at(14 - i, rng.randrange(_catalan(14 - i)))
+    for n in (10, 14):
+        for _ in range(6):
+            i = rng.randint(1, 3)
+            s, t = rng.choice(trees_of_degree(i)), _tree_at(n - i, rng.randrange(_catalan(n - i)))
+            assert isinstance(_sums(_by_degree(LinComb.single(s)), _by_degree(LinComb.single(t)))[n], dict)
+            for prod, ref in products:
+                _check_comb(prod(LinComb.single(s), LinComb.single(t)), ref(s, t))
+
+
+def test_free_product_sums_follow_the_pair_bound():
+    # a pair of trees of degrees i, j reaches at most C(i+j, i) trees: a list
+    # over the degree where the pairs can reach all C_n of them, a dict below
+    dend = free_dendriform()
+    products = [(dend.prec, _ref_prec), (dend.succ, _ref_succ), (dend.star, _ref_star), (dend.rhd, _ref_rhd)]
+    dense = LinComb([(t, k + 1) for k, t in enumerate(trees_of_degree(3))])
+    single = LinComb.single(trees_of_degree(3)[2])
+    for i in range(1, 8):
+        for j in range(1, 9 - i):
+            assert max(len(dend._row(s, t)) for s in trees_of_degree(i) for t in trees_of_degree(j)) <= comb(i + j, i)
+    # 5 * 5 * C(6, 3) = 500 >= C_6 = 132 > 5 * 1 * C(6, 3) = 100
+    for a, b, listed in [(dense, dense, True), (dense, single, False), (single, single, False)]:
+        assert isinstance(_sums(_by_degree(a), _by_degree(b))[6], list) is listed
         for prod, ref in products:
-            _check_comb(prod(LinComb.single(s), LinComb.single(t)), ref(s, t))
+            _check_comb(prod(a, b), _ref_bilinear(ref, a.terms, b.terms))
 
 
 def test_eval_combo_matches_fraction_reference():
