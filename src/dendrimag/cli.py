@@ -43,9 +43,10 @@ VERIFY_FAILURE = 1
 
 # Highest --order for expand, verify and trees, and the package's one order
 # bound: every suite checks its instances at exactly --order.  On a 2-CPU Xeon
-# `verify --suite all` takes about 4.4 s at order 5 and 5.3 s at order 8; run
-# in one process, the suites take about 7.5 s at order 9 (40 MB peak RSS) and
-# 27 s at order 10 (106 MB), most of it in free-model Magnus and Fer.
+# `verify --suite all` takes 3.2-3.9 s at order 5 and 4.0-4.6 s at order 8;
+# run in one process, the suites take 5.3-6.7 s at order 9 (40 MB peak RSS)
+# and 11.6-12.1 s at order 10 (70 MB), about 7 s of it in the magnus and fer
+# suites.
 MAX_ORDER = 8
 
 # solve input bounds.  The reference solution runs REFERENCE_REFINEMENT x

@@ -36,7 +36,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Any, Callable, Iterable, Sequence
 
 from .report import VerificationReport
@@ -87,7 +86,8 @@ class Dendriform:
 
     def __init__(self, space: CoeffSpace):
         self.space = space
-        self._unital_space: UnitalSpace | None = None
+        # built here, not on first use, so threads sharing an instance share one space
+        self.unital_space = UnitalSpace(self)
 
     # -- carrier products -------------------------------------------------
     def prec(self, a: Any, b: Any) -> Any:
@@ -109,12 +109,6 @@ class Dendriform:
         raise NotImplementedError(f"{self.name} registers no sample generator")
 
     # -- adjoined unit -----------------------------------------------------
-    @property
-    def unital_space(self) -> "UnitalSpace":
-        if self._unital_space is None:
-            self._unital_space = UnitalSpace(self)
-        return self._unital_space
-
     def unit(self) -> UnitalDendElem:
         return UnitalDendElem(Fraction(1), self.space.zero())
 
@@ -123,31 +117,40 @@ class Dendriform:
 
     def half_prec(self, x: UnitalDendElem, y: UnitalDendElem) -> UnitalDendElem:
         """Bilinear extension of prec; undefined on unit (x) unit pairs."""
-        if x.scalar != 0 and y.scalar != 0:
-            raise UndefinedUnitProduct("1 prec 1 is not defined")
-        sp = self.space
-        out = sp.scale(y.scalar, x.vec)  # x.vec prec 1 = x.vec; 1 prec y.vec = 0
-        if not (sp.is_zero(x.vec) or sp.is_zero(y.vec)):
-            out = sp.add(out, self.prec(x.vec, y.vec))
-        return UnitalDendElem(Fraction(0), out)
+        return self._unital_sum("prec", [(x, y)])
 
     def half_succ(self, x: UnitalDendElem, y: UnitalDendElem) -> UnitalDendElem:
-        if x.scalar != 0 and y.scalar != 0:
-            raise UndefinedUnitProduct("1 succ 1 is not defined")
-        sp = self.space
-        out = sp.scale(x.scalar, y.vec)  # 1 succ y.vec = y.vec; x.vec succ 1 = 0
-        if not (sp.is_zero(x.vec) or sp.is_zero(y.vec)):
-            out = sp.add(out, self.succ(x.vec, y.vec))
-        return UnitalDendElem(Fraction(0), out)
+        return self._unital_sum("succ", [(x, y)])
 
     def unital_star(self, x: UnitalDendElem, y: UnitalDendElem) -> UnitalDendElem:
         """Total: the unit cases follow the unit rules, never the half-products."""
+        return self._unital_sum("star", [(x, y)])
+
+    def _unital_sum(self, kind: str, pairs: Sequence[tuple[UnitalDendElem, UnitalDendElem]]) -> UnitalDendElem:
+        """The sum of x <kind> y over the pairs, for kind "star", "prec" or "succ".
+
+        The unit scalars add up (1 * 1 = 1), and each unit rule gives a term
+        c * v: 1 * v = v * 1 = v, v prec 1 = v = 1 succ v, while 1 prec v and
+        v succ 1 vanish.  These terms, and the carrier pairs with both sides
+        nonzero, go to one ``space.sum_products`` with the carrier product.
+        """
         sp = self.space
-        # a unit scalar is nonzero only in degree 0 of a series: build no zero terms
-        terms = [v if c == 1 else sp.scale(c, v) for c, v in ((x.scalar, y.vec), (y.scalar, x.vec)) if c]
-        if not (sp.is_zero(x.vec) or sp.is_zero(y.vec)):
-            terms.append(self.star(x.vec, y.vec))
-        return UnitalDendElem(x.scalar * y.scalar, reduce(sp.add, terms) if terms else sp.zero())
+        is_zero = sp.is_zero
+        scalar, units, vecs = Fraction(0), [], []
+        for x, y in pairs:
+            if kind == "star":
+                scalar += x.scalar * y.scalar
+            elif x.scalar and y.scalar:
+                raise UndefinedUnitProduct(f"1 {kind} 1 is not defined")
+            x_zero, y_zero = is_zero(x.vec), is_zero(y.vec)
+            if x.scalar and not y_zero and kind != "prec":
+                units.append((x.scalar, y.vec))
+            if y.scalar and not x_zero and kind != "succ":
+                units.append((y.scalar, x.vec))
+            if not (x_zero or y_zero):
+                vecs.append((x.vec, y.vec))
+        vec = sp.sum_products(getattr(self, kind), vecs, units) if vecs or units else sp.zero()
+        return UnitalDendElem(scalar, vec)
 
 
 class Tridendriform:
@@ -251,6 +254,16 @@ class UnitalSpace(CoeffSpace):
 
     def sum(self, terms: Sequence[UnitalDendElem]) -> UnitalDendElem:
         return UnitalDendElem(sum(t.scalar for t in terms), self.carrier.sum([t.vec for t in terms]))
+
+    def sum_products(self, op, pairs, units=()):
+        """Sums of the total star and the two half-products go to the instance's
+        ``_unital_sum``, so all their pairs reach the carrier in one list."""
+        dend = self.dend
+        if not units:
+            for kind, unital_op in (("star", self.mul), ("prec", dend.half_prec), ("succ", dend.half_succ)):
+                if op == unital_op:
+                    return dend._unital_sum(kind, pairs)
+        return super().sum_products(op, pairs, units)
 
     def mul(self, x: UnitalDendElem, y: UnitalDendElem) -> UnitalDendElem:
         return self.dend.unital_star(x, y)

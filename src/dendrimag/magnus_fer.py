@@ -76,12 +76,11 @@ def magnus_from_series(ops, b: TruncatedSeries, variant: str = "left_rhd") -> Tr
         raise ValueError("input series must live over the ops' carrier space")
     if not sp.is_zero(b.coeff(0)):
         raise ValueError("Magnus input needs zero constant term")
-    if variant == "left_rhd":
-        apply_op = ops.rhd  # W rhd x
-        weight = bernoulli_weight
+    left = variant == "left_rhd"
+    if left:
+        op, weight = ops.rhd, bernoulli_weight  # W rhd x
     elif variant == "right_lhd":
-        apply_op = lambda w, x: ops.lhd(x, w)  # x lhd W
-        weight = lambda m: Fraction(-1) ** m * bernoulli_weight(m)
+        op, weight = ops.lhd, lambda m: Fraction(-1) ** m * bernoulli_weight(m)  # x lhd W
     else:
         raise ValueError(f"unknown variant {variant!r}; use one of {MAGNUS_VARIANTS}")
 
@@ -91,14 +90,17 @@ def magnus_from_series(ops, b: TruncatedSeries, variant: str = "left_rhd") -> Tr
     # Entry [m][n] is final once written: it only involves omega below degree n.
     powers = [list(b.coeffs)]
     for n in range(1, N + 1):
-        acc = powers[0][n]
+        terms = [powers[0][n]]
         for m in range(1, n):
             if len(powers) <= m:
                 powers.append([sp.zero() for _ in range(N + 1)])
-            (val,) = bilinear_terms(sp, apply_op, omega, powers[m - 1], n, n)
+            xs, ys = (omega, powers[m - 1]) if left else (powers[m - 1], omega)
+            (val,) = bilinear_terms(sp, op, xs, ys, n, n)
             powers[m][n] = val
-            acc = sp.add(acc, sp.scale(weight(m), val))
-        omega[n] = acc
+            w = weight(m)
+            if w:  # B_m vanishes for odd m >= 3
+                terms.append(sp.scale(w, val))
+        omega[n] = sp.sum(terms)
     return TruncatedSeries(sp, N, omega)
 
 

@@ -32,6 +32,12 @@ and s rhd t = s succ t - t prec s needs no row of its own.  The two maps
 land in disjoint blocks (left degree below deg s, resp. at least deg s),
 which is why s * t = s prec t + s succ t stays a sum of distinct trees.
 
+The products run as two kernels over a list of operand pairs, one for *
+and one for weighted sums of the half-products.  A kernel brings every
+pair to one common denominator, adds the rows of all their basis pairs
+into one int sum per output degree and builds one ``LinComb``, so a whole
+degree of a series product, unit terms included, costs one accumulator.
+
 Trees are interned by (degree, index), so equality is identity, hashing is
 O(1) and the tree at a position is one lookup once it has been built.  The
 string grammar is "o" for the leaf and "(L^R)" for a node; it is the
@@ -42,14 +48,17 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import compress
-from math import comb, gcd
+from math import comb, gcd, lcm
+from operator import attrgetter
+from typing import Sequence
 
 from .dendriform import Dendriform, UndefinedUnitProduct
 from .lincomb import LinComb, LinCombSpace
+from .scalars import ratio
 
 __all__ = [
     "PBT",
@@ -172,23 +181,44 @@ def _by_degree(x: LinComb) -> dict[int, list[tuple[PBT, int]]]:
     return out
 
 
+def _degree_counts(x: LinComb) -> Counter[int]:
+    return Counter(map(attrgetter("degree"), x.num))
+
+
 def _sums(
-    xs_by_degree: dict[int, list[tuple[PBT, int]]], ys_by_degree: dict[int, list[tuple[PBT, int]]]
-) -> dict[int, list[int] | defaultdict[int, int]]:
-    """One numerator sum per output degree of a product, indexed by tree position.
+    pairs: Sequence[tuple[LinComb, LinComb]], units: Sequence[tuple[Fraction, LinComb]]
+) -> tuple[int, dict[int, list[int] | defaultdict[int, int]]]:
+    """The common denominator of a sum of pair products and unit terms c * v,
+    and one numerator sum over it per output degree, indexed by tree position,
+    with the unit terms already added in.
 
     A row of a degree-i tree by a degree-j tree holds at most C(i+j, i)
-    positions (the tests check i + j <= 8), so the basis pairs bound how many
-    trees of degree n the product can reach.  Where that bound reaches C_n
-    the sum is a list over trees_of_degree(n), the faster of the two; below
-    it the sum is a dict of positions, so a sparse product never lists or
-    scans its whole degree.
+    positions (the tests check i + j <= 8), so the basis pairs, summed over
+    all operand pairs, bound how many trees of degree n the sum can reach.
+    Where that bound reaches C_n the sum is a list over trees_of_degree(n),
+    the faster of the two; below it the sum is a dict of positions, so a
+    sparse sum never lists or scans its whole degree.  Only degree counts are
+    read here: the kernels split one operand pair at a time.
     """
+    den = 1
     bound: defaultdict[int, int] = defaultdict(int)
-    for i, xs in xs_by_degree.items():
-        for j, ys in ys_by_degree.items():
-            bound[i + j] += len(xs) * len(ys) * comb(i + j, i)
-    return {n: [0] * _catalan(n) if b >= _catalan(n) else defaultdict(int) for n, b in bound.items()}
+    for a, b in pairs:
+        den = lcm(den, a.den * b.den)
+        ys = _degree_counts(b)
+        for i, p in _degree_counts(a).items():
+            for j, q in ys.items():
+                bound[i + j] += p * q * comb(i + j, i)
+    units = [(ratio(c), v) for c, v in units]
+    for (_, q), v in units:
+        den = lcm(den, q * v.den)
+        for n, p in _degree_counts(v).items():
+            bound[n] += p
+    sums = {n: [0] * _catalan(n) if b >= _catalan(n) else defaultdict(int) for n, b in bound.items()}
+    for (p, q), v in units:
+        f = p * (den // (q * v.den))
+        for t, u in v.num.items():
+            sums[t.degree][t.index] += f * u  # t * LEAF is t alone: no row needed
+    return den, sums
 
 
 def _lincomb(sums: dict[int, list[int] | defaultdict[int, int]], den: int) -> LinComb:
@@ -205,22 +235,50 @@ def _lincomb(sums: dict[int, list[int] | defaultdict[int, int]], den: int) -> Li
     return LinComb._make(num, den // g)
 
 
+class FreeSpace(LinCombSpace):
+    """The carrier space of a ``FreeDendriform``: sums of its own products go
+    to its pair-list kernels, a lone product to the product method, and any
+    other op to the ``LinCombSpace`` default."""
+
+    def __init__(self, dend: "FreeDendriform"):
+        self.dend = dend
+
+    def sum_products(self, op, pairs, units=()):
+        if len(pairs) == 1 and not units:
+            return op(*pairs[0])
+        d = self.dend
+        if op == d.star:
+            return d._star_sum(pairs, units)
+        if op == d.rhd:
+            return d._half_sum(pairs, 1, -1, units)
+        if op == d.succ:
+            return d._half_sum(pairs, 1, 0, units)
+        if op == d.prec:
+            return d._half_sum([(b, a) for a, b in pairs], 0, 1, units)
+        if op == d.lhd:
+            return d._half_sum([(b, a) for a, b in pairs], -1, 1, units)
+        return super().sum_products(op, pairs, units)
+
+
 class FreeDendriform(Dendriform):
     """The free dendriform algebra on one generator, over planar binary trees.
 
-    All four products read the instance's one table of star rows (module
-    docstring): ``prec`` and ``succ`` through the affine grafting maps,
-    ``rhd(a, b) = succ(a, b) - prec(b, a)`` per basis pair, and
-    ``lhd(a, b) = -rhd(b, a)``.  Each product splits its operands once by
-    degree, adds every basis pair into one int sum per output degree (see
-    ``_sums``) and builds one ``LinComb`` at the end.  Rows are published
-    whole, so threads may share an instance.
+    All products read the instance's one table of star rows (module
+    docstring) through two kernels over a list of operand pairs: ``_star_sum``
+    adds up s * t, and ``_half_sum`` adds up w_succ (s succ t) + w_prec (t prec s),
+    the half-products read through the affine grafting maps.  A kernel brings
+    every pair to one denominator (see ``_sums``), adds every basis pair into
+    one int sum per output degree and builds one ``LinComb`` at the end.  The
+    five products are these kernels on one pair, with ``rhd(a, b) =
+    succ(a, b) - prec(b, a)`` and ``lhd(a, b) = prec(a, b) - succ(b, a)``;
+    the carrier space (``FreeSpace``) hands whole degrees of series products
+    to them.  Rows are published whole, so threads may share an instance.
     """
 
     name = "free-dendriform"
 
     def __init__(self):
-        super().__init__(LinCombSpace())
+        super().__init__(FreeSpace(self))
         self._rows: dict[tuple[PBT, PBT], tuple[int, ...]] = {}
 
     def _row(self, s: PBT, t: PBT) -> tuple[int, ...]:
@@ -242,59 +300,69 @@ class FreeDendriform(Dendriform):
         # setdefault publishes whole rows: a thread that lost the race reads the winner's
         return self._rows.setdefault((s, t), row)
 
-    def star(self, a: LinComb, b: LinComb) -> LinComb:
+    def _star_sum(self, pairs, units=()) -> LinComb:
+        """sum(c * v for c, v in units) + sum(a * b for a, b in pairs)."""
         rows, row_of = self._rows, self._row
-        xs_by_degree, ys_by_degree = _by_degree(a), _by_degree(b)
-        sums = _sums(xs_by_degree, ys_by_degree)
-        for i, xs in xs_by_degree.items():
-            for j, ys in ys_by_degree.items():
-                d = sums[i + j]
-                for s, u in xs:
-                    for t, v in ys:
-                        c = u * v
-                        for k in rows.get((s, t)) or row_of(s, t):
-                            d[k] += c
-        return _lincomb(sums, a.den * b.den)
-
-    def _half_sum(self, a: LinComb, b: LinComb, w_succ: int, w_prec: int) -> LinComb:
-        """w_succ * (a succ b) + w_prec * (b prec a), read per basis pair (s, t)
-        of a and b: s succ t = (s * t_l) v t_r is row (s, t_l) strided by the
-        count of t_r's, t prec s = t_l v (t_r * s) is row (t_r, s) shifted
-        into the block of t_l."""
-        rows, row_of = self._rows, self._row
-        xs_by_degree, ys_by_degree = _by_degree(a), _by_degree(b)
-        if 0 in xs_by_degree or 0 in ys_by_degree:
-            raise UndefinedUnitProduct("basis half-products take trees of degree >= 1")
-        sums = _sums(xs_by_degree, ys_by_degree)
-        for j, ys in ys_by_degree.items():
-            for i, xs in xs_by_degree.items():
-                d, offs = sums[i + j], _offsets(i + j)
-                for t, v in ys:
-                    tl, tr = t.left, t.right
-                    succ_base, stride = offs[i + tl.degree] + tr.index, _catalan(tr.degree)
-                    prec_base = offs[tl.degree] + tl.index * _catalan(tr.degree + i)
+        den, sums = _sums(pairs, units)
+        for a, b in pairs:
+            f = den // (a.den * b.den)
+            ys_by_degree = _by_degree(b)
+            for i, xs in _by_degree(a).items():
+                for j, ys in ys_by_degree.items():
+                    d = sums[i + j]
                     for s, u in xs:
-                        if w_succ:
-                            c = w_succ * u * v
-                            for k in rows.get((s, tl)) or row_of(s, tl):
-                                d[succ_base + k * stride] += c
-                        if w_prec:
-                            c = w_prec * u * v
-                            for k in rows.get((tr, s)) or row_of(tr, s):
-                                d[prec_base + k] += c
-        return _lincomb(sums, a.den * b.den)
+                        fu = f * u
+                        for t, v in ys:
+                            c = fu * v
+                            for k in rows.get((s, t)) or row_of(s, t):
+                                d[k] += c
+        return _lincomb(sums, den)
+
+    def _half_sum(self, pairs, w_succ: int, w_prec: int, units=()) -> LinComb:
+        """sum(c * v for c, v in units) + sum(w_succ * (a succ b) + w_prec * (b prec a)
+        for a, b in pairs), read per basis pair (s, t) of a and b: s succ t =
+        (s * t_l) v t_r is row (s, t_l) strided by the count of t_r's, t prec s =
+        t_l v (t_r * s) is row (t_r, s) shifted into the block of t_l."""
+        if any(LEAF in a.num or LEAF in b.num for a, b in pairs):
+            raise UndefinedUnitProduct("basis half-products take trees of degree >= 1")
+        rows, row_of = self._rows, self._row
+        den, sums = _sums(pairs, units)
+        for a, b in pairs:
+            f = den // (a.den * b.den)
+            f_succ, f_prec = f * w_succ, f * w_prec
+            xs_by_degree = _by_degree(a)
+            for j, ys in _by_degree(b).items():
+                for i, xs in xs_by_degree.items():
+                    d, offs = sums[i + j], _offsets(i + j)
+                    for t, v in ys:
+                        tl, tr = t.left, t.right
+                        succ_base, stride = offs[i + tl.degree] + tr.index, _catalan(tr.degree)
+                        prec_base = offs[tl.degree] + tl.index * _catalan(tr.degree + i)
+                        for s, u in xs:
+                            if f_succ:
+                                c = f_succ * u * v
+                                for k in rows.get((s, tl)) or row_of(s, tl):
+                                    d[succ_base + k * stride] += c
+                            if f_prec:
+                                c = f_prec * u * v
+                                for k in rows.get((tr, s)) or row_of(tr, s):
+                                    d[prec_base + k] += c
+        return _lincomb(sums, den)
+
+    def star(self, a: LinComb, b: LinComb) -> LinComb:
+        return self._star_sum([(a, b)])
 
     def prec(self, a: LinComb, b: LinComb) -> LinComb:
-        return self._half_sum(b, a, 0, 1)
+        return self._half_sum([(b, a)], 0, 1)
 
     def succ(self, a: LinComb, b: LinComb) -> LinComb:
-        return self._half_sum(a, b, 1, 0)
+        return self._half_sum([(a, b)], 1, 0)
 
     def rhd(self, a: LinComb, b: LinComb) -> LinComb:
-        return self._half_sum(a, b, 1, -1)  # a succ b - b prec a
+        return self._half_sum([(a, b)], 1, -1)  # a succ b - b prec a
 
     def lhd(self, a: LinComb, b: LinComb) -> LinComb:
-        return -self.rhd(b, a)  # a prec b - b succ a = -(b succ a - a prec b)
+        return self._half_sum([(b, a)], -1, 1)  # a prec b - b succ a
 
     def generator(self) -> LinComb:
         return LinComb.single(GENERATOR)

@@ -84,6 +84,20 @@ class CoeffSpace:
         """The sum of a nonempty sequence of terms, added in order."""
         return reduce(self.add, terms)
 
+    def sum_products(
+        self,
+        op: Callable[[Any, Any], Any],
+        pairs: Sequence[tuple[Any, Any]],
+        units: Sequence[tuple[Fraction, Any]] = (),
+    ) -> Any:
+        """sum(c * v for c, v in units) + sum(op(x, y) for x, y in pairs), with
+        at least one term in all.  The default hands the scaled unit terms and
+        then each product, in order, to ``sum``; a space with a kernel for a
+        whole list of pairs overrides it."""
+        terms = [v if c == 1 else self.scale(c, v) for c, v in units]
+        terms += [op(x, y) for x, y in pairs]
+        return self.sum(terms)
+
     def mul(self, x: Any, y: Any) -> Any:
         raise NotImplementedError(f"{type(self).__name__} declares no product")
 
@@ -245,9 +259,10 @@ def bilinear_terms(
     This is the one truncated bilinear loop: the Cauchy product, the
     dendriform half-products of unital series, the Fer corrections and the
     Magnus recursion all extend a bilinear op degree by degree through it.
-    Each factor is tested for zero once per call, and the terms of each
-    degree, in ascending i, go to one ``space.sum``.  Coefficients past the
-    end of xs or ys count as zero.
+    Each factor is tested for zero once per call, and the nonzero pairs
+    (x_i, y_j) of each degree, in ascending i, go to one
+    ``space.sum_products(op, pairs)``.  Coefficients past the end of xs or
+    ys count as zero.
     """
     is_zero = space.is_zero
     left = [(i, x) for i, x in enumerate(xs[: hi + 1]) if not is_zero(x)]
@@ -255,14 +270,14 @@ def bilinear_terms(
     right += [None] * (hi + 1 - len(right))
     out = []
     for n in range(lo, hi + 1):
-        terms = []
+        pairs = []
         for i, x in left:
             if i > n:
                 break
             y = right[n - i]
             if y is not None:
-                terms.append(op(x, y))
-        out.append(space.sum(terms) if terms else space.zero())
+                pairs.append((x, y))
+        out.append(space.sum_products(op, pairs) if pairs else space.zero())
     return out
 
 
@@ -271,12 +286,13 @@ def series_exp(s: TruncatedSeries) -> TruncatedSeries:
     sp = s.space
     if not sp.is_zero(s.coeff(0)):
         raise NonNilpotentInput("series_exp needs a zero constant term")
-    result = TruncatedSeries.one(sp, s.order)
-    term = result
+    term = TruncatedSeries.one(sp, s.order)
+    powers = [term.coeffs]
     for n in range(1, s.order + 1):
         term = (term * s).scale(Fraction(1, n))
-        result = result + term
-    return result
+        powers.append(term.coeffs)
+    # s^n / n! starts at degree n, so coefficient k sums the powers n <= k once
+    return TruncatedSeries(sp, s.order, [sp.sum([p[k] for p in powers[: k + 1]]) for k in range(s.order + 1)])
 
 
 def series_log(s: TruncatedSeries) -> TruncatedSeries:

@@ -18,7 +18,7 @@ from dendrimag.grids import GridSeq, GridSpace, NonSummable, random_gridseq
 from dendrimag.lincomb import LinComb, LinCombSpace, bilinear
 from dendrimag.matrices import MatrixSpace, RatMatrix, random_matrix, triangular_project
 from dendrimag.ode import _integral_bracket
-from dendrimag.pbt import LEAF, PBT, _by_degree, _catalan, _sums, _tree_at, free_dendriform, trees_of_degree
+from dendrimag.pbt import LEAF, PBT, _catalan, _sums, _tree_at, free_dendriform, trees_of_degree
 from dendrimag.polys import Poly, PolySpace, random_poly
 from dendrimag.prelie_expr import _expressions_of_degree, eval_combo, eval_planar, eval_rooted
 from dendrimag.rooted import _graft_basis, rooted_ops
@@ -502,7 +502,7 @@ def test_sparse_free_products_match_reference():
         for _ in range(6):
             i = rng.randint(1, 3)
             s, t = rng.choice(trees_of_degree(i)), _tree_at(n - i, rng.randrange(_catalan(n - i)))
-            assert isinstance(_sums(_by_degree(LinComb.single(s)), _by_degree(LinComb.single(t)))[n], dict)
+            assert isinstance(_sums([(LinComb.single(s), LinComb.single(t))], ())[1][n], dict)
             for prod, ref in products:
                 _check_comb(prod(LinComb.single(s), LinComb.single(t)), ref(s, t))
 
@@ -519,9 +519,13 @@ def test_free_product_sums_follow_the_pair_bound():
             assert max(len(dend._row(s, t)) for s in trees_of_degree(i) for t in trees_of_degree(j)) <= comb(i + j, i)
     # 5 * 5 * C(6, 3) = 500 >= C_6 = 132 > 5 * 1 * C(6, 3) = 100
     for a, b, listed in [(dense, dense, True), (dense, single, False), (single, single, False)]:
-        assert isinstance(_sums(_by_degree(a), _by_degree(b))[6], list) is listed
+        assert isinstance(_sums([(a, b)], ())[1][6], list) is listed
         for prod, ref in products:
             _check_comb(prod(a, b), _ref_bilinear(ref, a.terms, b.terms))
+    # the bound adds up over the pairs of one sum: 2 * 100 >= 132, and unit terms count 1 each
+    assert isinstance(_sums([(dense, single)] * 2, ())[1][6], list)
+    den, sums = _sums([(single, single)], [(Fraction(1, 3), LinComb.single(trees_of_degree(2)[0]))])
+    assert isinstance(sums[6], dict) and sums[2] == {0: 1} and den == 3
 
 
 def test_eval_combo_matches_fraction_reference():

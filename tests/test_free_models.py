@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dendrimag.dendriform import Dendriform, check_dendriform_axioms, check_prelie_identities
+from dendrimag.dendriform import Dendriform, check_dendriform_axioms, check_prelie_identities, series_half_prec
 from dendrimag.lincomb import LinComb, bilinear
 from dendrimag.magnus_fer import fer, magnus
 from dendrimag.pbt import (
@@ -21,6 +21,7 @@ from dendrimag.pbt import (
 )
 from dendrimag.prelie_expr import GEN, PreLieExpr, eval_planar, eval_rooted, formal_ops
 from dendrimag.rooted import RootedTree, VERTEX, graft, rooted_ops, rooted_trees_of_degree
+from dendrimag.series import TruncatedSeries
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 ROOTED_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115]
@@ -144,10 +145,20 @@ def _product_results(dend, pairs):
     return [op(a, b) for a, b in pairs for op in ops]
 
 
+def _series_results(dend, xs, ys):
+    """A unital series product and a series_half_prec, each summing whole degrees
+    in the pair-list kernels, unit terms included."""
+    usp = dend.unital_space
+    x = TruncatedSeries(usp, 4, [usp.one()] + [dend.embed(c) for c in xs])
+    y = TruncatedSeries(usp, 4, [usp.zero()] + [dend.embed(c) for c in ys])
+    return [(x * y).coeffs, series_half_prec(dend, x, y).coeffs]
+
+
 def test_product_table_fills_safely_from_threads():
     # 8 threads fill the star rows of one fresh instance at once, each taking
-    # the pairs in its own order; a row published half built, or an entry
-    # lost in a race, would change some thread's products
+    # the pairs in its own order and running the series products first or
+    # last; a row published half built, or an entry lost in a race, would
+    # change some thread's products
     rng = random.Random(20261018)
     trees = [t for n in range(1, 5) for t in trees_of_degree(n)]
 
@@ -155,17 +166,24 @@ def test_product_table_fills_safely_from_threads():
         return LinComb([(rng.choice(trees), Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for _ in range(3)])
 
     pairs = [(a, b) for a, b in ((combo(), combo()) for _ in range(60)) if not (a.is_zero() or b.is_zero())]
+    xs, ys = [combo() for _ in range(4)], [combo() for _ in range(4)]
     expected = _product_results(FreeDendriform(), pairs)
+    expected_series = _series_results(FreeDendriform(), xs, ys)
     shared = FreeDendriform()
     workers = 8
     orders = [random.Random(i).sample(range(len(pairs)), len(pairs)) for i in range(workers)]
     results = [None] * workers
+    series_results = [None] * workers
     barrier = threading.Barrier(workers)
 
     def work(i):
         barrier.wait(timeout=30)
+        if i % 2:
+            series_results[i] = _series_results(shared, xs, ys)
         got = _product_results(shared, [pairs[k] for k in orders[i]])
         results[i] = {k: got[5 * m : 5 * m + 5] for m, k in enumerate(orders[i])}
+        if not i % 2:
+            series_results[i] = _series_results(shared, xs, ys)
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
     interval = sys.getswitchinterval()
@@ -181,6 +199,7 @@ def test_product_table_fills_safely_from_threads():
     for got in results:
         assert got is not None
         assert [x for k in range(len(pairs)) for x in got[k]] == expected
+    assert series_results == [expected_series] * workers
 
 
 def test_generator_products():

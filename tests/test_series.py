@@ -1,3 +1,4 @@
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -187,31 +188,57 @@ def test_series_product_matches_naive_double_sum(rng):
             assert a * b == _naive(space, space.mul, a, b)
 
 
-def test_half_products_match_naive_double_sum(tri_rb, rng):
-    dend = tri_rb.dendriform()
+@pytest.mark.parametrize("model", ["tri_rb", "free"])
+def test_half_products_match_naive_double_sum(model, request, rng):
+    # the free model sums each degree in its pair-list kernels, unit terms included
+    from dendrimag.pbt import free_dendriform
+
+    if model == "free":
+        dend = free_dendriform()
+        sample = lambda: dend.sample(rng)
+    else:
+        tri_rb = request.getfixturevalue("tri_rb")
+        dend = tri_rb.dendriform()
+        sample = lambda: random_matrix(rng, tri_rb.space.n, span=3)
     one = TruncatedSeries.one(dend.unital_space, 5)
     for _ in range(5):
-        x = lift_to_unital(dend, _sparse_matrix_series(rng, tri_rb.space, 5))
-        y = lift_to_unital(dend, _sparse_matrix_series(rng, tri_rb.space, 5))
+        x = lift_to_unital(dend, _sparse_series(rng, dend.space, 5, sample))
+        y = lift_to_unital(dend, _sparse_series(rng, dend.space, 5, sample))
         for a, b in ((x, y), (one + x, y), (x, one + y)):
             assert series_half_prec(dend, a, b) == _naive(dend.unital_space, dend.half_prec, a, b)
             assert series_half_succ(dend, a, b) == _naive(dend.unital_space, dend.half_succ, a, b)
 
 
 def test_lincomb_series_product_matches_naive_double_sum(rng):
-    # one space.sum (one lincomb.combine) per degree, over mixed denominators
-    from dendrimag.lincomb import LinCombSpace
-    from dendrimag.pbt import free_dendriform
+    # the free model's own space hands all nonzero pairs of one degree to one
+    # pair-list kernel, over mixed denominators: star, rhd, and lhd with its
+    # operands swapped as in the right Magnus shape
+    from dendrimag.lincomb import LinComb
+    from dendrimag.pbt import _sums, free_dendriform, trees_of_degree
+    from dendrimag.series import bilinear_terms
 
     dend = free_dendriform()
+    space = dend.space
+    swapped_lhd = lambda x, y: dend.lhd(y, x)
 
-    class StarSpace(LinCombSpace):
-        has_product = True
+    def check(x, y):
+        for op in (dend.star, dend.rhd):
+            assert bilinear_terms(space, op, x.coeffs, y.coeffs, 0, x.order) == list(_naive(space, op, x, y).coeffs)
+        lhd = bilinear_terms(space, dend.lhd, y.coeffs, x.coeffs, 0, x.order)
+        assert lhd == list(_naive(space, swapped_lhd, x, y).coeffs)
 
-        def mul(self, x, y):
-            return dend.star(x, y)
+    # degree 2 of the series is dense * dense, degree 4 single * single, and degree 3
+    # two dense * single pairs: the trees of degree 6 sum into a list (500 and
+    # 2 * 100 >= C_6 = 132 by the pair bound) and into a dict (20 < 132)
+    threes = trees_of_degree(3)
+    dense = [LinComb([(t, Fraction(k + 1, q)) for k, t in enumerate(threes)]) for q in (3, 5)]
+    single = [LinComb.single(threes[k], Fraction(-2, q)) for k, q in ((1, 7), (4, 11))]
+    x = TruncatedSeries(space, 4, [space.zero(), dense[0], single[0]])
+    y = TruncatedSeries(space, 4, [space.zero(), dense[1], single[1]])
+    kinds = [type(_sums([(x.coeff(i), y.coeff(n - i)) for i in range(1, n)], ())[1][6]) for n in (2, 3, 4)]
+    assert kinds == [list, list, defaultdict]
+    check(x, y)
 
-    space = StarSpace()
     gen = TruncatedSeries(space, 5, [dend.generator()])  # a nonzero degree-0 term
 
     def sample():
@@ -220,7 +247,7 @@ def test_lincomb_series_product_matches_naive_double_sum(rng):
     for _ in range(5):
         x, y = _sparse_series(rng, space, 5, sample), _sparse_series(rng, space, 5, sample)
         for a, b in ((x, y), (gen + x, y), (x, gen + y), (gen + x, gen + y), (x, -x)):
-            assert a * b == _naive(space, space.mul, a, b)
+            check(a, b)
 
 
 @pytest.mark.parametrize("carrier", ["free", "matrix_poly"])
