@@ -12,6 +12,10 @@ The package has an exact half and a floating-point half:
   step exponents come from the exact recursions, with convergence
   measurement (``ode``).
 
+Only ``ode`` imports numpy, and only the ``solve`` subcommand imports ``ode``:
+``import dendrimag`` and the exact subcommands ``verify``, ``expand`` and
+``trees`` never load the float stack.
+
 ``suites`` bundles the named verification suites behind the ``dendrimag``
 command-line tool (``cli``).
 """

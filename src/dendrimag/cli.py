@@ -21,16 +21,7 @@ import sys
 
 from .instances import DEFAULT_SEED
 from .lincomb import LinComb
-from .magnus_fer import fer, magnus
-from .ode import (
-    FloatMatrixPoly,
-    METHODS,
-    NonFinite,
-    REFERENCE_REFINEMENT,
-    convergence_sweep,
-    fit_slope,
-    rows_to_csv,
-)
+from .magnus_fer import METHODS, fer, magnus
 from .pbt import ascii_render, free_dendriform, trees_of_degree
 from .prelie_expr import formal_ops
 from .rooted import rooted_ops
@@ -42,11 +33,12 @@ USAGE_ERROR = 2
 VERIFY_FAILURE = 1
 
 # Highest --order for expand, verify and trees, and the package's one order
-# bound: every suite checks its instances at exactly --order.  On a 2-CPU Xeon
-# `verify --suite all` takes 3.2-3.9 s at order 5 and 4.0-4.6 s at order 8;
-# run in one process, the suites take 5.3-6.7 s at order 9 (40 MB peak RSS)
-# and 11.6-12.1 s at order 10 (70 MB), about 7 s of it in the magnus and fer
-# suites.
+# bound: every suite checks its instances at exactly --order.  On a 2-CPU Xeon,
+# one fresh process per run, `verify --suite all` takes 4.1-4.9 s at order 5
+# and 5.3-6.1 s at order 8, of which about 0.15 s is interpreter and package
+# start-up; run in one process, the suites take 5.3-6.7 s at order 9 (40 MB
+# peak RSS) and 11.6-12.1 s at order 10 (70 MB), about 7 s of it in the magnus
+# and fer suites.
 MAX_ORDER = 8
 
 # solve input bounds.  The reference solution runs REFERENCE_REFINEMENT x
@@ -177,7 +169,8 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else VERIFY_FAILURE
 
 
-def _load_matrix_poly(path: str) -> FloatMatrixPoly:
+def _load_matrix_poly(path: str):
+    """The validated ``ode.FloatMatrixPoly`` of a JSON matrix file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -217,12 +210,14 @@ def _load_matrix_poly(path: str) -> FloatMatrixPoly:
         if not all(math.isfinite(v) for v in vals):
             raise ValueError(f"matrix file: coeffs[{j}] contains a non-finite entry")
         mats.append([vals[i * n : (i + 1) * n] for i in range(n)])
-    import numpy as np
+    from . import ode
 
-    return FloatMatrixPoly([np.array(m) for m in mats])
+    return ode.FloatMatrixPoly(mats)
 
 
 def cmd_solve(args) -> int:
+    from . import ode  # numpy loads only when solve runs
+
     try:
         a = _load_matrix_poly(args.matrix)
     except ValueError as exc:
@@ -238,10 +233,10 @@ def cmd_solve(args) -> int:
     if counts[-1] > MAX_STEPS:
         print(f"solve: --steps entries must be <= {MAX_STEPS}, got {counts[-1]}", file=sys.stderr)
         return USAGE_ERROR
-    if REFERENCE_REFINEMENT * counts[-1] * a.n * a.n > MAX_REFERENCE_ENTRIES:
+    if ode.REFERENCE_REFINEMENT * counts[-1] * a.n * a.n > MAX_REFERENCE_ENTRIES:
         print(
             f"solve: --steps {counts[-1]} with n = {a.n} is too large: the reference needs "
-            f"{REFERENCE_REFINEMENT} * steps * n * n <= {MAX_REFERENCE_ENTRIES} matrix entries",
+            f"{ode.REFERENCE_REFINEMENT} * steps * n * n <= {MAX_REFERENCE_ENTRIES} matrix entries",
             file=sys.stderr,
         )
         return USAGE_ERROR
@@ -250,11 +245,11 @@ def cmd_solve(args) -> int:
         return USAGE_ERROR
 
     try:
-        rows, final = convergence_sweep(a, args.t_final, args.method, counts)
-    except NonFinite as exc:
+        rows, final = ode.convergence_sweep(a, args.t_final, args.method, counts)
+    except ode.NonFinite as exc:
         print(f"solve: integration overflowed: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    csv_text = rows_to_csv(rows)
+    csv_text = ode.rows_to_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
@@ -262,7 +257,7 @@ def cmd_solve(args) -> int:
         sys.stdout.write(csv_text)
 
     try:
-        slope = fit_slope(rows)
+        slope = ode.fit_slope(rows)
     except ValueError:  # fewer than 4 step counts, or errors at machine precision
         slope = None
     summary = {

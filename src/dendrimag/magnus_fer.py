@@ -64,6 +64,17 @@ __all__ = [
 
 MAGNUS_VARIANTS = ("left_rhd", "right_lhd")
 
+# The float steppers that ``ode`` builds from these recursions: method ->
+# (convergence order, exponentials per step).  The table lives here, free of
+# numpy, so the CLI can offer ``solve --method`` without loading the float stack.
+_METHOD_META = {
+    "magnus2": (2, 1),
+    "magnus4": (4, 1),
+    "fer1": (2, 1),
+    "fer2": (4, 2),
+}
+METHODS = tuple(sorted(_METHOD_META))
+
 
 def magnus_from_series(ops, b: TruncatedSeries, variant: str = "left_rhd") -> TruncatedSeries:
     """The Magnus fixed point W(b) for a series input b in lambda*A[[lambda]].

@@ -16,10 +16,10 @@ least as h^d, so keeping grade 1 gives a second-order method and grades up
 to 3 a fourth-order one.  The grade-2 term is a commutator with an inner
 integral and is actually O(h^3), not O(h^2), which is why "order 2" needs
 only grade 1; the same cancellation makes the two-exponential Fer variant
-fourth order.  ``METHODS`` names the four steppers: ``magnus2`` and
-``magnus4`` keep grades 1 and 1..3 of the Magnus exponent; ``fer1`` takes
-exp(I(U_0)) alone and ``fer2`` follows it with the first Fer correction
-truncated at grade 3.
+fourth order.  ``METHODS`` (defined in ``magnus_fer``) names the four
+steppers: ``magnus2`` and ``magnus4`` keep grades 1 and 1..3 of the Magnus
+exponent; ``fer1`` takes exp(I(U_0)) alone and ``fer2`` follows it with the
+first Fer correction truncated at grade 3.
 
 ``convergence_sweep`` measures each step count against a self-consistent
 reference (the order-4 method on a 64x finer grid, not an external solver),
@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .lincomb import LinComb, LinCombSpace, bilinear, combine
-from .magnus_fer import fer, magnus
+from .magnus_fer import _METHOD_META, METHODS, fer, magnus
 
 __all__ = [
     "NonFinite",
@@ -167,14 +167,6 @@ class FloatMatrixPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-
-_METHOD_META = {  # method -> (convergence order, exponentials per step)
-    "magnus2": (2, 1),
-    "magnus4": (4, 1),
-    "fer1": (2, 1),
-    "fer2": (4, 2),
-}
-METHODS = tuple(sorted(_METHOD_META))
 
 Row = tuple[int, float, float, float | None]
 

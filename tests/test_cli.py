@@ -1,11 +1,14 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from dendrimag import cli, suites
+from dendrimag import cli, ode, suites
 from dendrimag.ode import REFERENCE_REFINEMENT
 from dendrimag.report import VerificationReport
 
@@ -289,12 +292,20 @@ def test_solve_input_bounds(capsys, tmp_path, monkeypatch, payload, steps, names
     def no_solve(*args, **kwargs):
         raise AssertionError("an out-of-bounds input reached the integrator")
 
-    monkeypatch.setattr(cli, "convergence_sweep", no_solve)
+    monkeypatch.setattr(ode, "convergence_sweep", no_solve)
     path = tmp_path / "big.json"
     path.write_text(json.dumps(payload))
     code, _, err = run_cli(capsys, "solve", "--matrix", str(path), "--steps", steps)
     assert code == 2
     assert all(name in err for name in names), err
+
+
+def test_solve_unknown_method_lists_choices(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 1, "degree": 0, "coeffs": [[1.0]]}))
+    code, _, err = run_cli(capsys, "solve", "--matrix", str(path), "--method", "rk4")
+    assert code == 2
+    assert all(name in err for name in ("fer1", "fer2", "magnus2", "magnus4")), err
 
 
 def test_solve_overflow_exits_2(capsys, tmp_path):
@@ -306,3 +317,30 @@ def test_solve_overflow_exits_2(capsys, tmp_path):
 
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+# Run in a fresh interpreter: this process has already imported numpy.
+_IMPORT_BOUNDARY = """
+import sys
+
+import dendrimag
+from dendrimag import cli
+
+assert "numpy" not in sys.modules, "import dendrimag.cli loaded numpy"
+for argv in (["trees", "--order", "3"], ["expand", "magnus", "--order", "3"], ["verify", "--suite", "chi", "--order", "3"]):
+    assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, f"{argv} loaded numpy"
+assert cli.main(["solve", "--matrix", sys.argv[1], "--steps", "4,8"]) == 0
+assert "numpy" in sys.modules, "solve ran without numpy"
+"""
+
+
+def test_exact_subcommands_never_load_numpy(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 1, "degree": 0, "coeffs": [[0.5]]}))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BOUNDARY, str(path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
