@@ -251,8 +251,12 @@ def cmd_solve(args) -> int:
         return USAGE_ERROR
     csv_text = ode.rows_to_csv(rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(csv_text)
+        except OSError as exc:
+            print(f"solve: cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return USAGE_ERROR
     else:
         sys.stdout.write(csv_text)
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
 from .report import VerificationReport
@@ -131,12 +132,13 @@ class Dendriform:
 
         The unit scalars add up (1 * 1 = 1), and each unit rule gives a term
         c * v: 1 * v = v * 1 = v, v prec 1 = v = 1 succ v, while 1 prec v and
-        v succ 1 vanish.  These terms, and the carrier pairs with both sides
-        nonzero, go to one ``space.sum_products`` with the carrier product.
+        v succ 1 vanish.  The carrier pairs with both sides nonzero go to one
+        ``space.sum_products`` with the carrier product, and one ``space.sum``
+        adds the unit terms to that; a lone term is returned as it is.
         """
         sp = self.space
         is_zero = sp.is_zero
-        scalar, units, vecs = Fraction(0), [], []
+        scalar, terms, vecs = Fraction(0), [], []
         for x, y in pairs:
             if kind == "star":
                 scalar += x.scalar * y.scalar
@@ -144,13 +146,16 @@ class Dendriform:
                 raise UndefinedUnitProduct(f"1 {kind} 1 is not defined")
             x_zero, y_zero = is_zero(x.vec), is_zero(y.vec)
             if x.scalar and not y_zero and kind != "prec":
-                units.append((x.scalar, y.vec))
+                terms.append(y.vec if x.scalar == 1 else sp.scale(x.scalar, y.vec))
             if y.scalar and not x_zero and kind != "succ":
-                units.append((y.scalar, x.vec))
+                terms.append(x.vec if y.scalar == 1 else sp.scale(y.scalar, x.vec))
             if not (x_zero or y_zero):
                 vecs.append((x.vec, y.vec))
-        vec = sp.sum_products(getattr(self, kind), vecs, units) if vecs or units else sp.zero()
-        return UnitalDendElem(scalar, vec)
+        if vecs:
+            terms.append(sp.sum_products(getattr(self, kind), vecs))
+        if not terms:
+            return UnitalDendElem(scalar, sp.zero())
+        return UnitalDendElem(scalar, terms[0] if len(terms) == 1 else sp.sum(terms))
 
 
 class Tridendriform:
@@ -230,6 +235,13 @@ class UnitalSpace(CoeffSpace):
     def __init__(self, dend: Dendriform):
         self.dend = dend
         self.carrier = dend.space
+        # whole degrees of the star and half-product series go to _unital_sum,
+        # so all their carrier pairs reach the carrier's sum_products in one list
+        self.kernels = {
+            self.mul: partial(dend._unital_sum, "star"),
+            dend.half_prec: partial(dend._unital_sum, "prec"),
+            dend.half_succ: partial(dend._unital_sum, "succ"),
+        }
 
     def zero(self) -> UnitalDendElem:
         return UnitalDendElem(Fraction(0), self.carrier.zero())
@@ -254,16 +266,6 @@ class UnitalSpace(CoeffSpace):
 
     def sum(self, terms: Sequence[UnitalDendElem]) -> UnitalDendElem:
         return UnitalDendElem(sum(t.scalar for t in terms), self.carrier.sum([t.vec for t in terms]))
-
-    def sum_products(self, op, pairs, units=()):
-        """Sums of the total star and the two half-products go to the instance's
-        ``_unital_sum``, so all their pairs reach the carrier in one list."""
-        dend = self.dend
-        if not units:
-            for kind, unital_op in (("star", self.mul), ("prec", dend.half_prec), ("succ", dend.half_succ)):
-                if op == unital_op:
-                    return dend._unital_sum(kind, pairs)
-        return super().sum_products(op, pairs, units)
 
     def mul(self, x: UnitalDendElem, y: UnitalDendElem) -> UnitalDendElem:
         return self.dend.unital_star(x, y)

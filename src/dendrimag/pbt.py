@@ -35,8 +35,9 @@ which is why s * t = s prec t + s succ t stays a sum of distinct trees.
 The products run as two kernels over a list of operand pairs, one for *
 and one for weighted sums of the half-products.  A kernel brings every
 pair to one common denominator, adds the rows of all their basis pairs
-into one int sum per output degree and builds one ``LinComb``, so a whole
-degree of a series product, unit terms included, costs one accumulator.
+into one int sum per output degree and builds one ``LinComb``.  The
+instance registers the five products in its space's ``kernels`` table, so
+a whole degree of a series product of carriers costs one accumulator.
 
 Trees are interned by (degree, index), so equality is identity, hashing is
 O(1) and the tree at a position is one lookup once it has been built.  The
@@ -58,7 +59,6 @@ from typing import Sequence
 
 from .dendriform import Dendriform, UndefinedUnitProduct
 from .lincomb import LinComb, LinCombSpace
-from .scalars import ratio
 
 __all__ = [
     "PBT",
@@ -185,12 +185,9 @@ def _degree_counts(x: LinComb) -> Counter[int]:
     return Counter(map(attrgetter("degree"), x.num))
 
 
-def _sums(
-    pairs: Sequence[tuple[LinComb, LinComb]], units: Sequence[tuple[Fraction, LinComb]]
-) -> tuple[int, dict[int, list[int] | defaultdict[int, int]]]:
-    """The common denominator of a sum of pair products and unit terms c * v,
-    and one numerator sum over it per output degree, indexed by tree position,
-    with the unit terms already added in.
+def _sums(pairs: Sequence[tuple[LinComb, LinComb]]) -> tuple[int, dict[int, list[int] | defaultdict[int, int]]]:
+    """The common denominator of a sum of pair products, and one empty
+    numerator sum over it per output degree, indexed by tree position.
 
     A row of a degree-i tree by a degree-j tree holds at most C(i+j, i)
     positions (the tests check i + j <= 8), so the basis pairs, summed over
@@ -208,16 +205,7 @@ def _sums(
         for i, p in _degree_counts(a).items():
             for j, q in ys.items():
                 bound[i + j] += p * q * comb(i + j, i)
-    units = [(ratio(c), v) for c, v in units]
-    for (_, q), v in units:
-        den = lcm(den, q * v.den)
-        for n, p in _degree_counts(v).items():
-            bound[n] += p
     sums = {n: [0] * _catalan(n) if b >= _catalan(n) else defaultdict(int) for n, b in bound.items()}
-    for (p, q), v in units:
-        f = p * (den // (q * v.den))
-        for t, u in v.num.items():
-            sums[t.degree][t.index] += f * u  # t * LEAF is t alone: no row needed
     return den, sums
 
 
@@ -235,31 +223,6 @@ def _lincomb(sums: dict[int, list[int] | defaultdict[int, int]], den: int) -> Li
     return LinComb._make(num, den // g)
 
 
-class FreeSpace(LinCombSpace):
-    """The carrier space of a ``FreeDendriform``: sums of its own products go
-    to its pair-list kernels, a lone product to the product method, and any
-    other op to the ``LinCombSpace`` default."""
-
-    def __init__(self, dend: "FreeDendriform"):
-        self.dend = dend
-
-    def sum_products(self, op, pairs, units=()):
-        if len(pairs) == 1 and not units:
-            return op(*pairs[0])
-        d = self.dend
-        if op == d.star:
-            return d._star_sum(pairs, units)
-        if op == d.rhd:
-            return d._half_sum(pairs, 1, -1, units)
-        if op == d.succ:
-            return d._half_sum(pairs, 1, 0, units)
-        if op == d.prec:
-            return d._half_sum([(b, a) for a, b in pairs], 0, 1, units)
-        if op == d.lhd:
-            return d._half_sum([(b, a) for a, b in pairs], -1, 1, units)
-        return super().sum_products(op, pairs, units)
-
-
 class FreeDendriform(Dendriform):
     """The free dendriform algebra on one generator, over planar binary trees.
 
@@ -270,16 +233,26 @@ class FreeDendriform(Dendriform):
     every pair to one denominator (see ``_sums``), adds every basis pair into
     one int sum per output degree and builds one ``LinComb`` at the end.  The
     five products are these kernels on one pair, with ``rhd(a, b) =
-    succ(a, b) - prec(b, a)`` and ``lhd(a, b) = prec(a, b) - succ(b, a)``;
-    the carrier space (``FreeSpace``) hands whole degrees of series products
-    to them.  Rows are published whole, so threads may share an instance.
+    succ(a, b) - prec(b, a)`` and ``lhd(a, b) = prec(a, b) - succ(b, a)``.
+    The carrier space is a plain ``LinCombSpace`` whose ``kernels`` table,
+    set here and never changed, hands whole degrees of series products of
+    the five to the kernels.  Rows are published whole, so threads may share
+    an instance.
     """
 
     name = "free-dendriform"
 
     def __init__(self):
-        super().__init__(FreeSpace(self))
+        super().__init__(LinCombSpace())
         self._rows: dict[tuple[PBT, PBT], tuple[int, ...]] = {}
+        half, swap = self._half_sum, lambda pairs: [(b, a) for a, b in pairs]
+        self.space.kernels = {
+            self.star: self._star_sum,
+            self.rhd: lambda pairs: half(pairs, 1, -1),
+            self.succ: lambda pairs: half(pairs, 1, 0),
+            self.prec: lambda pairs: half(swap(pairs), 0, 1),
+            self.lhd: lambda pairs: half(swap(pairs), -1, 1),
+        }
 
     def _row(self, s: PBT, t: PBT) -> tuple[int, ...]:
         """Positions in trees_of_degree(deg s + deg t) of the trees of s * t."""
@@ -300,10 +273,10 @@ class FreeDendriform(Dendriform):
         # setdefault publishes whole rows: a thread that lost the race reads the winner's
         return self._rows.setdefault((s, t), row)
 
-    def _star_sum(self, pairs, units=()) -> LinComb:
-        """sum(c * v for c, v in units) + sum(a * b for a, b in pairs)."""
+    def _star_sum(self, pairs) -> LinComb:
+        """sum(a * b for a, b in pairs)."""
         rows, row_of = self._rows, self._row
-        den, sums = _sums(pairs, units)
+        den, sums = _sums(pairs)
         for a, b in pairs:
             f = den // (a.den * b.den)
             ys_by_degree = _by_degree(b)
@@ -318,15 +291,15 @@ class FreeDendriform(Dendriform):
                                 d[k] += c
         return _lincomb(sums, den)
 
-    def _half_sum(self, pairs, w_succ: int, w_prec: int, units=()) -> LinComb:
-        """sum(c * v for c, v in units) + sum(w_succ * (a succ b) + w_prec * (b prec a)
-        for a, b in pairs), read per basis pair (s, t) of a and b: s succ t =
-        (s * t_l) v t_r is row (s, t_l) strided by the count of t_r's, t prec s =
-        t_l v (t_r * s) is row (t_r, s) shifted into the block of t_l."""
+    def _half_sum(self, pairs, w_succ: int, w_prec: int) -> LinComb:
+        """sum(w_succ * (a succ b) + w_prec * (b prec a) for a, b in pairs), read
+        per basis pair (s, t) of a and b: s succ t = (s * t_l) v t_r is row
+        (s, t_l) strided by the count of t_r's, t prec s = t_l v (t_r * s) is
+        row (t_r, s) shifted into the block of t_l."""
         if any(LEAF in a.num or LEAF in b.num for a, b in pairs):
             raise UndefinedUnitProduct("basis half-products take trees of degree >= 1")
         rows, row_of = self._rows, self._row
-        den, sums = _sums(pairs, units)
+        den, sums = _sums(pairs)
         for a, b in pairs:
             f = den // (a.den * b.den)
             f_succ, f_prec = f * w_succ, f * w_prec

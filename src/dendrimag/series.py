@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from typing import Any, Callable, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, Sequence
 
 __all__ = [
     "CoeffSpace",
@@ -55,9 +56,15 @@ class CoeffSpace:
     space whose elements lack one of these overrides it.  Spaces with a
     product additionally implement ``mul`` and ``one`` and report
     ``has_product = True``.
+
+    ``kernels`` maps a product op to a function that sums it over a whole
+    list of operand pairs.  The class default is empty and read-only; an
+    instance with kernels gets its own mapping when it is built, and nothing
+    changes that mapping after, so threads share it read-only.
     """
 
     has_product = False
+    kernels: Mapping[Callable, Callable] = MappingProxyType({})
 
     def zero(self) -> Any:
         raise NotImplementedError
@@ -84,19 +91,21 @@ class CoeffSpace:
         """The sum of a nonempty sequence of terms, added in order."""
         return reduce(self.add, terms)
 
-    def sum_products(
-        self,
-        op: Callable[[Any, Any], Any],
-        pairs: Sequence[tuple[Any, Any]],
-        units: Sequence[tuple[Fraction, Any]] = (),
-    ) -> Any:
-        """sum(c * v for c, v in units) + sum(op(x, y) for x, y in pairs), with
-        at least one term in all.  The default hands the scaled unit terms and
-        then each product, in order, to ``sum``; a space with a kernel for a
-        whole list of pairs overrides it."""
-        terms = [v if c == 1 else self.scale(c, v) for c, v in units]
-        terms += [op(x, y) for x, y in pairs]
-        return self.sum(terms)
+    def sum_products(self, op: Callable[[Any, Any], Any], pairs: Sequence[tuple[Any, Any]]) -> Any:
+        """sum(op(x, y) for x, y in pairs) over a nonempty list of pairs.
+
+        A lone pair is op(x, y) itself, so a product method sees every single
+        product.  Longer lists go to the kernel ``kernels`` holds for op, else
+        to ``sum`` of the products in order.  A bound method compares equal on
+        every access, so a kernel keyed by one is found again; an op wrapped
+        later misses and takes the default.
+        """
+        if len(pairs) == 1:
+            return op(*pairs[0])
+        kernel = self.kernels.get(op)
+        if kernel is not None:
+            return kernel(pairs)
+        return self.sum([op(x, y) for x, y in pairs])
 
     def mul(self, x: Any, y: Any) -> Any:
         raise NotImplementedError(f"{type(self).__name__} declares no product")

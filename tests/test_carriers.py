@@ -14,11 +14,13 @@ from math import comb, gcd
 
 import pytest
 
+from dendrimag.dendriform import UnitalDendElem
 from dendrimag.grids import GridSeq, GridSpace, NonSummable, random_gridseq
+from dendrimag.instances import matrix_poly_rb
 from dendrimag.lincomb import LinComb, LinCombSpace, bilinear
 from dendrimag.matrices import MatrixSpace, RatMatrix, random_matrix, triangular_project
 from dendrimag.ode import _integral_bracket
-from dendrimag.pbt import LEAF, PBT, _catalan, _sums, _tree_at, free_dendriform, trees_of_degree
+from dendrimag.pbt import LEAF, PBT, FreeDendriform, _catalan, _sums, _tree_at, free_dendriform, trees_of_degree
 from dendrimag.polys import Poly, PolySpace, random_poly
 from dendrimag.prelie_expr import _expressions_of_degree, eval_combo, eval_planar, eval_rooted
 from dendrimag.rooted import _graft_basis, rooted_ops
@@ -502,7 +504,7 @@ def test_sparse_free_products_match_reference():
         for _ in range(6):
             i = rng.randint(1, 3)
             s, t = rng.choice(trees_of_degree(i)), _tree_at(n - i, rng.randrange(_catalan(n - i)))
-            assert isinstance(_sums([(LinComb.single(s), LinComb.single(t))], ())[1][n], dict)
+            assert isinstance(_sums([(LinComb.single(s), LinComb.single(t))])[1][n], dict)
             for prod, ref in products:
                 _check_comb(prod(LinComb.single(s), LinComb.single(t)), ref(s, t))
 
@@ -519,13 +521,90 @@ def test_free_product_sums_follow_the_pair_bound():
             assert max(len(dend._row(s, t)) for s in trees_of_degree(i) for t in trees_of_degree(j)) <= comb(i + j, i)
     # 5 * 5 * C(6, 3) = 500 >= C_6 = 132 > 5 * 1 * C(6, 3) = 100
     for a, b, listed in [(dense, dense, True), (dense, single, False), (single, single, False)]:
-        assert isinstance(_sums([(a, b)], ())[1][6], list) is listed
+        assert isinstance(_sums([(a, b)])[1][6], list) is listed
         for prod, ref in products:
             _check_comb(prod(a, b), _ref_bilinear(ref, a.terms, b.terms))
-    # the bound adds up over the pairs of one sum: 2 * 100 >= 132, and unit terms count 1 each
-    assert isinstance(_sums([(dense, single)] * 2, ())[1][6], list)
-    den, sums = _sums([(single, single)], [(Fraction(1, 3), LinComb.single(trees_of_degree(2)[0]))])
-    assert isinstance(sums[6], dict) and sums[2] == {0: 1} and den == 3
+    # the bound adds up over the pairs of one sum: 2 * 100 >= 132
+    assert isinstance(_sums([(dense, single)] * 2)[1][6], list)
+
+
+def _kernel_pairs() -> list:
+    """Four operand pairs over distinct denominators: their products sum into a
+    list at degree 6 (5 * 5 * C(6, 3) + 20 + 20 >= C_6 = 132) and into a dict
+    at degree 7 (C(7, 1) = 7 < C_7 = 429)."""
+    threes, sixes = trees_of_degree(3), trees_of_degree(6)
+    return [
+        (LinComb([(t, Fraction(k + 1, 3)) for k, t in enumerate(threes)]), LinComb([(t, Fraction(1 - k, 5)) for k, t in enumerate(threes)])),
+        (LinComb.single(threes[1], Fraction(-2, 7)), LinComb.single(threes[4], Fraction(3, 11))),
+        (LinComb.single(trees_of_degree(1)[0], Fraction(5, 13)), LinComb.single(sixes[17], Fraction(-1, 2))),
+        (LinComb.single(threes[3], Fraction(4, 17)), LinComb.single(threes[0], Fraction(1, 19))),
+    ]
+
+
+def test_free_kernel_table_sums_match_reference():
+    # each product of a fresh instance sums a list of pairs through its space's
+    # kernel table; an op outside the table sums its products one by one
+    dend = FreeDendriform()
+    space = dend.space
+    pairs = _kernel_pairs()
+    sums = _sums(pairs)[1]
+    assert sorted(sums) == [6, 7] and isinstance(sums[6], list) and isinstance(sums[7], dict)
+    products = [(dend.star, _ref_star), (dend.prec, _ref_prec), (dend.succ, _ref_succ), (dend.rhd, _ref_rhd), (dend.lhd, _ref_lhd)]
+    for op, ref in products:
+        assert op in space.kernels
+        _check_comb(space.sum_products(op, pairs), _ref_sum(*((1, _ref_bilinear(ref, a.terms, b.terms)) for a, b in pairs)))
+    swapped_star = lambda a, b: dend.star(b, a)
+    assert swapped_star not in space.kernels
+    _check_comb(space.sum_products(swapped_star, pairs), _ref_sum(*((1, _ref_bilinear(_ref_star, b.terms, a.terms)) for a, b in pairs)))
+
+
+def test_kernel_tables_belong_to_one_instance(monkeypatch):
+    # the class default is empty and read-only; another instance's bound methods,
+    # or a method wrapped after the instance was built, miss the table and take
+    # the default path to the same sum
+    with pytest.raises(TypeError):
+        CoeffSpace.kernels[RATIONALS.mul] = RATIONALS.sum
+    assert not LinCombSpace().kernels and not RATIONALS.kernels
+    dend, other = FreeDendriform(), FreeDendriform()
+    pairs = _kernel_pairs()
+    for name in ("star", "prec", "succ", "rhd", "lhd"):
+        op, foreign = getattr(dend, name), getattr(other, name)
+        assert op == getattr(dend, name) and op != foreign and foreign not in dend.space.kernels
+        assert dend.space.sum_products(foreign, pairs) == dend.space.sum_products(op, pairs)
+    calls = []
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return original(self, a, b)
+
+    original = FreeDendriform.prec
+    want = dend.space.sum_products(dend.prec, pairs)
+    monkeypatch.setattr(FreeDendriform, "prec", counted)
+    assert dend.prec not in dend.space.kernels
+    assert dend.space.sum_products(dend.prec, pairs) == want and calls == pairs
+
+
+@pytest.mark.parametrize("model", ["free", "matrix_poly"])
+def test_unital_kernel_table_sums_match_single_products(model):
+    # the unital space sums its star and both half-products through _unital_sum,
+    # with the unit terms added outside the carrier kernel
+    rng = random.Random(31)
+    dend = FreeDendriform() if model == "free" else matrix_poly_rb().dendriform()
+    usp, sample = dend.unital_space, lambda: dend.sample(rng)
+    assert set(usp.kernels) == {usp.mul, dend.half_prec, dend.half_succ}
+    unit = lambda c, v: UnitalDendElem(Fraction(c), v)
+    zero = dend.space.zero()
+    half_pairs = [
+        (unit(1, sample()), unit(0, sample())),
+        (unit(0, sample()), unit(-3, sample())),
+        (unit(Fraction(2, 5), sample()), unit(0, sample())),
+        (unit(0, sample()), unit(0, sample())),
+        (unit(Fraction(1, 3), zero), unit(0, sample())),
+        (unit(0, sample()), unit(7, zero)),
+    ]
+    star_pairs = half_pairs + [(unit(2, sample()), unit(Fraction(-1, 2), sample())), (unit(3, zero), unit(5, zero))]
+    for op, pairs in ((usp.mul, star_pairs), (dend.half_prec, half_pairs), (dend.half_succ, half_pairs)):
+        assert usp.eq(usp.sum_products(op, pairs), usp.sum([op(x, y) for x, y in pairs]))
 
 
 def test_eval_combo_matches_fraction_reference():

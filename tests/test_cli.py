@@ -229,6 +229,16 @@ def test_solve_constant_matrix(tmp_path, capsys):
     assert np.max(np.abs(np.array(summary["final"]) - expected)) <= 1e-10
 
 
+@pytest.mark.parametrize("target", ["missing/conv.csv", "."], ids=["missing_parent", "directory"])
+def test_solve_unwritable_out_exits_2(capsys, tmp_path, target):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 1, "degree": 0, "coeffs": [[1.0]]}))
+    out = tmp_path / target
+    code, stdout, err = run_cli(capsys, "solve", "--matrix", str(path), "--steps", "4", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"solve: cannot write --out {out}: ") and "Traceback" not in err
+
+
 def test_solve_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "solve", "--matrix", str(tmp_path / "absent.json"))
     assert code == 2 and "cannot read matrix file" in err

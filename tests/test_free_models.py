@@ -146,8 +146,9 @@ def _product_results(dend, pairs):
 
 
 def _series_results(dend, xs, ys):
-    """A unital series product and a series_half_prec, each summing whole degrees
-    in the pair-list kernels, unit terms included."""
+    """A unital series product and a series_half_prec, each summing the carrier
+    pairs of a whole degree in one pair-list kernel, with the unit terms added
+    after it."""
     usp = dend.unital_space
     x = TruncatedSeries(usp, 4, [usp.one()] + [dend.embed(c) for c in xs])
     y = TruncatedSeries(usp, 4, [usp.zero()] + [dend.embed(c) for c in ys])

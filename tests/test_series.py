@@ -190,7 +190,8 @@ def test_series_product_matches_naive_double_sum(rng):
 
 @pytest.mark.parametrize("model", ["tri_rb", "free"])
 def test_half_products_match_naive_double_sum(model, request, rng):
-    # the free model sums each degree in its pair-list kernels, unit terms included
+    # the unital space sums each degree through _unital_sum: the free model's carrier
+    # pairs go to one pair-list kernel, and one carrier sum adds the unit terms
     from dendrimag.pbt import free_dendriform
 
     if model == "free":
@@ -210,7 +211,7 @@ def test_half_products_match_naive_double_sum(model, request, rng):
 
 
 def test_lincomb_series_product_matches_naive_double_sum(rng):
-    # the free model's own space hands all nonzero pairs of one degree to one
+    # the free model's kernel table hands all nonzero pairs of one degree to one
     # pair-list kernel, over mixed denominators: star, rhd, and lhd with its
     # operands swapped as in the right Magnus shape
     from dendrimag.lincomb import LinComb
@@ -235,7 +236,7 @@ def test_lincomb_series_product_matches_naive_double_sum(rng):
     single = [LinComb.single(threes[k], Fraction(-2, q)) for k, q in ((1, 7), (4, 11))]
     x = TruncatedSeries(space, 4, [space.zero(), dense[0], single[0]])
     y = TruncatedSeries(space, 4, [space.zero(), dense[1], single[1]])
-    kinds = [type(_sums([(x.coeff(i), y.coeff(n - i)) for i in range(1, n)], ())[1][6]) for n in (2, 3, 4)]
+    kinds = [type(_sums([(x.coeff(i), y.coeff(n - i)) for i in range(1, n)])[1][6]) for n in (2, 3, 4)]
     assert kinds == [list, list, defaultdict]
     check(x, y)
 
