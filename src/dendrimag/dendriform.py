@@ -17,7 +17,10 @@ satisfy the pre-Lie identities and share one Lie bracket with ``*``.
 Contracts here are verified by sampling, not by proof: every concrete
 instance registers a sample generator, and the checkers in this module
 evaluate the axioms as exact equalities on the samples (the free models get
-exhaustive basis checks in their own modules).
+exhaustive basis checks in their own modules).  The checks run sample by
+sample, every axiom on one sample before the next, and the instance's own
+products are shared within a sample: a product that several axioms need is
+computed once (``report.SampleMemo``), never rebuilt from other products.
 
 The unit is adjoined structurally: a :class:`UnitalDendElem` is a rational
 multiple of the formal unit plus a carrier element, with
@@ -39,7 +42,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
-from .report import VerificationReport
+from .report import SampleMemo, VerificationReport
 from .series import CoeffSpace, TruncatedSeries, bilinear_terms
 
 __all__ = [
@@ -337,7 +340,9 @@ def check_dendriform_axioms(
 ) -> VerificationReport:
     """(A1)-(A3), star associativity, and the Zinbiel flag when declared."""
     rep = VerificationReport(name or f"dendriform axioms [{dend.name}]")
-    eq, prec, succ, star = dend.space.eq, dend.prec, dend.succ, dend.star
+    memo = SampleMemo()
+    eq = dend.space.eq
+    prec, succ, star = memo.wrap(dend.prec, dend.succ, dend.star)
     axioms = [
         ("(A1) (a<b)<c = a<(b*c)", lambda a, b, c: eq(prec(prec(a, b), c), prec(a, star(b, c)))),
         ("(A2) (a>b)<c = a>(b<c)", lambda a, b, c: eq(prec(succ(a, b), c), succ(a, prec(b, c)))),
@@ -346,7 +351,7 @@ def check_dendriform_axioms(
     ]
     if dend.commutative:
         axioms.append(("Zinbiel flag: x>y = y<x", lambda a, b, c: eq(succ(a, b), prec(b, a))))
-    rep.add_sampled(triples, axioms, "triples")
+    rep.add_sampled(triples, axioms, "triples", memo)
     return rep
 
 
@@ -356,7 +361,9 @@ def check_prelie_identities(
     """Left/right pre-Lie identities for rhd/lhd and the shared Lie bracket."""
     rep = VerificationReport(name or f"pre-Lie identities [{dend.name}]")
     sp = dend.space
-    eq, sub, rhd, lhd, star = sp.eq, sp.sub, dend.rhd, dend.lhd, dend.star
+    memo = SampleMemo()
+    eq, sub = sp.eq, sp.sub
+    rhd, lhd, star = memo.wrap(dend.rhd, dend.lhd, dend.star)
 
     def left(a, b, c):
         return eq(sub(rhd(rhd(a, b), c), rhd(a, rhd(b, c))), sub(rhd(rhd(b, a), c), rhd(b, rhd(a, c))))
@@ -376,6 +383,7 @@ def check_prelie_identities(
             ("brackets of *, rhd, lhd coincide", brackets),
         ],
         "triples",
+        memo,
     )
     return rep
 
@@ -385,7 +393,9 @@ def check_tridendriform_axioms(
 ) -> VerificationReport:
     """The seven axioms plus associativity of the three-term sum product."""
     rep = VerificationReport(name or f"tridendriform axioms [{tri.name}]")
-    eq, lt, gt, dot, star = tri.space.eq, tri.lt, tri.gt, tri.dot, tri.star
+    memo = SampleMemo()
+    eq = tri.space.eq
+    lt, gt, dot, star = memo.wrap(tri.lt, tri.gt, tri.dot, tri.star)
     axioms = [
         ("(x<y)<z = x<(y*z)", lambda x, y, z: eq(lt(lt(x, y), z), lt(x, star(y, z)))),
         ("(x>y)<z = x>(y<z)", lambda x, y, z: eq(lt(gt(x, y), z), gt(x, lt(y, z)))),
@@ -396,7 +406,7 @@ def check_tridendriform_axioms(
         ("(x.y).z = x.(y.z)", lambda x, y, z: eq(dot(dot(x, y), z), dot(x, dot(y, z)))),
         ("star associativity", lambda x, y, z: eq(star(star(x, y), z), star(x, star(y, z)))),
     ]
-    rep.add_sampled(triples, axioms, "triples")
+    rep.add_sampled(triples, axioms, "triples", memo)
     return rep
 
 

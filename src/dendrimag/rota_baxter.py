@@ -54,7 +54,7 @@ from typing import Any, Callable
 
 from .dendriform import Dendriform, Tridendriform, UnitalDendElem, sample_tuples
 from .magnus_fer import fer, magnus, magnus_from_series
-from .report import VerificationReport
+from .report import SampleMemo, VerificationReport
 from .series import CoeffSpace, TruncatedSeries, bch, series_exp, series_log
 
 __all__ = [
@@ -193,7 +193,9 @@ def check_rb_relation(rb: RotaBaxter, samples: int, seed: int = 0) -> Verificati
     """(RB) for R and for Rt, plus the morphism identities for the double product."""
     rep = VerificationReport(f"Rota-Baxter relation [{rb.name}], weight {rb.weight}")
     sp = rb.space
-    eq, mul, r, rt = sp.eq, sp.mul, rb.r, rb.r_tilde
+    memo = SampleMemo()
+    eq = sp.eq
+    mul, r, rt = memo.wrap(sp.mul, rb.r, rb.r_tilde)
 
     def relation(op):
         def holds(a, b, _):
@@ -216,7 +218,7 @@ def check_rb_relation(rb: RotaBaxter, samples: int, seed: int = 0) -> Verificati
         identities.append(("declared commutative carrier", lambda a, b, _: eq(mul(a, b), mul(b, a))))
     pairs = sample_tuples(rb, random.Random(seed), samples, 2)
     # the double product a *t b rides along with its pair, computed once
-    rep.add_sampled(((a, b, double_product(rb, a, b)) for a, b in pairs), identities, "pairs")
+    rep.add_sampled(((a, b, double_product(rb, a, b)) for a, b in pairs), identities, "pairs", memo)
     return rep
 
 

@@ -188,6 +188,10 @@ def test_grid_equality_hash_and_round_trips():
     assert space.one().values == (Fraction(1),) * 5
     assert repr(GridSeq(theta, [Fraction(1, 3), 0])) == "GridSeq(theta=1/2, ['1/3', '0'])"
     assert GridSeq(theta, [1, 0]).to_json() == {"theta": "1/2", "values": ["1", "0"]}
+    # same numerators over different denominators: different sequences
+    halves, thirds = GridSeq(theta, [Fraction(1, 2), Fraction(3, 2)]), GridSeq(theta, [Fraction(1, 3), 1])
+    assert halves.num == thirds.num == (1, 3) and (halves.den, thirds.den) == (2, 3)
+    assert halves != thirds and not halves == thirds and not space.eq(halves, thirds)
 
 
 @pytest.mark.parametrize("theta", [0, Fraction(0), -1, Fraction(-1, 2)])

@@ -9,6 +9,7 @@ so a failing count reads 1/n: the counter counts, it does not just flag.
 """
 
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from dendrimag.dendriform import (
 )
 from dendrimag.instances import grid_rb, matrix_poly_rb, triangular_rb
 from dendrimag.matrices import MatrixSpace, random_matrix, triangular_project
-from dendrimag.report import VerificationReport
+from dendrimag.report import SampleMemo, VerificationReport
 from dendrimag.rota_baxter import RBDendriform, RBTridendriform, RotaBaxter, check_rb_relation
 from dendrimag.series import RATIONALS, TruncatedSeries
 
@@ -59,10 +60,75 @@ def test_add_sampled_reads_a_generator_once():
     assert not rep.ok
 
 
+def test_add_sampled_runs_every_identity_on_a_sample_before_the_next():
+    seen = []
+
+    def logged(label):
+        return lambda x: seen.append((label, x)) or True
+
+    rep = VerificationReport("order")
+    rep.add_sampled(((x,) for x in (1, 2)), [("p", logged("p")), ("q", logged("q"))], "samples")
+    assert seen == [("p", 1), ("q", 1), ("p", 2), ("q", 2)]
+
+
+def _counted(calls: list, name: str, f):
+    def op(*args):
+        calls.append((name, *args))
+        return f(*args)
+
+    return op
+
+
+def test_sample_memo_runs_each_call_once_and_keeps_ops_apart():
+    calls = []
+    plus = _counted(calls, "plus", lambda a, b: [a[0] + b[0]])
+    times = _counted(calls, "times", lambda a, b: [a[0] * b[0]])
+    negate = _counted(calls, "negate", lambda a: [-a[0]])
+    memo = SampleMemo()
+    # two wrap calls, the same operands: each op keeps its own results
+    p, neg = memo.wrap(plus, negate)
+    (t,) = memo.wrap(times)
+    x, y = [2], [3]
+    assert p(x, y) == [5] and t(x, y) == [6] and neg(x) == [-2]
+    assert p(x, y) is p(x, y) and t(x, y) is t(x, y) and neg(x) is neg(x)
+    assert p(y, x) == [5] and p(p(x, y), y) == [8]
+    assert calls == [("plus", x, y), ("times", x, y), ("negate", x), ("plus", y, x), ("plus", [5], y)]
+    # operands that are equal but distinct objects are distinct keys
+    assert p([2], [3]) == [5] and len(calls) == 6
+    memo.clear()
+    assert p(x, y) == [5] and len(calls) == 7
+
+
+def test_add_sampled_clears_the_memo_before_each_sample():
+    calls = []
+    memo = SampleMemo()
+    (p,) = memo.wrap(_counted(calls, "plus", lambda a, b: [a[0] + b[0]]))
+    identities = [
+        ("sum", lambda a, b: p(a, b)[0] == a[0] + b[0]),
+        ("doubled sum", lambda a, b: p(p(a, b), p(a, b))[0] == 2 * (a[0] + b[0])),
+        ("commutes", lambda a, b: p(a, b) == p(b, a)),
+    ]
+    x, y = [1], [2]
+    rep = VerificationReport("memo")
+    # the same operand objects twice: a memo kept across samples would skip the second
+    rep.add_sampled(((x, y) for _ in range(2)), identities, "pairs", memo)
+    assert [(c.ok, c.detail) for c in rep.checks] == [(True, "2/2 pairs")] * 3
+    per_sample = [("plus", x, y), ("plus", [3], [3]), ("plus", y, x)]
+    assert calls == per_sample * 2
+
+
 def test_add_sampled_on_no_samples_passes_with_zero_count():
     rep = VerificationReport("empty")
     rep.add_sampled([], [("anything", lambda *s: False)], "pairs")
     assert [(c.ok, c.detail) for c in rep.checks] == [(True, "0/0 pairs")]
+
+
+def test_add_residuals_names_a_residual_at_degree_zero():
+    lhs = TruncatedSeries(RATIONALS, 3, [Fraction(1), Fraction(2), Fraction(0), Fraction(5)])
+    rhs = TruncatedSeries(RATIONALS, 3, [Fraction(0), Fraction(2), Fraction(0), Fraction(5)])
+    rep = VerificationReport("residuals")
+    rep.add_residuals("differ at 0 only", lhs, rhs)
+    assert [(c.ok, c.detail) for c in rep.checks] == [(False, "nonzero residual at degrees [0]")]
 
 
 def test_add_residuals_names_each_nonzero_degree():
@@ -99,6 +165,26 @@ def test_dendriform_with_succ_as_product_fails_a1_a3_and_prelie():
         {"left pre-Lie identity for rhd", "right pre-Lie identity for lhd"},
         N + 1,
         "triples",
+    )
+
+
+class _StarDoubled(AssocDendriform):
+    """star = 2ab while prec and succ stay correct: only checks that call star see it."""
+
+    def star(self, a, b):
+        return self.space.scale(Fraction(2), self.space.mul(a, b))
+
+
+def test_checkers_call_the_instances_own_star():
+    dend = _StarDoubled(MatrixSpace(3), lambda rng: random_matrix(rng, 3), "star doubled")
+    triples = _with_zero(dend.space, sample_tuples(dend, random.Random(15), N, 3))
+    # (A1) reads star(b, c); star associativity holds for 2ab, and (A2), (A3) see only succ = 0
+    _assert_fails_exactly(
+        check_dendriform_axioms(dend, triples), {"(A1) (a<b)<c = a<(b*c)"}, N + 1, "triples"
+    )
+    # rhd and lhd come from prec and succ, so only the bracket of star disagrees
+    _assert_fails_exactly(
+        check_prelie_identities(dend, triples), {"brackets of *, rhd, lhd coincide"}, N + 1, "triples"
     )
 
 
@@ -205,3 +291,60 @@ def test_half_prec_ignoring_the_unit_fails_only_the_sample_rule(make_rb):
     _assert_fails_exactly(
         check_unit_rules(dend, elems), {"a<1 = a = 1>a and 1<a = 0 = a>1"}, N + 1, "samples"
     )
+
+
+class _SuccKeepsLeftOfUnit(RBDendriform):
+    """half_succ(x, 1) returns x instead of 0; the other unit rules hold."""
+
+    def half_succ(self, x, y):
+        if y.scalar and not x.scalar:
+            return UnitalDendElem(Fraction(0), x.vec)
+        return super().half_succ(x, y)
+
+
+def test_half_succ_keeping_x_before_the_unit_fails_only_the_sample_rule():
+    dend = _SuccKeepsLeftOfUnit(triangular_rb())
+    rng = random.Random(16)
+    elems = [dend.space.zero()] + [dend.sample(rng) for _ in range(N)]
+    _assert_fails_exactly(
+        check_unit_rules(dend, elems), {"a<1 = a = 1>a and 1<a = 0 = a>1"}, N + 1, "samples"
+    )
+
+
+class _PrecAcceptsUnitUnit(RBDendriform):
+    """half_prec(1, 1) returns the unit instead of raising."""
+
+    def half_prec(self, x, y):
+        if x.scalar and y.scalar:
+            return self.unit()
+        return super().half_prec(x, y)
+
+
+def test_half_prec_accepting_unit_unit_fails_only_its_rejection():
+    dend = _PrecAcceptsUnitUnit(triangular_rb())
+    rng = random.Random(17)
+    rep = check_unit_rules(dend, [dend.sample(rng) for _ in range(N)])
+    assert [(c.label, c.ok, c.detail) for c in rep.checks if not c.ok] == [
+        ("1<1 rejected", False, "no error raised")
+    ], rep.summary()
+    assert {c.label: c.detail for c in rep.checks}["a<1 = a = 1>a and 1<a = 0 = a>1"] == f"{N}/{N} samples"
+    assert not rep.ok
+
+
+def test_threads_sharing_an_instance_get_one_summary():
+    tri = RBTridendriform(triangular_rb())
+    triples = sample_tuples(tri, random.Random(18), 20, 3)
+    start = threading.Barrier(8)
+    summaries = [None] * 8
+
+    def run(i):
+        start.wait()
+        summaries[i] = check_tridendriform_axioms(tri, triples).summary()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert summaries[0] is not None and "20/20 triples" in summaries[0]
+    assert summaries == [summaries[0]] * 8
