@@ -43,6 +43,7 @@ from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
 from .report import SampleMemo, VerificationReport
+from .scalars import rational_str
 from .series import CoeffSpace, TruncatedSeries, bilinear_terms
 
 __all__ = [
@@ -277,8 +278,6 @@ class UnitalSpace(CoeffSpace):
         return UnitalDendElem(Fraction(1), self.carrier.zero())
 
     def element_json(self, x: UnitalDendElem):
-        from .scalars import rational_str
-
         return {"unit": rational_str(x.scalar), "carrier": self.carrier.element_json(x.vec)}
 
 

@@ -24,9 +24,11 @@ and telescopes against the forward summation: shift_sum(diff(f)) = f.
 ``diff`` extends the window by one slot; ``shift_sum`` needs a total sum of
 zero (always true of differences) to keep its output finitely supported.
 
-The values are stored as a tuple of integer numerators over one positive
-integer denominator, in lowest terms (``scalars.reduced``); every operator
-above runs on ints and builds no per-entry ``Fraction``.  ``Fraction`` is
+A :class:`GridSeq` is a ``scalars.DenseRational`` whose shape is theta: a
+tuple of integer numerators over one positive integer denominator, in
+lowest terms.  Sums, scaling, equality and hashing come from the base, which
+reads a shorter window as padded with zeros; every operator above runs on
+ints too and builds no per-entry ``Fraction``.  ``Fraction`` is
 used only at the boundary: the constructor, ``theta`` (which must be
 positive), the ``scale`` argument, the read-only ``values`` property,
 ``repr`` and ``to_json``.
@@ -39,15 +41,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable
 
-from .scalars import (
-    add_vectors,
-    as_fractions,
-    common_denominator,
-    random_rationals,
-    rational_str,
-    reduced,
-    scale_vector,
-)
+from .scalars import DenseRational, as_fractions, common_denominator, random_rationals, rational_str, reduced
 from .series import CoeffSpace
 
 __all__ = ["GridSeq", "GridSpace", "NonSummable", "random_gridseq"]
@@ -65,8 +59,9 @@ def _positive_theta(theta: Fraction) -> Fraction:
     return theta
 
 
-class GridSeq:
-    __slots__ = ("theta", "num", "den")
+class GridSeq(DenseRational, shape="theta"):
+    __slots__ = ("theta",)
+    _mismatch = "grid spacing mismatch"
 
     def __init__(self, theta: Fraction, values: Iterable[Fraction | int]):
         self.theta = _positive_theta(theta)
@@ -83,53 +78,17 @@ class GridSeq:
     def values(self) -> tuple[Fraction, ...]:
         return as_fractions(self.num, self.den)
 
-    def _padded(self, other: "GridSeq"):
-        if self.theta is not other.theta and self.theta != other.theta:
-            raise ValueError("grid spacing mismatch")
-        a, b = self.num, other.num
-        if len(a) < len(b):
-            a += (0,) * (len(b) - len(a))
-        elif len(b) < len(a):
-            b += (0,) * (len(a) - len(b))
-        return a, b
+    def _like(self, num: tuple[int, ...], den: int) -> "GridSeq":
+        g = object.__new__(GridSeq)
+        g.theta, g.num, g.den = self.theta, num, den
+        return g
 
-    def _combine(self, other: "GridSeq", sign: int) -> "GridSeq":
-        a, b = self._padded(other)
-        return GridSeq._make(self.theta, *add_vectors(a, self.den, b, other.den, sign))
-
-    def __add__(self, other: "GridSeq") -> "GridSeq":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "GridSeq") -> "GridSeq":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "GridSeq":
-        return GridSeq._make(self.theta, tuple(-v for v in self.num), self.den)
-
-    def scale(self, c: Fraction) -> "GridSeq":
-        return GridSeq._make(self.theta, *scale_vector(self.num, self.den, c))
+    # bench/tracer.py finds span targets only in the class's own dict
+    __add__ = DenseRational.__add__
 
     def __mul__(self, other: "GridSeq") -> "GridSeq":
-        a, b = self._padded(other)
+        a, b = self._align(other)
         return GridSeq._make(self.theta, *reduced([x * y for x, y in zip(a, b)], self.den * other.den))
-
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GridSeq):
-            return NotImplemented
-        if self.theta is not other.theta and self.theta != other.theta:
-            return False  # sequences on different grids differ, as their hashes do
-        a, b = self._padded(other)
-        return self.den == other.den and a == b
-
-    def __hash__(self):
-        num = self.num
-        k = len(num)
-        while k and not num[k - 1]:
-            k -= 1
-        return hash((self.theta, self.den, num[:k]))
 
     def __repr__(self) -> str:
         return f"GridSeq(theta={rational_str(self.theta)}, {[rational_str(v) for v in self.values]})"
@@ -194,9 +153,6 @@ class GridSpace(CoeffSpace):
 
     def one(self) -> GridSeq:
         return GridSeq._make(self.theta, (1,) * self.length, 1)
-
-    def element_json(self, x: GridSeq):
-        return x.to_json()
 
 
 def random_gridseq(rng: random.Random, theta: Fraction, length: int, span: int = 4) -> GridSeq:

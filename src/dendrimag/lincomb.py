@@ -157,9 +157,6 @@ class LinCombSpace(CoeffSpace):
     def sum(self, terms: Sequence[LinComb]) -> LinComb:
         return combine((1, t) for t in terms)
 
-    def element_json(self, x: LinComb):
-        return x.to_json()
-
 
 def bilinear(f: Callable[[Any, Any], LinComb]) -> Callable[[LinComb, LinComb], LinComb]:
     """Extend a basis-pair product to linear combinations (over x.den * y.den)."""

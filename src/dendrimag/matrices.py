@@ -3,10 +3,11 @@
 Carrier of two structures: the idempotent triangular-projection Rota-Baxter
 operator (weight -1), and the associative-degeneration dendriform instance.
 
-A :class:`RatMatrix` stores its entries as a flat row-major tuple of n*n
-integer numerators over one positive integer denominator, in lowest terms
-(``scalars.reduced``), so sums, products, scaling, projection, equality and
-hashing run on ints and build no per-entry ``Fraction``.  ``Fraction`` is
+A :class:`RatMatrix` is a ``scalars.DenseRational`` of shape n: a flat
+row-major tuple of n*n integer numerators over one positive integer
+denominator, in lowest terms.  Sums, scaling, equality and hashing come from
+the base; the product and the projection run on ints too, so no operation
+builds a per-entry ``Fraction``.  ``Fraction`` is
 used only at the boundary: the constructor from user rows, the ``scale``
 argument, the read-only ``rows`` property, ``repr`` and ``to_json``.
 Matrices serialize as flat row-major arrays of "p/q" strings.
@@ -19,22 +20,15 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable
 
-from .scalars import (
-    add_vectors,
-    as_fractions,
-    common_denominator,
-    random_rationals,
-    rational_str,
-    reduced,
-    scale_vector,
-)
+from .scalars import DenseRational, as_fractions, common_denominator, random_rationals, rational_str, reduced
 from .series import CoeffSpace
 
 __all__ = ["RatMatrix", "MatrixSpace", "triangular_project", "random_matrix"]
 
 
-class RatMatrix:
-    __slots__ = ("n", "num", "den")
+class RatMatrix(DenseRational, shape="n"):
+    __slots__ = ("n",)
+    _mismatch = "dimension mismatch"
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]):
         rows = [list(row) for row in rows]
@@ -65,42 +59,21 @@ class RatMatrix:
         n = self.n
         return tuple(entries[i * n : (i + 1) * n] for i in range(n))
 
-    def _combine(self, other: "RatMatrix", sign: int) -> "RatMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return RatMatrix._make(self.n, *add_vectors(self.num, self.den, other.num, other.den, sign))
+    def _like(self, num: tuple[int, ...], den: int) -> "RatMatrix":
+        m = object.__new__(RatMatrix)
+        m.n, m.num, m.den = self.n, num, den
+        return m
 
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix._make(self.n, tuple(-a for a in self.num), self.den)
-
-    def scale(self, c: Fraction) -> "RatMatrix":
-        return RatMatrix._make(self.n, *scale_vector(self.num, self.den, c))
+    # bench/tracer.py finds span targets only in the class's own dict
+    __add__ = DenseRational.__add__
+    scale = DenseRational.scale
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
+        a, b = self._align(other)
         n = self.n
-        if n != other.n:
-            raise ValueError("dimension mismatch")
-        a, b = self.num, other.num
         cols = [b[j::n] for j in range(n)]
         num = [sum(map(mul, a[i : i + n], col)) for i in range(0, n * n, n) for col in cols]
         return RatMatrix._make(n, *reduced(num, self.den * other.den))
-
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        return self.n == other.n and self.den == other.den and self.num == other.num
-
-    def __hash__(self):
-        return hash((self.n, self.den, self.num))
 
     def __repr__(self) -> str:
         return f"RatMatrix({[[rational_str(a) for a in row] for row in self.rows]})"
@@ -123,9 +96,6 @@ class MatrixSpace(CoeffSpace):
 
     def one(self) -> RatMatrix:
         return RatMatrix.identity(self.n)
-
-    def element_json(self, x: RatMatrix):
-        return x.to_json()
 
 
 def triangular_project(m: RatMatrix) -> RatMatrix:

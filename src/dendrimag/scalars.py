@@ -1,19 +1,19 @@
-"""Exact scalar arithmetic: rational numbers and Bernoulli numbers.
+"""Exact scalar arithmetic: rational numbers, the dense carrier base, Bernoulli numbers.
 
 The scalar field throughout the exact half of this package is the rationals.
 Single scalars (weights, Bernoulli numbers, user-facing scales, the grid
 spacing) are ``fractions.Fraction`` (arbitrary precision, always in lowest
 terms, positive denominator).  The carriers instead store integer numerators
 over one shared positive denominator, computed in ints and kept in lowest
-terms by one ``gcd`` pass per result: the dense ``RatMatrix``, ``GridSeq``
-and ``Poly`` (over rationals or rational matrices) through :func:`reduced`,
-:func:`add_vectors` and :func:`scale_vector` here, the sparse ``LinComb``
-through ``lincomb.combine``.  ``Fraction`` appears there only at the
-boundary (for the dense ones, :func:`common_denominator` in and
-:func:`as_fractions` out; the samplers draw ints through
-:func:`random_rationals`).  This module also has the serialization helpers
-("p/q" strings) used by every JSON payload, and the Bernoulli numbers that
-drive the Magnus recursion.
+terms by one ``gcd`` pass per result (:func:`reduced`): the dense
+``RatMatrix``, ``GridSeq`` and ``Poly`` (over rationals or rational
+matrices) share their linear arithmetic, equality and hashing through
+:class:`DenseRational` here, the sparse ``LinComb`` runs on a dict through
+``lincomb.combine``.  ``Fraction`` appears there only at the boundary (for
+the dense ones, :func:`common_denominator` in and :func:`as_fractions` out;
+the samplers draw ints through :func:`random_rationals`).  This module also
+has the serialization helpers ("p/q" strings) used by every JSON payload,
+and the Bernoulli numbers that drive the Magnus recursion.
 
 Bernoulli convention
 --------------------
@@ -47,8 +47,7 @@ __all__ = [
     "random_rationals",
     "common_denominator",
     "as_fractions",
-    "add_vectors",
-    "scale_vector",
+    "DenseRational",
 ]
 
 
@@ -77,7 +76,7 @@ def reduced(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     g = gcd(den, *num)
     if g == 1:
         return tuple(num), den
-    return tuple(x // g for x in num), den // g
+    return tuple([x // g for x in num]), den // g
 
 
 def random_rationals(rng: random.Random, count: int, span: int) -> tuple[tuple[int, ...], int]:
@@ -100,28 +99,97 @@ def common_denominator(values: Iterable[Fraction | int]) -> tuple[tuple[int, ...
     return tuple(p * (den // q) for p, q in pq), den
 
 
-def add_vectors(
-    a: Sequence[int], da: int, b: Sequence[int], db: int, sign: int = 1
-) -> tuple[tuple[int, ...], int]:
-    """a/da + sign * b/db over the least common denominator, in lowest terms."""
-    if da == db:
-        if sign == 1:
-            return reduced([x + y for x, y in zip(a, b)], da)
-        return reduced([x - y for x, y in zip(a, b)], da)
-    g = gcd(da, db)
-    fa, fb = db // g, sign * (da // g)
-    return reduced([x * fa + y * fb for x, y in zip(a, b)], da * fa)
-
-
-def scale_vector(num: Sequence[int], den: int, c: Fraction | int) -> tuple[tuple[int, ...], int]:
-    """c * num/den in lowest terms."""
-    p, q = ratio(c)
-    return reduced([p * x for x in num], den * q)
-
-
 def as_fractions(num: Iterable[int], den: int) -> tuple[Fraction, ...]:
     """The entries num/den as Fractions (the read-only boundary)."""
     return tuple(Fraction(x, den) for x in num)
+
+
+class DenseRational:
+    """A shape plus a tuple ``num`` of int numerators over one positive ``den``,
+    in lowest terms (:func:`reduced`).
+
+    A subclass names the slot that holds its shape in its class statement,
+    ``class RatMatrix(DenseRational, shape="n")``, and defines ``_like(num,
+    den)`` (an element of its own type and shape from numerators already in
+    lowest terms) and ``_mismatch`` (the message of the ``ValueError`` raised
+    when shapes differ).  Two operands of one type and shape may hold
+    numerator tuples of different lengths: the shorter one reads as padded
+    with zeros, so trailing zeros change neither equality nor the hash.
+    Operands of different types raise ``TypeError`` and never compare equal.
+    """
+
+    __slots__ = ("num", "den")
+    _mismatch = "shape mismatch"
+
+    def __init_subclass__(cls, shape: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the slot's own descriptor, so self._shape reads the shape without a call
+        cls._shape = vars(cls)[shape]
+
+    def _like(self, num: tuple[int, ...], den: int) -> "DenseRational":
+        raise NotImplementedError
+
+    def _align(self, other: "DenseRational") -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The numerators of self and other, the shorter one padded with zeros;
+        raises unless other has the type and shape of self."""
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        s, t = self._shape, other._shape
+        if s is not t and s != t:  # identity first: a Fraction shape compares slowly
+            raise ValueError(self._mismatch)
+        a, b = self.num, other.num
+        d = len(a) - len(b)
+        if d < 0:
+            a += (0,) * -d
+        elif d:
+            b += (0,) * d
+        return a, b
+
+    def _combine(self, other: "DenseRational", sign: int) -> "DenseRational":
+        """self + sign * other over the least common denominator, in lowest terms."""
+        a, b = self._align(other)
+        da, db = self.den, other.den
+        if da == db:
+            if sign == 1:
+                return self._like(*reduced([x + y for x, y in zip(a, b)], da))
+            return self._like(*reduced([x - y for x, y in zip(a, b)], da))
+        g = gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        return self._like(*reduced([x * fa + y * fb for x, y in zip(a, b)], da * fa))
+
+    def __add__(self, other: "DenseRational") -> "DenseRational":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "DenseRational") -> "DenseRational":
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "DenseRational":
+        return self._like(tuple(-x for x in self.num), self.den)
+
+    def scale(self, c: Fraction | int) -> "DenseRational":
+        p, q = ratio(c)
+        return self._like(*reduced([p * x for x in self.num], self.den * q))
+
+    def is_zero(self) -> bool:
+        return not any(self.num)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.den != other.den:
+            return False
+        s, t = self._shape, other._shape
+        if s is not t and s != t:
+            return False  # carriers of different shapes differ, as their hashes do
+        a, b = self._align(other)
+        return a == b
+
+    def __hash__(self):
+        num = self.num
+        k = len(num)
+        while k and not num[k - 1]:
+            k -= 1
+        return hash((self._shape, self.den, num[:k]))
 
 
 _bernoulli_cache = [Fraction(1)]

@@ -24,6 +24,8 @@ from functools import reduce
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, Sequence
 
+from .scalars import rational_str
+
 __all__ = [
     "CoeffSpace",
     "FractionSpace",
@@ -51,11 +53,11 @@ class CoeffSpace:
 
     Subclasses implement ``zero``.  The other operations default to the
     element's own: ``add`` is ``x + y``, ``sub`` is ``x - y``, ``neg`` is
-    ``-x``, ``scale`` is ``x.scale(c)``, ``is_zero`` is ``x.is_zero()`` and
-    ``eq`` is ``x == y``; ``sum`` folds ``add`` over its terms in order.  A
-    space whose elements lack one of these overrides it.  Spaces with a
-    product additionally implement ``mul`` and ``one`` and report
-    ``has_product = True``.
+    ``-x``, ``scale`` is ``x.scale(c)``, ``is_zero`` is ``x.is_zero()``,
+    ``eq`` is ``x == y`` and ``element_json`` is ``x.to_json()``; ``sum``
+    folds ``add`` over its terms in order.  A space whose elements lack one
+    of these overrides it.  Spaces with a product additionally implement
+    ``mul`` and ``one`` and report ``has_product = True``.
 
     ``kernels`` maps a product op to a function that sums it over a whole
     list of operand pairs.  The class default is empty and read-only; an
@@ -114,8 +116,8 @@ class CoeffSpace:
         raise NotImplementedError(f"{type(self).__name__} declares no unit")
 
     def element_json(self, x: Any) -> Any:
-        """JSON-serializable form of one coefficient (spaces override)."""
-        return str(x)
+        """JSON-serializable form of one coefficient."""
+        return x.to_json()
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -142,8 +144,6 @@ class FractionSpace(CoeffSpace):
         return _ONE
 
     def element_json(self, x: Fraction) -> str:
-        from .scalars import rational_str
-
         return rational_str(x)
 
 

@@ -8,9 +8,13 @@ Poly product is also checked against a naive double sum over both of its
 coefficient spaces.
 """
 
+import importlib.util
+import operator
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +215,12 @@ def test_grid_spacing_mismatch():
     assert a != b and not a == b
     assert GridSeq(Fraction(1, 2), [1]) != GridSeq(Fraction(1, 3), [1])
     assert GridSeq(Fraction(1), []) != GridSeq(Fraction(2), [])
+    # equal spacings held in distinct Fractions are one grid: shapes compare by value
+    h1, h2 = Fraction(1, 2), Fraction(2, 4)
+    assert h1 is not h2
+    x, y = GridSeq(h1, [1, 2]), GridSeq(h2, [1, 2, 0])
+    assert x == y and y == x and hash(x) == hash(y)
+    assert x + y == x.scale(2) and (x - y).is_zero() and x * y == GridSeq(h2, [1, 4])
 
 
 # -- Poly -----------------------------------------------------------------------
@@ -364,11 +374,31 @@ def test_poly_coefficient_space_mismatch():
     assert p == q and (p + q) == p.scale(2) and p * q == p
     with pytest.raises(ValueError, match="coefficient space mismatch"):
         Poly(MatrixSpace(2), [RatMatrix.identity(3)])
+    # a matrix polynomial is not a matrix coefficient, though its blocks have the right size
+    with pytest.raises(ValueError, match="coefficient space mismatch"):
+        Poly(MatrixSpace(2), [Poly(MatrixSpace(2), [RatMatrix.identity(2)] * 2)])
     for base in (GridSpace(Fraction(1), 3), LinCombSpace(), PolySpace(), CoeffSpace()):
         with pytest.raises(TypeError):
             PolySpace(base)
         with pytest.raises(TypeError):
             Poly(base)
+
+
+def test_carriers_of_different_types_never_combine():
+    m2 = MatrixSpace(2)
+    matrix = RatMatrix([[1, 2], [3, 4]])
+    # a matrix polynomial of the matrix's own size: equal shapes, different carriers
+    matrix_poly = Poly(m2, [RatMatrix.identity(2), RatMatrix([[7, 7], [7, 7]])])
+    carriers = [matrix, GridSeq(Fraction(1), [1, 2, 3, 4]), Poly(RATIONALS, [1, 2]), matrix_poly]
+    for x, y in permutations(carriers, 2):
+        assert x != y and not x == y
+        for op in (operator.add, operator.sub, operator.mul, operator.matmul):
+            if type(x) is type(y) and op is not operator.matmul:
+                with pytest.raises(ValueError, match="coefficient space mismatch"):
+                    op(x, y)
+            else:
+                with pytest.raises(TypeError):
+                    op(x, y)
 
 
 # -- LinComb ----------------------------------------------------------------------
@@ -769,3 +799,20 @@ def test_seeded_samples_keep_their_values(seed):
                 assert type(got) is type(want) and (got.num, got.den) == (want.num, want.den)
             assert pairs[1][0].theta is theta and pairs[2][0].base is RATIONALS
         assert new.random() == old.random()
+
+
+# -- benchmark tracer targets -------------------------------------------------------
+
+
+def test_carrier_trace_targets_resolve():
+    """The benchmark tracer finds a span target only in its class's own dict, so
+    a carrier method inherited from ``DenseRational`` needs an alias there."""
+    tracer_file = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", tracer_file)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [(short, path) for _, short, path, _ in tracer.SPANS] + [(short, path) for _, short, path in tracer.COUNTERS]
+    carriers = [(short, path) for short, path in targets if short in ("matrices", "grids", "polys", "lincomb")]
+    assert {"RatMatrix.__add__", "RatMatrix.scale", "GridSeq.__add__", "Poly.__add__"} <= {p for _, p in carriers}
+    for short, path in carriers:
+        assert tracer._lookup(short, path) is not None, f"{short}.{path}"

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from dendrimag import magnus_fer
 from dendrimag.dendriform import (
     AssocDendriform,
     UndefinedUnitProduct,
@@ -140,6 +141,25 @@ def test_add_residuals_names_each_nonzero_degree():
     assert [(c.ok, c.detail) for c in rep.checks] == [
         (False, "nonzero residual at degrees [2, 4]"),
         (True, "all residuals zero"),
+    ]
+
+
+def test_verify_magnus_against_a_wrong_right_solution_fails_only_that_check(monkeypatch):
+    true_right = magnus_fer.solve_right
+
+    def wrong_right(dend, a, order):
+        y = true_right(dend, a, order)
+        coeffs = list(y.coeffs)
+        coeffs[3] = y.space.add(coeffs[3], y.space.one())
+        return TruncatedSeries(y.space, order, coeffs)
+
+    monkeypatch.setattr(magnus_fer, "solve_right", wrong_right)
+    rb = triangular_rb()
+    rep = magnus_fer.verify_magnus(rb.dendriform(), rb.sample(random.Random(19)), 5)
+    assert [(c.label, c.ok, c.detail) for c in rep.checks] == [
+        ("left and right recursion shapes agree", True, "all residuals zero"),
+        ("exp*(W) solves X = 1 + lambda a<X", True, "all residuals zero"),
+        ("exp*(-W) solves Y = 1 - Y>lambda a", False, "nonzero residual at degrees [3]"),
     ]
 
 
