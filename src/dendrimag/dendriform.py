@@ -17,10 +17,10 @@ satisfy the pre-Lie identities and share one Lie bracket with ``*``.
 Contracts here are verified by sampling, not by proof: every concrete
 instance registers a sample generator, and the checkers in this module
 evaluate the axioms as exact equalities on the samples (the free models get
-exhaustive basis checks in their own modules).  The checks run sample by
-sample, every axiom on one sample before the next, and the instance's own
-products are shared within a sample: a product that several axioms need is
-computed once (``report.SampleMemo``), never rebuilt from other products.
+exhaustive basis checks in their own modules).  Each checker evaluates
+all its axioms on one sample in one function, so a product that several
+axioms need is computed once, as a local, and always by the instance's own
+method (``star``, ``rhd``, ``lhd``), never rebuilt from other products.
 
 The unit is adjoined structurally: a :class:`UnitalDendElem` is a rational
 multiple of the formal unit plus a carrier element, with
@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
-from .report import SampleMemo, VerificationReport
+from .report import VerificationReport
 from .scalars import rational_str
 from .series import CoeffSpace, TruncatedSeries, bilinear_terms
 
@@ -339,18 +339,26 @@ def check_dendriform_axioms(
 ) -> VerificationReport:
     """(A1)-(A3), star associativity, and the Zinbiel flag when declared."""
     rep = VerificationReport(name or f"dendriform axioms [{dend.name}]")
-    memo = SampleMemo()
-    eq = dend.space.eq
-    prec, succ, star = memo.wrap(dend.prec, dend.succ, dend.star)
-    axioms = [
-        ("(A1) (a<b)<c = a<(b*c)", lambda a, b, c: eq(prec(prec(a, b), c), prec(a, star(b, c)))),
-        ("(A2) (a>b)<c = a>(b<c)", lambda a, b, c: eq(prec(succ(a, b), c), succ(a, prec(b, c)))),
-        ("(A3) a>(b>c) = (a*b)>c", lambda a, b, c: eq(succ(a, succ(b, c)), succ(star(a, b), c))),
-        ("star associativity", lambda a, b, c: eq(star(star(a, b), c), star(a, star(b, c)))),
+    eq, prec, succ, star = dend.space.eq, dend.prec, dend.succ, dend.star
+    labels = [
+        "(A1) (a<b)<c = a<(b*c)",
+        "(A2) (a>b)<c = a>(b<c)",
+        "(A3) a>(b>c) = (a*b)>c",
+        "star associativity",
     ]
     if dend.commutative:
-        axioms.append(("Zinbiel flag: x>y = y<x", lambda a, b, c: eq(succ(a, b), prec(b, a))))
-    rep.add_sampled(triples, axioms, "triples", memo)
+        labels.append("Zinbiel flag: x>y = y<x")
+
+    def holds(a, b, c):
+        ab_gt, ab, bc = succ(a, b), star(a, b), star(b, c)
+        yield eq(prec(prec(a, b), c), prec(a, bc))
+        yield eq(prec(ab_gt, c), succ(a, prec(b, c)))
+        yield eq(succ(a, succ(b, c)), succ(ab, c))
+        yield eq(star(ab, c), star(a, bc))
+        if dend.commutative:
+            yield eq(ab_gt, prec(b, a))
+
+    rep.add_sampled(triples, labels, holds, "triples")
     return rep
 
 
@@ -360,30 +368,21 @@ def check_prelie_identities(
     """Left/right pre-Lie identities for rhd/lhd and the shared Lie bracket."""
     rep = VerificationReport(name or f"pre-Lie identities [{dend.name}]")
     sp = dend.space
-    memo = SampleMemo()
-    eq, sub = sp.eq, sp.sub
-    rhd, lhd, star = memo.wrap(dend.rhd, dend.lhd, dend.star)
+    eq, sub, rhd, lhd, star = sp.eq, sp.sub, dend.rhd, dend.lhd, dend.star
+    labels = [
+        "left pre-Lie identity for rhd",
+        "right pre-Lie identity for lhd",
+        "brackets of *, rhd, lhd coincide",
+    ]
 
-    def left(a, b, c):
-        return eq(sub(rhd(rhd(a, b), c), rhd(a, rhd(b, c))), sub(rhd(rhd(b, a), c), rhd(b, rhd(a, c))))
+    def holds(a, b, c):
+        ab_r, ba_r, ab_l = rhd(a, b), rhd(b, a), lhd(a, b)
+        yield eq(sub(rhd(ab_r, c), rhd(a, rhd(b, c))), sub(rhd(ba_r, c), rhd(b, rhd(a, c))))
+        yield eq(sub(lhd(ab_l, c), lhd(a, lhd(b, c))), sub(lhd(lhd(a, c), b), lhd(a, lhd(c, b))))
+        br = sub(star(a, b), star(b, a))
+        yield eq(br, sub(ab_r, ba_r)) and eq(br, sub(ab_l, lhd(b, a)))
 
-    def right(a, b, c):
-        return eq(sub(lhd(lhd(a, b), c), lhd(a, lhd(b, c))), sub(lhd(lhd(a, c), b), lhd(a, lhd(c, b))))
-
-    def brackets(a, b, c):
-        br = sub(star(a, b), star(b, a))  # once per triple, compared twice
-        return eq(br, sub(rhd(a, b), rhd(b, a))) and eq(br, sub(lhd(a, b), lhd(b, a)))
-
-    rep.add_sampled(
-        triples,
-        [
-            ("left pre-Lie identity for rhd", left),
-            ("right pre-Lie identity for lhd", right),
-            ("brackets of *, rhd, lhd coincide", brackets),
-        ],
-        "triples",
-        memo,
-    )
+    rep.add_sampled(triples, labels, holds, "triples")
     return rep
 
 
@@ -392,20 +391,31 @@ def check_tridendriform_axioms(
 ) -> VerificationReport:
     """The seven axioms plus associativity of the three-term sum product."""
     rep = VerificationReport(name or f"tridendriform axioms [{tri.name}]")
-    memo = SampleMemo()
-    eq = tri.space.eq
-    lt, gt, dot, star = memo.wrap(tri.lt, tri.gt, tri.dot, tri.star)
-    axioms = [
-        ("(x<y)<z = x<(y*z)", lambda x, y, z: eq(lt(lt(x, y), z), lt(x, star(y, z)))),
-        ("(x>y)<z = x>(y<z)", lambda x, y, z: eq(lt(gt(x, y), z), gt(x, lt(y, z)))),
-        ("(x*y)>z = x>(y>z)", lambda x, y, z: eq(gt(star(x, y), z), gt(x, gt(y, z)))),
-        ("(x>y).z = x>(y.z)", lambda x, y, z: eq(dot(gt(x, y), z), gt(x, dot(y, z)))),
-        ("(x<y).z = x.(y>z)", lambda x, y, z: eq(dot(lt(x, y), z), dot(x, gt(y, z)))),
-        ("(x.y)<z = x.(y<z)", lambda x, y, z: eq(lt(dot(x, y), z), dot(x, lt(y, z)))),
-        ("(x.y).z = x.(y.z)", lambda x, y, z: eq(dot(dot(x, y), z), dot(x, dot(y, z)))),
-        ("star associativity", lambda x, y, z: eq(star(star(x, y), z), star(x, star(y, z)))),
+    eq, lt, gt, dot, star = tri.space.eq, tri.lt, tri.gt, tri.dot, tri.star
+    labels = [
+        "(x<y)<z = x<(y*z)",
+        "(x>y)<z = x>(y<z)",
+        "(x*y)>z = x>(y>z)",
+        "(x>y).z = x>(y.z)",
+        "(x<y).z = x.(y>z)",
+        "(x.y)<z = x.(y<z)",
+        "(x.y).z = x.(y.z)",
+        "star associativity",
     ]
-    rep.add_sampled(triples, axioms, "triples", memo)
+
+    def holds(x, y, z):
+        xy_lt, xy_gt, xy_dot, xy = lt(x, y), gt(x, y), dot(x, y), star(x, y)
+        yz_lt, yz_gt, yz_dot, yz = lt(y, z), gt(y, z), dot(y, z), star(y, z)
+        yield eq(lt(xy_lt, z), lt(x, yz))
+        yield eq(lt(xy_gt, z), gt(x, yz_lt))
+        yield eq(gt(xy, z), gt(x, yz_gt))
+        yield eq(dot(xy_gt, z), gt(x, yz_dot))
+        yield eq(dot(xy_lt, z), dot(x, yz_gt))
+        yield eq(lt(xy_dot, z), dot(x, yz_lt))
+        yield eq(dot(xy_dot, z), dot(x, yz_dot))
+        yield eq(star(xy, z), star(x, yz))
+
+    rep.add_sampled(triples, labels, holds, "triples")
     return rep
 
 
@@ -417,7 +427,7 @@ def check_unit_rules(dend: Dendriform, elems: Iterable[Any]) -> VerificationRepo
 
     def unit_rules(a):
         x = dend.embed(a)
-        return (
+        yield (
             usp.eq(dend.half_prec(x, one), x)
             and usp.eq(dend.half_succ(one, x), x)
             and usp.is_zero(dend.half_prec(one, x))
@@ -426,7 +436,7 @@ def check_unit_rules(dend: Dendriform, elems: Iterable[Any]) -> VerificationRepo
             and usp.eq(dend.unital_star(one, x), x)
         )
 
-    rep.add_sampled(((a,) for a in elems), [("a<1 = a = 1>a and 1<a = 0 = a>1", unit_rules)], "samples")
+    rep.add_sampled(((a,) for a in elems), ["a<1 = a = 1>a and 1<a = 0 = a>1"], unit_rules, "samples")
     rep.add("1*1 = 1", usp.eq(dend.unital_star(one, one), one))
     for label, op in (("1<1", dend.half_prec), ("1>1", dend.half_succ)):
         try:

@@ -7,9 +7,9 @@ exit code, from informational entries, which are printed but never fail.
 Hard checks on series come from :meth:`VerificationReport.add_residuals`,
 which names each degree with a nonzero residual; hard checks on sampled
 identities come from :meth:`VerificationReport.add_sampled`, which counts
-the samples that pass.  It runs sample by sample, every identity on one
-sample before the next; a checker whose identities share products wraps its
-ops in a :class:`SampleMemo`, so each product is computed once per sample.
+the samples that pass.  It calls one function per sample that returns a
+truth value for every identity, so the products the identities share are
+computed once per sample, as locals of that function.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-__all__ = ["Check", "SampleMemo", "VerificationReport"]
+__all__ = ["Check", "VerificationReport"]
 
 
 @dataclass(frozen=True)
@@ -26,38 +26,6 @@ class Check:
     ok: bool
     detail: str = ""
     informational: bool = False
-
-
-class SampleMemo:
-    """Results of wrapped ops, kept for one sample of ``add_sampled``.
-
-    A call is keyed by the op and the ``id`` of each operand, never by value
-    (carriers such as ``Poly`` are unhashable).  Each entry holds its
-    operands and result until :meth:`clear`, so no id in a live key can be
-    reused.  A memo belongs to one checker call and is never shared.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple, tuple] = {}
-
-    def wrap(self, *ops: Callable[..., Any]) -> tuple[Callable[..., Any], ...]:
-        """One memoized callable per op, in order; each calls the op itself on a miss."""
-        return tuple(self._memoized(op) for op in ops)
-
-    def _memoized(self, op: Callable[..., Any]) -> Callable[..., Any]:
-        entries = self._entries
-
-        def call(*args):
-            key = (op, *map(id, args))
-            entry = entries.get(key)
-            if entry is None:
-                entry = entries[key] = (args, op(*args))
-            return entry[1]
-
-        return call
-
-    def clear(self) -> None:
-        self._entries.clear()
 
 
 @dataclass
@@ -80,30 +48,28 @@ class VerificationReport:
     def add_sampled(
         self,
         samples: Iterable[tuple],
-        identities: Iterable[tuple[str, Callable[..., Any]]],
+        labels: Iterable[str],
+        holds: Callable[..., Iterable[Any]],
         noun: str,
-        memo: SampleMemo | None = None,
     ) -> None:
-        """One hard check per ``(label, holds)``: ``holds(*sample)`` on every sample.
+        """One hard check per label: the count of samples on which it holds.
 
-        Runs sample by sample: every identity is evaluated on one sample
-        before the next is read, so ``samples`` is read once and a generator
-        will do.  ``memo``, when given, is cleared before each sample, so
-        the products it shares stay within one sample.  The detail is the
-        count ``passed/total noun``.
+        ``holds(*sample)`` is called once per sample and returns (or yields)
+        one truth value per label, in label order.  ``samples`` is read once,
+        so a generator will do.  The detail is the count ``passed/total
+        noun``; a check over no samples fails, so an exhausted generator
+        cannot pass vacuously.
         """
-        identities = list(identities)
-        passed = [0] * len(identities)
+        labels = list(labels)
+        passed = [0] * len(labels)
         total = 0
         for s in samples:
-            if memo is not None:
-                memo.clear()
             total += 1
-            for i, (_, holds) in enumerate(identities):
-                if holds(*s):
+            for i, ok in enumerate(holds(*s)):
+                if ok:
                     passed[i] += 1
-        for (label, _), n in zip(identities, passed):
-            self.add(label, n == total, f"{n}/{total} {noun}")
+        for label, n in zip(labels, passed):
+            self.add(label, 0 < n == total, f"{n}/{total} {noun}")
 
     @property
     def ok(self) -> bool:

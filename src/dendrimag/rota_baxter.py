@@ -54,7 +54,7 @@ from typing import Any, Callable
 
 from .dendriform import Dendriform, Tridendriform, UnitalDendElem, sample_tuples
 from .magnus_fer import fer, magnus, magnus_from_series
-from .report import SampleMemo, VerificationReport
+from .report import VerificationReport
 from .series import CoeffSpace, TruncatedSeries, bch, series_exp, series_log
 
 __all__ = [
@@ -193,32 +193,30 @@ def check_rb_relation(rb: RotaBaxter, samples: int, seed: int = 0) -> Verificati
     """(RB) for R and for Rt, plus the morphism identities for the double product."""
     rep = VerificationReport(f"Rota-Baxter relation [{rb.name}], weight {rb.weight}")
     sp = rb.space
-    memo = SampleMemo()
-    eq = sp.eq
-    mul, r, rt = memo.wrap(sp.mul, rb.r, rb.r_tilde)
-
-    def relation(op):
-        def holds(a, b, _):
-            oa, ob = op(a), op(b)
-            inner = sp.add(sp.add(mul(oa, b), mul(a, ob)), sp.scale(rb.weight, mul(a, b)))
-            return eq(mul(oa, ob), op(inner))
-
-        return holds
-
-    identities = [
-        ("R(a)R(b) = R(R(a)b + aR(b) + theta ab)", relation(r)),
-        ("Rt satisfies the same weight relation", relation(rt)),
-        ("R(a *t b) = R(a)R(b) (image of R closed)", lambda a, b, d: eq(r(d), mul(r(a), r(b)))),
-        (
-            "Rt(a *t b) = -Rt(a)Rt(b) (image of Rt closed)",
-            lambda a, b, d: eq(rt(d), sp.neg(mul(rt(a), rt(b)))),
-        ),
+    eq, add, mul, r, rt = sp.eq, sp.add, sp.mul, rb.r, rb.r_tilde
+    labels = [
+        "R(a)R(b) = R(R(a)b + aR(b) + theta ab)",
+        "Rt satisfies the same weight relation",
+        "R(a *t b) = R(a)R(b) (image of R closed)",
+        "Rt(a *t b) = -Rt(a)Rt(b) (image of Rt closed)",
     ]
     if rb.commutative:
-        identities.append(("declared commutative carrier", lambda a, b, _: eq(mul(a, b), mul(b, a))))
-    pairs = sample_tuples(rb, random.Random(seed), samples, 2)
-    # the double product a *t b rides along with its pair, computed once
-    rep.add_sampled(((a, b, double_product(rb, a, b)) for a, b in pairs), identities, "pairs", memo)
+        labels.append("declared commutative carrier")
+
+    def holds(a, b):
+        ab, r_a, r_b, rt_a, rt_b = mul(a, b), r(a), r(b), rt(a), rt(b)
+        theta_ab = sp.scale(rb.weight, ab)
+        r_ab, rt_ab = mul(r_a, r_b), mul(rt_a, rt_b)
+        yield eq(r_ab, r(add(add(mul(r_a, b), mul(a, r_b)), theta_ab)))
+        yield eq(rt_ab, rt(add(add(mul(rt_a, b), mul(a, rt_b)), theta_ab)))
+        # a *t b from double_product, not from the inner sum above
+        d = double_product(rb, a, b)
+        yield eq(r(d), r_ab)
+        yield eq(rt(d), sp.neg(rt_ab))
+        if rb.commutative:
+            yield eq(ab, mul(b, a))
+
+    rep.add_sampled(sample_tuples(rb, random.Random(seed), samples, 2), labels, holds, "pairs")
     return rep
 
 

@@ -112,10 +112,11 @@ def suite_dendriform(order: int, seed: int) -> list[VerificationReport]:
 
     rep = VerificationReport("free pre-Lie model (rooted trees, exhaustive)")
     rhd = rooted_ops().rhd
-    left = lambda a, b, c: rhd(rhd(a, b), c) - rhd(a, rhd(b, c)) == rhd(rhd(b, a), c) - rhd(b, rhd(a, c))
+    left = lambda a, b, c: (rhd(rhd(a, b), c) - rhd(a, rhd(b, c)) == rhd(rhd(b, a), c) - rhd(b, rhd(a, c)),)
     rep.add_sampled(
         _basis_triples(rooted_trees_of_degree, EXHAUSTIVE_DEGREE),
-        [("left pre-Lie identity for grafting", left)],
+        ["left pre-Lie identity for grafting"],
+        left,
         "basis triples",
     )
     deg_ok = all(
@@ -150,19 +151,20 @@ def suite_tridendriform(order: int, seed: int) -> list[VerificationReport]:
         dend = tri.as_dendriform()
         reports.append(check_dendriform_axioms(dend, triples))
         rep = VerificationReport(f"collapse to dendriform [{tri.name}]")
-        collapse = lambda a, b, _: tri.space.eq(dend.star(a, b), tri.star(a, b))
-        rep.add_sampled(triples, [("dendriform star equals tridendriform star", collapse)], "pairs")
+        collapse = lambda a, b, _: (tri.space.eq(dend.star(a, b), tri.star(a, b)),)
+        rep.add_sampled(triples, ["dendriform star equals tridendriform star"], collapse, "pairs")
         reports.append(rep)
 
     # the summation instance is the Rota-Baxter construction for tail sums
     rep = VerificationReport("summation instance matches its Rota-Baxter form")
     rb_form = RBTridendriform(summation_rb(Fraction(1)))
-    same = lambda a, b: all(
-        getattr(summation, op)(a, b) == getattr(rb_form, op)(a, b) for op in ("lt", "gt", "dot")
+    same = lambda a, b: (
+        all(getattr(summation, op)(a, b) == getattr(rb_form, op)(a, b) for op in ("lt", "gt", "dot")),
     )
     rep.add_sampled(
         sample_tuples(summation, random.Random(seed + 7), 50, 2),
-        [("lt/gt/dot coincide with aR(b), R(a)b, theta ab", same)],
+        ["lt/gt/dot coincide with aR(b), R(a)b, theta ab"],
+        same,
         "pairs",
     )
     reports.append(rep)
@@ -252,7 +254,8 @@ def suite_rb(order: int, seed: int) -> list[VerificationReport]:
     tri = triangular_rb()
     rep.add_sampled(
         sample_tuples(tri, random.Random(seed + 31), 50, 1),
-        [("idempotent", lambda m: tri.space.eq(tri.r(tri.r(m)), tri.r(m)))],
+        ["idempotent"],
+        lambda m: (tri.space.eq(tri.r(tri.r(m)), tri.r(m)),),
         "samples",
     )
     from .matrices import RatMatrix
@@ -267,10 +270,10 @@ def suite_rb(order: int, seed: int) -> list[VerificationReport]:
 
     theta = Fraction(1, 2)
     pairs = [(random_gridseq(rng, theta, 6), random_gridseq(rng, theta, 6)) for _ in range(100)]
-    rule = lambda f, g: (f * g).diff() == f.diff() * g + f * g.diff() + (f.diff() * g.diff()).scale(theta)
-    rep.add_sampled(pairs, [("d(fg) = d(f)g + f d(g) + theta d(f)d(g)", rule)], "pairs")
-    inverse = lambda f, _: f.diff().shift_sum() == f
-    rep.add_sampled(pairs, [("S(d(f)) = f on finitely supported f", inverse)], "samples")
+    rule = lambda f, g: ((f * g).diff() == f.diff() * g + f * g.diff() + (f.diff() * g.diff()).scale(theta),)
+    rep.add_sampled(pairs, ["d(fg) = d(f)g + f d(g) + theta d(f)d(g)"], rule, "pairs")
+    inverse = lambda f, _: (f.diff().shift_sum() == f,)
+    rep.add_sampled(pairs, ["S(d(f)) = f on finitely supported f"], inverse, "samples")
     reports.append(rep)
 
     rep = VerificationReport("iterated integration by parts")

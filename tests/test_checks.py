@@ -26,8 +26,8 @@ from dendrimag.dendriform import (
     sample_tuples,
 )
 from dendrimag.instances import grid_rb, matrix_poly_rb, triangular_rb
-from dendrimag.matrices import MatrixSpace, random_matrix, triangular_project
-from dendrimag.report import SampleMemo, VerificationReport
+from dendrimag.matrices import MatrixSpace, RatMatrix, random_matrix, triangular_project
+from dendrimag.report import VerificationReport
 from dendrimag.rota_baxter import RBDendriform, RBTridendriform, RotaBaxter, check_rb_relation
 from dendrimag.series import RATIONALS, TruncatedSeries
 
@@ -53,7 +53,7 @@ def _assert_fails_exactly(rep: VerificationReport, broken: set[str], n: int, nou
 def test_add_sampled_reads_a_generator_once():
     rep = VerificationReport("counts")
     samples = ((x,) for x in (1, 2, 3))
-    rep.add_sampled(samples, [("positive", lambda x: x > 0), ("odd", lambda x: x % 2)], "samples")
+    rep.add_sampled(samples, ["positive", "odd"], lambda x: (x > 0, x % 2), "samples")
     assert [(c.label, c.ok, c.detail) for c in rep.checks] == [
         ("positive", True, "3/3 samples"),
         ("odd", False, "2/3 samples"),
@@ -64,64 +64,50 @@ def test_add_sampled_reads_a_generator_once():
 def test_add_sampled_runs_every_identity_on_a_sample_before_the_next():
     seen = []
 
-    def logged(label):
-        return lambda x: seen.append((label, x)) or True
+    def holds(x):
+        for label in ("p", "q"):
+            seen.append((label, x))
+            yield True
 
     rep = VerificationReport("order")
-    rep.add_sampled(((x,) for x in (1, 2)), [("p", logged("p")), ("q", logged("q"))], "samples")
+    rep.add_sampled(((x,) for x in (1, 2)), ["p", "q"], holds, "samples")
     assert seen == [("p", 1), ("q", 1), ("p", 2), ("q", 2)]
+    assert [(c.ok, c.detail) for c in rep.checks] == [(True, "2/2 samples")] * 2
 
 
-def _counted(calls: list, name: str, f):
-    def op(*args):
-        calls.append((name, *args))
-        return f(*args)
-
-    return op
-
-
-def test_sample_memo_runs_each_call_once_and_keeps_ops_apart():
-    calls = []
-    plus = _counted(calls, "plus", lambda a, b: [a[0] + b[0]])
-    times = _counted(calls, "times", lambda a, b: [a[0] * b[0]])
-    negate = _counted(calls, "negate", lambda a: [-a[0]])
-    memo = SampleMemo()
-    # two wrap calls, the same operands: each op keeps its own results
-    p, neg = memo.wrap(plus, negate)
-    (t,) = memo.wrap(times)
-    x, y = [2], [3]
-    assert p(x, y) == [5] and t(x, y) == [6] and neg(x) == [-2]
-    assert p(x, y) is p(x, y) and t(x, y) is t(x, y) and neg(x) is neg(x)
-    assert p(y, x) == [5] and p(p(x, y), y) == [8]
-    assert calls == [("plus", x, y), ("times", x, y), ("negate", x), ("plus", y, x), ("plus", [5], y)]
-    # operands that are equal but distinct objects are distinct keys
-    assert p([2], [3]) == [5] and len(calls) == 6
-    memo.clear()
-    assert p(x, y) == [5] and len(calls) == 7
-
-
-def test_add_sampled_clears_the_memo_before_each_sample():
-    calls = []
-    memo = SampleMemo()
-    (p,) = memo.wrap(_counted(calls, "plus", lambda a, b: [a[0] + b[0]]))
-    identities = [
-        ("sum", lambda a, b: p(a, b)[0] == a[0] + b[0]),
-        ("doubled sum", lambda a, b: p(p(a, b), p(a, b))[0] == 2 * (a[0] + b[0])),
-        ("commutes", lambda a, b: p(a, b) == p(b, a)),
-    ]
-    x, y = [1], [2]
-    rep = VerificationReport("memo")
-    # the same operand objects twice: a memo kept across samples would skip the second
-    rep.add_sampled(((x, y) for _ in range(2)), identities, "pairs", memo)
-    assert [(c.ok, c.detail) for c in rep.checks] == [(True, "2/2 pairs")] * 3
-    per_sample = [("plus", x, y), ("plus", [3], [3]), ("plus", y, x)]
-    assert calls == per_sample * 2
-
-
-def test_add_sampled_on_no_samples_passes_with_zero_count():
+def test_add_sampled_on_no_samples_fails_with_zero_count():
     rep = VerificationReport("empty")
-    rep.add_sampled([], [("anything", lambda *s: False)], "pairs")
-    assert [(c.ok, c.detail) for c in rep.checks] == [(True, "0/0 pairs")]
+    rep.add_sampled(iter(()), ["anything"], lambda *s: (True,), "pairs")
+    assert [(c.ok, c.detail) for c in rep.checks] == [(False, "0/0 pairs")]
+    assert not rep.ok
+
+
+def test_each_product_is_computed_once_per_sample(monkeypatch):
+    """Carrier products per sample on the 3x3 triangular projection.
+
+    A product that several identities share is computed once per sample;
+    computing any of them once per identity would raise these counts.
+    """
+    calls = [0]
+    matmul = RatMatrix.__matmul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(RatMatrix, "__matmul__", counted)
+    rb = triangular_rb()
+    triples = sample_tuples(rb, random.Random(20), N, 3)
+    runs = [
+        (lambda: check_dendriform_axioms(rb.dendriform(), triples), 18),
+        (lambda: check_prelie_identities(rb.dendriform(), triples), 38),
+        (lambda: check_tridendriform_axioms(RBTridendriform(rb), triples), 32),
+        (lambda: check_rb_relation(rb, N, seed=20), 10),
+    ]
+    for check, per_sample in runs:
+        calls[0] = 0
+        assert check().ok
+        assert calls[0] == per_sample * N
 
 
 def test_add_residuals_names_a_residual_at_degree_zero():
@@ -205,6 +191,30 @@ def test_checkers_call_the_instances_own_star():
     # rhd and lhd come from prec and succ, so only the bracket of star disagrees
     _assert_fails_exactly(
         check_prelie_identities(dend, triples), {"brackets of *, rhd, lhd coincide"}, N + 1, "triples"
+    )
+
+
+def _symmetrised(space, a, b):
+    """ab + ba: commutative and, on matrices, not associative."""
+    return space.add(space.mul(a, b), space.mul(b, a))
+
+
+class _StarSymmetrised(AssocDendriform):
+    """star = ab + ba while prec = ab and succ = 0 stay correct."""
+
+    def star(self, a, b):
+        return _symmetrised(self.space, a, b)
+
+
+def test_non_associative_star_fails_star_associativity():
+    dend = _StarSymmetrised(MatrixSpace(3), lambda rng: random_matrix(rng, 3), "star symmetrised")
+    triples = _with_zero(dend.space, sample_tuples(dend, random.Random(21), N, 3))
+    # (A1) reads star(b, c); (A2) and (A3) see only succ = 0
+    _assert_fails_exactly(
+        check_dendriform_axioms(dend, triples),
+        {"(A1) (a<b)<c = a<(b*c)", "star associativity"},
+        N + 1,
+        "triples",
     )
 
 
@@ -292,6 +302,48 @@ def test_tridendriform_with_lt_gt_swapped(make_rb):
         N + 1,
         "triples",
     )
+
+
+class _TriStarSymmetrised(RBTridendriform):
+    """star = ab + ba instead of aR(b) + R(a)b + theta ab; lt, gt and dot stay correct."""
+
+    def star(self, a, b):
+        return _symmetrised(self.space, a, b)
+
+
+class _DotSymmetrised(RBTridendriform):
+    """dot = theta (ab + ba): not associative, and star changes with it."""
+
+    def dot(self, a, b):
+        return self.space.scale(self.rb.weight, _symmetrised(self.space, a, b))
+
+
+@pytest.mark.parametrize(
+    "make_tri, broken",
+    [
+        (
+            _TriStarSymmetrised,
+            {"(x<y)<z = x<(y*z)", "(x*y)>z = x>(y>z)", "star associativity"},
+        ),
+        (
+            _DotSymmetrised,
+            {
+                "(x<y)<z = x<(y*z)",
+                "(x*y)>z = x>(y>z)",
+                "(x>y).z = x>(y.z)",
+                "(x<y).z = x.(y>z)",
+                "(x.y)<z = x.(y<z)",
+                "(x.y).z = x.(y.z)",
+                "star associativity",
+            },
+        ),
+    ],
+    ids=["star", "dot"],
+)
+def test_tridendriform_with_a_non_associative_product(make_tri, broken):
+    tri = make_tri(triangular_rb())
+    triples = _with_zero(tri.space, sample_tuples(tri, random.Random(22), N, 3))
+    _assert_fails_exactly(check_tridendriform_axioms(tri, triples), broken, N + 1, "triples")
 
 
 class _PrecIgnoresUnit(RBDendriform):
