@@ -124,7 +124,7 @@ class SummationTridendriform(Tridendriform):
         return a * b
 
     def sample(self, rng: random.Random) -> GridSeq:
-        return random_gridseq(rng, Fraction(1), self.length)
+        return random_gridseq(rng, self.space.theta, self.length)
 
 
 def poly_rb(max_degree: int = 3) -> RotaBaxter:

@@ -12,7 +12,8 @@ rationals): one flat tuple ``num`` of int numerators, in blocks of 1
 (rationals) or n*n row-major entries per coefficient, with no trailing
 all-zero block, over one positive ``den`` in lowest terms (zero is ``()``
 over 1).  Sums, scaling and equality come from the base; every operation
-runs on ints with one reduction per result; base elements appear only at the
+runs on ints with one reduction per result (over matrices, a product sums
+``matrices.matmul_kernel(n)`` of block pairs); base elements appear only at the
 boundary (the constructor, ``coeffs``, the value of ``eval_at``, ``repr``,
 ``to_json``).  Mixing coefficient shapes raises ``ValueError``.  A ``Poly``
 is not hashable.
@@ -23,10 +24,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add
 from typing import Any, Iterable
 
-from .matrices import MatrixSpace, RatMatrix, random_matrix
+from .matrices import MatrixSpace, RatMatrix, matmul_kernel, random_matrix
 from .report import VerificationReport
 from .scalars import DenseRational, as_fractions, random_rationals, ratio, reduced
 from .series import CoeffSpace, FractionSpace, RATIONALS
@@ -100,20 +101,16 @@ class Poly(DenseRational, shape="n"):
                     for k, y in enumerate(c, i):
                         out[k] += x * y
         else:
-            b = n * n
+            b, kern = n * n, matmul_kernel(n)
             out = [0] * (len(a) + len(c) - b)
-            # (offset, columns) of each nonzero block of c
-            cols = [(k, [c[k + j : k + b : n] for j in range(n)]) for k in range(0, len(c), b) if any(c[k : k + b])]
+            # (offset, entries) of each nonzero block of c
+            blocks = [(k, c[k : k + b]) for k in range(0, len(c), b) if any(c[k : k + b])]
             for i in range(0, len(a), b):
-                if not any(a[i : i + b]):
-                    continue
-                rows = [a[r : r + n] for r in range(i, i + b, n)]
-                for k, block in cols:
-                    o = i + k
-                    for row in rows:
-                        for col in block:
-                            out[o] += sum(map(mul, row, col))
-                            o += 1
+                x = a[i : i + b]
+                if any(x):
+                    for k, y in blocks:
+                        o = i + k
+                        out[o : o + b] = map(add, out[o : o + b], kern(x, y))
         return self._like(*reduced(out, self.den * other.den))
 
     def integrate(self) -> "Poly":

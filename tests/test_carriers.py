@@ -4,25 +4,28 @@ RatMatrix, GridSeq, Poly and LinComb compute on integer numerators over one
 shared denominator; every operation here is checked against a plain
 reference written on lists or dicts of Fractions, and every result is
 checked to be in the normalised form that equality and hashing rely on.  The
-Poly product is also checked against a naive double sum over both of its
-coefficient spaces.
+Poly product is also checked against a naive double sum over the rationals
+and over 1x1, 2x2 and 3x3 matrices.
 """
 
 import importlib.util
 import operator
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import permutations
-from math import comb, gcd
+from math import comb, gcd, isqrt
 from pathlib import Path
 
 import pytest
 
+from dendrimag import matrices
 from dendrimag.dendriform import UnitalDendElem
 from dendrimag.grids import GridSeq, GridSpace, NonSummable, random_gridseq
-from dendrimag.instances import matrix_poly_rb
+from dendrimag.instances import SummationTridendriform, matrix_poly_rb
 from dendrimag.lincomb import LinComb, LinCombSpace, bilinear
-from dendrimag.matrices import MatrixSpace, RatMatrix, random_matrix, triangular_project
+from dendrimag.matrices import MatrixSpace, RatMatrix, matmul_kernel, random_matrix, triangular_project
 from dendrimag.ode import _integral_bracket
 from dendrimag.pbt import LEAF, PBT, FreeDendriform, _catalan, _sums, _tree_at, free_dendriform, trees_of_degree
 from dendrimag.polys import Poly, PolySpace, random_poly
@@ -63,11 +66,12 @@ def _check_matrix(m: RatMatrix, ref) -> None:
 
 
 def _ref_matmul(a, b):
+    """The product a.b by its definition: entry (i, j) sums a[i][k] * b[k][j]."""
     n = len(a)
     return [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)] for i in range(n)]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
 def test_matrix_ops_match_fraction_reference(n):
     rng = random.Random(100 + n)
     for _ in range(60):
@@ -114,6 +118,59 @@ def test_matrix_dimension_mismatch(op):
         getattr(a, op)(b)
     with pytest.raises(ValueError, match="dimension mismatch"):
         getattr(b, op)(a)
+
+
+def _unit(n, i, j) -> RatMatrix:
+    """The matrix unit E_ij (1-based), 1 at row i and column j."""
+    return RatMatrix([[int((r, c) == (i - 1, j - 1)) for c in range(n)] for r in range(n)])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_products_keep_their_order(n):
+    # the opposite product b.a is associative and Rota-Baxter for the same
+    # operators, so no sampled identity tells it apart; the matrix units do
+    e11, e12, e21, e22 = _unit(n, 1, 1), _unit(n, 1, 2), _unit(n, 2, 1), _unit(n, 2, 2)
+    assert e12 @ e21 == e11 and e21 @ e12 == e22
+    assert e12 @ e12 == RatMatrix.zeros(n) and e11 @ e12 == e12 and e12 @ e11 == RatMatrix.zeros(n)
+    space = MatrixSpace(n)
+    p, q = Poly(space, [e12, e21]), Poly(space, [e21, e12])
+    # (E12 + E21 t)(E21 + E12 t) = E11 + 0 t + E22 t^2, and E22 + 0 t + E11 t^2 the other way
+    assert (p * q).coeffs == (e11, RatMatrix.zeros(n), e22)
+    assert (q * p).coeffs == (e22, RatMatrix.zeros(n), e11)
+
+
+def test_matmul_kernel_is_built_once_per_size(monkeypatch):
+    monkeypatch.setattr(matrices, "_kernels", {})
+    assert matmul_kernel(3) is matmul_kernel(3) and matmul_kernel(2) is not matmul_kernel(3)
+    assert matmul_kernel(0)((), ()) == ()
+    # 8 threads build the kernels for n = 1..6 at once, from an empty cache
+    monkeypatch.setattr(matrices, "_kernels", {})
+    sizes, workers = range(1, 7), 8
+    results = [None] * workers
+    barrier = threading.Barrier(workers)
+
+    def work(i):
+        barrier.wait(timeout=30)
+        results[i] = [matmul_kernel(n) for n in (sizes if i % 2 else reversed(sizes))]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    rng = random.Random(61)
+    for n in sizes:
+        kernels = [r[n - 1] if i % 2 else r[-n] for i, r in enumerate(results)]
+        assert all(k is matmul_kernel(n) for k in kernels)
+        a, b = [rng.randint(-9, 9) for _ in range(n * n)], [rng.randint(-9, 9) for _ in range(n * n)]
+        want = [x for row in _ref_matmul(_rows(a), _rows(b)) for x in row]
+        assert matmul_kernel(n)(a, b) == tuple(want)
 
 
 # -- GridSeq --------------------------------------------------------------------
@@ -235,21 +292,26 @@ def _naive_poly_mul(base, xs, ys):
     return out
 
 
-@pytest.mark.parametrize("base", [RATIONALS, MatrixSpace(2)], ids=["rationals", "matrices"])
+# over 1x1, 2x2 and 3x3 matrix coefficients: the 2x2 case keeps its old id
+POLY_BASES_ALL = [RATIONALS, MatrixSpace(1), MatrixSpace(2), MatrixSpace(3)]
+POLY_IDS_ALL = ["rationals", "matrices1", "matrices", "matrices3"]
+
+
+@pytest.mark.parametrize("base", POLY_BASES_ALL, ids=POLY_IDS_ALL)
 def test_poly_mul_matches_naive_double_sum(base):
     rng = random.Random(17)
 
     def coeff():
         if base is RATIONALS:
             return _rational(rng)
-        return RatMatrix(_ref_matrix(rng, 2))
+        return RatMatrix(_ref_matrix(rng, base.n))
 
     cases = [([], [base.one()]), ([base.one()], [])]
     for _ in range(60):
         cases.append(([coeff() for _ in range(rng.randint(1, 5))], [coeff() for _ in range(rng.randint(1, 5))]))
-    if base is not RATIONALS:
+    if base is not RATIONALS and base.n > 1:
         # zero divisors: the top coefficient E12 @ E12 vanishes
-        e12 = RatMatrix([[0, 1], [0, 0]])
+        e12 = _unit(base.n, 1, 2)
         cases.append(([base.one(), e12], [base.zero(), base.one(), e12]))
     for xs, ys in cases:
         got = Poly(base, xs) * Poly(base, ys)
@@ -258,11 +320,10 @@ def test_poly_mul_matches_naive_double_sum(base):
 
 
 POLY_BASES = [RATIONALS, MatrixSpace(2)]
-POLY_IDS = ["rationals", "matrices"]
 
 
 def _width(base) -> int:
-    return 1 if base is RATIONALS else 4
+    return 1 if base is RATIONALS else base.n * base.n
 
 
 def _ref_block(rng, base) -> list:
@@ -283,10 +344,15 @@ def _ref_poly_add(a: list, b: list, width: int, sign=1) -> list:
     return [[x + sign * y for x, y in zip(p, q)] for p, q in zip(a, b)]
 
 
+def _rows(x: list) -> list:
+    """A flat row-major block of n*n entries as n rows."""
+    n = isqrt(len(x))
+    return [x[i : i + n] for i in range(0, len(x), n)]
+
+
 def _ref_block_mul(x: list, y: list) -> list:
-    if len(x) == 1:
-        return [x[0] * y[0]]
-    return [v for row in _ref_matmul([x[:2], x[2:]], [y[:2], y[2:]]) for v in row]
+    # a scalar times a scalar is the 1x1 matrix product
+    return [v for row in _ref_matmul(_rows(x), _rows(y)) for v in row]
 
 
 def _ref_poly_mul(a: list, b: list) -> list:
@@ -312,7 +378,7 @@ def _flat(c) -> list:
 
 
 def _poly(base, ref: list) -> Poly:
-    return Poly(base, [c[0] if base is RATIONALS else RatMatrix([c[:2], c[2:]]) for c in ref])
+    return Poly(base, [c[0] if base is RATIONALS else RatMatrix(_rows(c)) for c in ref])
 
 
 def _check_poly(p: Poly, ref: list) -> None:
@@ -325,11 +391,11 @@ def _check_poly(p: Poly, ref: list) -> None:
     assert p.degree == len(ref) - 1 and p.is_zero() == (not ref)
 
 
-@pytest.mark.parametrize("base", POLY_BASES, ids=POLY_IDS)
+@pytest.mark.parametrize("base", POLY_BASES_ALL, ids=POLY_IDS_ALL)
 def test_poly_ops_match_fraction_reference(base):
     rng = random.Random(31)
     b = _width(base)
-    one = [Fraction(int(k % 3 == 0)) for k in range(b)]
+    one = [Fraction(int(k % (isqrt(b) + 1) == 0)) for k in range(b)]
     e12 = [Fraction(int(k == 1)) for k in range(b)]
     cases = [([], []), ([], [one]), ([one, e12], [[Fraction(0)] * b, one, e12])]  # top E12 @ E12 = 0
     for _ in range(60):
@@ -799,6 +865,12 @@ def test_seeded_samples_keep_their_values(seed):
                 assert type(got) is type(want) and (got.num, got.den) == (want.num, want.den)
             assert pairs[1][0].theta is theta and pairs[2][0].base is RATIONALS
         assert new.random() == old.random()
+    # the summation tridendriform draws the same values, on its space's own theta
+    summation, new, old = SummationTridendriform(), random.Random(seed), random.Random(seed)
+    for _ in range(25):
+        got, want = summation.sample(new), GridSeq(Fraction(1), _entries(old, summation.length, 4))
+        assert got.theta is summation.space.theta and (got.num, got.den) == (want.num, want.den)
+    assert new.random() == old.random()
 
 
 # -- benchmark tracer targets -------------------------------------------------------
