@@ -65,21 +65,11 @@ def grid_rb(theta: Fraction = Fraction(1, 2), length: int = 8, strict: bool = Tr
     weight -theta one (the diagonal of a product of sums is counted twice).
     """
     theta = Fraction(theta)
-    space = GridSpace(theta, length)
-    if strict:
-        return RotaBaxter(
-            f"grid strict sums (theta={theta}, M={length})",
-            space,
-            theta,
-            GridSeq.sum_strict,
-            lambda rng: random_gridseq(rng, theta, length),
-            commutative=True,
-        )
     return RotaBaxter(
-        f"grid inclusive sums (theta={theta}, M={length})",
-        space,
-        -theta,
-        GridSeq.sum_incl,
+        f"grid {'strict' if strict else 'inclusive'} sums (theta={theta}, M={length})",
+        GridSpace(theta, length),
+        theta if strict else -theta,
+        GridSeq.sum_strict if strict else GridSeq.sum_incl,
         lambda rng: random_gridseq(rng, theta, length),
         commutative=True,
     )

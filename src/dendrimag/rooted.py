@@ -19,8 +19,6 @@ canonical order.
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
 from functools import cache, lru_cache
 
 from .lincomb import LinComb, LinCombSpace, bilinear
@@ -118,16 +116,6 @@ class RootedGraftOps:
 
     def generator(self) -> LinComb:
         return LinComb.single(VERTEX)
-
-    def sample(self, rng: random.Random) -> LinComb:
-        terms = []
-        for _ in range(rng.randint(1, 3)):
-            deg = rng.randint(1, 3)
-            tree = rng.choice(rooted_trees_of_degree(deg))
-            coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            terms.append((tree, coeff))
-        c = LinComb(terms)
-        return c if not c.is_zero() else LinComb.single(VERTEX)
 
 
 @cache

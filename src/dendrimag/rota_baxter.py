@@ -232,14 +232,15 @@ def atkinson_factor(rb: RotaBaxter, a: Any, side: str, order: int) -> TruncatedS
     """Order-by-order solution of Xh = 1 - lambda Rt(a Xh) (side "X") or
     Yh = 1 - lambda R(Yh a) (side "Y")."""
     sp = rb.space
+    if side == "X":
+        step = lambda c: rb.r_tilde(sp.mul(a, c))
+    elif side == "Y":
+        step = lambda c: rb.r(sp.mul(c, a))
+    else:
+        raise ValueError(f"side must be 'X' or 'Y', got {side!r}")
     coeffs = [sp.one()]
     for _ in range(order):
-        if side == "X":
-            coeffs.append(sp.neg(rb.r_tilde(sp.mul(a, coeffs[-1]))))
-        elif side == "Y":
-            coeffs.append(sp.neg(rb.r(sp.mul(coeffs[-1], a))))
-        else:
-            raise ValueError(f"side must be 'X' or 'Y', got {side!r}")
+        coeffs.append(sp.neg(step(coeffs[-1])))
     return TruncatedSeries(sp, order, coeffs)
 
 

@@ -13,7 +13,8 @@ matrices) share their linear arithmetic, equality and hashing through
 the dense ones, :func:`common_denominator` in and :func:`as_fractions` out;
 the samplers draw ints through :func:`random_rationals`).  This module also
 has the serialization helpers ("p/q" strings) used by every JSON payload,
-and the Bernoulli numbers that drive the Magnus recursion.
+and the Bernoulli numbers that drive the Magnus recursion, memoized by
+``functools.cache``.
 
 Bernoulli convention
 --------------------
@@ -32,9 +33,9 @@ generating function) that appears in the expansion formulas.
 from __future__ import annotations
 
 import random
-import threading
 from fractions import Fraction
-from math import comb, gcd, lcm
+from functools import cache
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -192,35 +193,23 @@ class DenseRational:
         return hash((self._shape, self.den, num[:k]))
 
 
-_bernoulli_cache = [Fraction(1)]
-_bernoulli_lock = threading.Lock()
-
-
+@cache
 def bernoulli(m: int) -> Fraction:
     """B_m as an exact Fraction (B_1 = -1/2 convention, see module docstring).
 
     Computed by the binomial recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 for
-    m >= 1, with B_0 = 1.  Results are memoized; the cache is grown under a
-    lock so concurrent callers are safe.
+    m >= 1, with B_0 = 1.  Results are memoized by ``functools.cache``, which
+    threads may share: a race can compute one value twice, and both copies
+    are equal.
     """
     if m < 0:
         raise ValueError(f"Bernoulli index must be >= 0, got {m}")
-    if m < len(_bernoulli_cache):
-        return _bernoulli_cache[m]
-    with _bernoulli_lock:
-        while len(_bernoulli_cache) <= m:
-            k = len(_bernoulli_cache)
-            # C(k+1, k) B_k = -sum_{j<k} C(k+1, j) B_j
-            acc = Fraction(0)
-            for j in range(k):
-                acc += comb(k + 1, j) * _bernoulli_cache[j]
-            _bernoulli_cache.append(-acc / (k + 1))
-        return _bernoulli_cache[m]
+    if m == 0:
+        return Fraction(1)
+    # C(m+1, m) B_m = -sum_{j<m} C(m+1, j) B_j
+    return -sum(comb(m + 1, j) * bernoulli(j) for j in range(m)) / (m + 1)
 
 
 def bernoulli_weight(m: int) -> Fraction:
     """B_m / m!, the z^m coefficient of z/(exp(z) - 1)."""
-    f = 1
-    for i in range(2, m + 1):
-        f *= i
-    return bernoulli(m) / f
+    return bernoulli(m) / factorial(m)

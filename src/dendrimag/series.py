@@ -14,7 +14,8 @@ combinations and unital dendriform elements.
 
 exp/log are the grading-safe versions: ``series_exp`` requires a zero constant
 term (such inputs are nilpotent modulo lambda^(N+1), so the sums terminate)
-and ``series_log`` requires constant term equal to the unit.
+and ``series_log`` requires constant term equal to the unit.  Both run one
+power-series loop, which sums each result coefficient once.
 """
 
 from __future__ import annotations
@@ -290,18 +291,26 @@ def bilinear_terms(
     return out
 
 
+def _power_sum(first: TruncatedSeries, x: TruncatedSeries, ratio: Callable[[int], Fraction]) -> TruncatedSeries:
+    """sum_n t_n with t_0 = first and t_n = ratio(n) t_(n-1) x, mod lambda^(N+1).
+
+    The one power-series loop behind exp and log.  x has zero constant term,
+    so t_n starts at degree n or later and coefficient k sums t_0..t_k once.
+    """
+    sp = x.space
+    term = first
+    terms = [term.coeffs]
+    for n in range(1, x.order + 1):
+        term = (term * x).scale(ratio(n))
+        terms.append(term.coeffs)
+    return TruncatedSeries(sp, x.order, [sp.sum([t[k] for t in terms[: k + 1]]) for k in range(x.order + 1)])
+
+
 def series_exp(s: TruncatedSeries) -> TruncatedSeries:
     """exp of a series with zero constant term: sum_n s^n / n! mod lambda^(N+1)."""
-    sp = s.space
-    if not sp.is_zero(s.coeff(0)):
+    if not s.space.is_zero(s.coeff(0)):
         raise NonNilpotentInput("series_exp needs a zero constant term")
-    term = TruncatedSeries.one(sp, s.order)
-    powers = [term.coeffs]
-    for n in range(1, s.order + 1):
-        term = (term * s).scale(Fraction(1, n))
-        powers.append(term.coeffs)
-    # s^n / n! starts at degree n, so coefficient k sums the powers n <= k once
-    return TruncatedSeries(sp, s.order, [sp.sum([p[k] for p in powers[: k + 1]]) for k in range(s.order + 1)])
+    return _power_sum(TruncatedSeries.one(s.space, s.order), s, lambda n: Fraction(1, n))
 
 
 def series_log(s: TruncatedSeries) -> TruncatedSeries:
@@ -310,12 +319,7 @@ def series_log(s: TruncatedSeries) -> TruncatedSeries:
     if not sp.eq(s.coeff(0), sp.one()):
         raise BadConstantTerm("series_log needs constant term equal to the unit")
     x = s - TruncatedSeries.one(sp, s.order)
-    result = TruncatedSeries.zero(sp, s.order)
-    power = TruncatedSeries.one(sp, s.order)
-    for n in range(1, s.order + 1):
-        power = power * x
-        result = result + power.scale(Fraction((-1) ** (n + 1), n))
-    return result
+    return _power_sum(x, x, lambda n: Fraction(-n, n + 1))
 
 
 def bch(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:

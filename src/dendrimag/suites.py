@@ -67,19 +67,6 @@ from .rota_baxter import (
 from .scalars import rational_str
 from .series import TruncatedSeries, series_exp, series_log
 
-SUITES = (
-    "dendriform",
-    "tridendriform",
-    "magnus",
-    "fer",
-    "rb",
-    "spitzer",
-    "atkinson",
-    "chi",
-    "reduction",
-    "all",
-)
-
 SAMPLE_TRIPLES = 200
 EXHAUSTIVE_DEGREE = 6
 
@@ -370,14 +357,10 @@ _SUITE_FUNCS = {
     "chi": suite_chi,
     "reduction": suite_reduction,
 }
+SUITES = (*_SUITE_FUNCS, "all")
 
 
 def run_suite(name: str, order: int, seed: int) -> list[VerificationReport]:
     if name == "all":
-        reports = []
-        for key in _SUITE_FUNCS:
-            reports.extend(_SUITE_FUNCS[key](order, seed))
-        return reports
-    if name not in _SUITE_FUNCS:
-        raise KeyError(name)
+        return [rep for suite in _SUITE_FUNCS.values() for rep in suite(order, seed)]
     return _SUITE_FUNCS[name](order, seed)

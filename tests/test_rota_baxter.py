@@ -110,6 +110,12 @@ def test_atkinson_factor_zero_input(tri_rb):
         assert s == TruncatedSeries.one(tri_rb.space, 5)
 
 
+@pytest.mark.parametrize("order", [0, 3])
+def test_atkinson_factor_rejects_unknown_side(tri_rb, order):
+    with pytest.raises(ValueError, match="side"):
+        atkinson_factor(tri_rb, tri_rb.space.zero(), "Z", order)
+
+
 def test_atkinson_factor_recursion_residual(tri_rb, rng):
     # substitute the solutions back into their defining equations
     sp = tri_rb.space

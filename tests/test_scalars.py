@@ -1,5 +1,8 @@
+import random
+import sys
 import threading
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -47,6 +50,41 @@ def test_bernoulli_thread_safety():
     for start, values in results.items():
         for offset, value in enumerate(values):
             assert value == bernoulli(start + offset)
+
+
+def test_bernoulli_cold_cache_threads_agree():
+    # eight threads fill an emptied memo at once, each in its own order
+    bernoulli.cache_clear()
+    orders = [list(range(61)) for _ in range(8)]
+    for i, order in enumerate(orders):
+        random.Random(i).shuffle(order)
+    results = [None] * len(orders)
+    barrier = threading.Barrier(len(orders))
+
+    def worker(i):
+        barrier.wait()
+        results[i] = {m: bernoulli(m) for m in orders[i]}
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(orders))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == results[0] for r in results)
+    assert results[0][20] == Fraction(-174611, 330)
+    assert results[0][30] == Fraction(8615841276005, 14322)
+
+
+def test_bernoulli_weight_is_scaled_bernoulli():
+    for m in range(21):
+        assert bernoulli_weight(m) == bernoulli(m) / factorial(m)
+        # (z/(e^z - 1)) * ((e^z - 1)/z) = 1, coefficient by coefficient
+        assert sum(bernoulli_weight(j) / factorial(m - j + 1) for j in range(m + 1)) == (m == 0)
 
 
 def test_rational_arithmetic_is_exact(rng):

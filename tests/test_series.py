@@ -1,5 +1,6 @@
 from collections import defaultdict
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -28,6 +29,8 @@ def test_exp_of_zero_is_unit():
 def test_exp_of_lambda():
     s = scalar_series(3, [0, 1])
     assert series_exp(s) == scalar_series(3, [1, 1, Fraction(1, 2), Fraction(1, 6)])
+    s = scalar_series(8, [0, 1])
+    assert series_exp(s) == scalar_series(8, [Fraction(1, factorial(n)) for n in range(9)])
 
 
 def test_log_of_unit_is_zero():
@@ -37,6 +40,8 @@ def test_log_of_unit_is_zero():
 def test_log_of_one_plus_lambda():
     s = scalar_series(3, [1, 1])
     assert series_log(s) == scalar_series(3, [0, 1, Fraction(-1, 2), Fraction(1, 3)])
+    s = scalar_series(8, [1, 1])
+    assert series_log(s) == scalar_series(8, [0] + [Fraction((-1) ** (n + 1), n) for n in range(1, 9)])
 
 
 def test_exp_requires_nilpotent_input():
