@@ -36,6 +36,7 @@ positive), the ``scale`` argument, the read-only ``values`` property,
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -87,8 +88,13 @@ class GridSeq(DenseRational, shape="theta"):
     __add__ = DenseRational.__add__
 
     def __mul__(self, other: "GridSeq") -> "GridSeq":
-        a, b = self._align(other)
-        return GridSeq._make(self.theta, *reduced([x * y for x, y in zip(a, b)], self.den * other.den))
+        a, t = self.num, self.theta
+        if type(other) is not GridSeq or len(b := other.num) != len(a) or not (other.theta is t or other.theta == t):
+            a, b = self._align(other)  # pads the shorter operand, or raises
+        g = object.__new__(GridSeq)
+        g.theta = t
+        g.num, g.den = reduced(list(map(operator.mul, a, b)), self.den * other.den)
+        return g
 
     def __repr__(self) -> str:
         return f"GridSeq(theta={rational_str(self.theta)}, {[rational_str(v) for v in self.values]})"
@@ -148,8 +154,7 @@ class GridSpace(CoeffSpace):
     def zero(self) -> GridSeq:
         return GridSeq._make(self.theta, (0,) * self.length, 1)
 
-    def mul(self, x: GridSeq, y: GridSeq) -> GridSeq:
-        return x * y
+    mul = staticmethod(operator.mul)
 
     def one(self) -> GridSeq:
         return GridSeq._make(self.theta, (1,) * self.length, 1)

@@ -15,8 +15,10 @@ Matrices serialize as flat row-major arrays of "p/q" strings.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable, Sequence
 
 from .scalars import DenseRational, as_fractions, common_denominator, random_rationals, rational_str, reduced
@@ -84,8 +86,13 @@ class RatMatrix(DenseRational, shape="n"):
     scale = DenseRational.scale
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        a, b = self._align(other)
-        return RatMatrix._make(self.n, *reduced(matmul_kernel(self.n)(a, b), self.den * other.den))
+        n = self.n
+        if type(other) is not RatMatrix or other.n != n:
+            self._align(other)  # raises the TypeError or the ValueError
+        m = object.__new__(RatMatrix)
+        m.n = n
+        m.num, m.den = reduced(matmul_kernel(n)(self.num, other.num), self.den * other.den)
+        return m
 
     def __repr__(self) -> str:
         return f"RatMatrix({[[rational_str(a) for a in row] for row in self.rows]})"
@@ -103,11 +110,16 @@ class MatrixSpace(CoeffSpace):
     def zero(self) -> RatMatrix:
         return RatMatrix.zeros(self.n)
 
-    def mul(self, x: RatMatrix, y: RatMatrix) -> RatMatrix:
-        return x @ y
+    mul = staticmethod(operator.matmul)
 
     def one(self) -> RatMatrix:
         return RatMatrix.identity(self.n)
+
+
+@cache
+def _upper_mask(n: int) -> tuple[int, ...]:
+    """1 at the strictly upper-triangular entries of a flat row-major n x n matrix, else 0."""
+    return tuple(int(k % n > k // n) for k in range(n * n))
 
 
 def triangular_project(m: RatMatrix) -> RatMatrix:
@@ -119,9 +131,7 @@ def triangular_project(m: RatMatrix) -> RatMatrix:
     complement (strictly lower) a subalgebra too, but the convention here
     fixes the image to be the nilpotent side.
     """
-    n = m.n
-    num = [a if k % n > k // n else 0 for k, a in enumerate(m.num)]
-    return RatMatrix._make(n, *reduced(num, m.den))
+    return RatMatrix._make(m.n, *reduced(list(map(operator.mul, m.num, _upper_mask(m.n))), m.den))
 
 
 def random_matrix(rng: random.Random, n: int, span: int = 4) -> RatMatrix:

@@ -21,10 +21,10 @@ is not hashable.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from math import lcm
-from operator import add
 from typing import Any, Iterable
 
 from .matrices import MatrixSpace, RatMatrix, matmul_kernel, random_matrix
@@ -90,8 +90,10 @@ class Poly(DenseRational, shape="n"):
 
     def __mul__(self, other: "Poly") -> "Poly":
         """One int convolution of the coefficient blocks, reduced once."""
-        self._align(other)  # for its type and shape check: the convolution needs no padding
-        a, c, n = self.num, other.num, self.n
+        n = self.n
+        if type(other) is not Poly or other.n != n:
+            self._align(other)  # raises the TypeError or the ValueError
+        a, c = self.num, other.num
         if not a or not c:
             return self._like((), 1)
         if not n:
@@ -101,7 +103,7 @@ class Poly(DenseRational, shape="n"):
                     for k, y in enumerate(c, i):
                         out[k] += x * y
         else:
-            b, kern = n * n, matmul_kernel(n)
+            b, kern, add = n * n, matmul_kernel(n), operator.add
             out = [0] * (len(a) + len(c) - b)
             # (offset, entries) of each nonzero block of c
             blocks = [(k, c[k : k + b]) for k in range(0, len(c), b) if any(c[k : k + b])]
@@ -153,8 +155,7 @@ class PolySpace(CoeffSpace):
     def zero(self) -> Poly:
         return Poly(self.base)
 
-    def mul(self, x: Poly, y: Poly) -> Poly:
-        return x * y
+    mul = staticmethod(operator.mul)
 
     def one(self) -> Poly:
         return Poly(self.base, [self.base.one()])

@@ -103,11 +103,11 @@ class RotaBaxter:
         self.commutative = commutative
         self._neg_weight = -self.weight
         self._dend: RBDendriform | None = None
+        if not self.weight:  # decided once, not by comparing a Fraction with 0 per call: Rt(x) = -R(x)
+            self.r_tilde = lambda x: space.neg(operator(x))
 
     def r_tilde(self, x: Any) -> Any:
         """Rt(x) = -theta x - R(x)."""
-        if self.weight == 0:
-            return self.space.neg(self.r(x))
         return self.space.sub(self.space.scale(self._neg_weight, x), self.r(x))
 
     def sample(self, rng: random.Random) -> Any:

@@ -82,10 +82,29 @@ def reduced(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
 
 def random_rationals(rng: random.Random, count: int, span: int) -> tuple[tuple[int, ...], int]:
     """count rationals randint(-span, span) / randint(1, 3), drawn in that order,
-    as int numerators over one denominator in lowest terms (no ``Fraction``)."""
-    pq = [(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(count)]
-    den = lcm(*(q for _, q in pq))
-    return reduced([p * (den // q) for p, q in pq], den)
+    as int numerators over one denominator in lowest terms (no ``Fraction``).
+
+    Each draw runs inline the rejection loop of ``randint`` (through
+    ``randrange`` and ``Random._randbelow_with_getrandbits``): words of the
+    width's bit length from ``rng.getrandbits`` until one is below the width.
+    Values and rng state match ``randint`` bit for bit, as
+    ``tests/test_carriers.py::test_seeded_samples_keep_their_values`` pins."""
+    if span < 0:
+        raise ValueError(f"empty range for randint({-span}, {span})")
+    bits, width = rng.getrandbits, 2 * span + 1
+    k = width.bit_length()
+    ps, qs = [], []
+    for _ in range(count):
+        p = bits(k)
+        while p >= width:
+            p = bits(k)
+        q = bits(2)
+        while q == 3:
+            q = bits(2)
+        ps.append(p - span)
+        qs.append(q + 1)
+    den = lcm(*qs)
+    return reduced([p * (den // q) for p, q in zip(ps, qs)], den)
 
 
 def common_denominator(values: Iterable[Fraction | int]) -> tuple[tuple[int, ...], int]:
@@ -148,7 +167,9 @@ class DenseRational:
 
     def _combine(self, other: "DenseRational", sign: int) -> "DenseRational":
         """self + sign * other over the least common denominator, in lowest terms."""
-        a, b = self._align(other)
+        a, s = self.num, self._shape
+        if type(other) is not type(self) or len(b := other.num) != len(a) or not (other._shape is s or other._shape == s):
+            a, b = self._align(other)  # pads the shorter operand, or raises
         da, db = self.den, other.den
         if da == db:
             if sign == 1:
@@ -165,10 +186,13 @@ class DenseRational:
         return self._combine(other, -1)
 
     def __neg__(self) -> "DenseRational":
-        return self._like(tuple(-x for x in self.num), self.den)
+        return self._like(tuple([-x for x in self.num]), self.den)
 
     def scale(self, c: Fraction | int) -> "DenseRational":
-        p, q = ratio(c)
+        """c * self: self itself for c = 1 (carriers are immutable), -self for c = -1."""
+        p, q = (c.numerator, c.denominator) if isinstance(c, (int, Fraction)) else ratio(c)
+        if q == 1 and p in (1, -1):
+            return self if p == 1 else -self
         return self._like(*reduced([p * x for x in self.num], self.den * q))
 
     def is_zero(self) -> bool:
@@ -182,7 +206,9 @@ class DenseRational:
         s, t = self._shape, other._shape
         if s is not t and s != t:
             return False  # carriers of different shapes differ, as their hashes do
-        a, b = self._align(other)
+        a, b = self.num, other.num
+        if len(a) != len(b):
+            a, b = self._align(other)
         return a == b
 
     def __hash__(self):

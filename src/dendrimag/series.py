@@ -20,6 +20,7 @@ power-series loop, which sums each result coefficient once.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import reduce
 from types import MappingProxyType
@@ -53,12 +54,14 @@ class CoeffSpace:
     """Declared-operations contract for series coefficients.
 
     Subclasses implement ``zero``.  The other operations default to the
-    element's own: ``add`` is ``x + y``, ``sub`` is ``x - y``, ``neg`` is
-    ``-x``, ``scale`` is ``x.scale(c)``, ``is_zero`` is ``x.is_zero()``,
-    ``eq`` is ``x == y`` and ``element_json`` is ``x.to_json()``; ``sum``
-    folds ``add`` over its terms in order.  A space whose elements lack one
-    of these overrides it.  Spaces with a product additionally implement
-    ``mul`` and ``one`` and report ``has_product = True``.
+    element's own: ``add``, ``sub``, ``neg`` and ``eq`` are the ``operator``
+    functions themselves (``operator.add`` is ``x + y``, with no Python
+    frame of the space's), ``scale`` is ``x.scale(c)``, ``is_zero`` is
+    ``x.is_zero()`` and ``element_json`` is ``x.to_json()``; ``sum`` folds
+    ``add`` over its terms in order.  A space whose elements lack one of
+    these overrides it.  Spaces with a product additionally implement
+    ``mul`` and ``one`` and report ``has_product = True``; where the product
+    is the element's own, ``mul`` is ``operator.mul`` or ``operator.matmul``.
 
     ``kernels`` maps a product op to a function that sums it over a whole
     list of operand pairs.  The class default is empty and read-only; an
@@ -72,23 +75,13 @@ class CoeffSpace:
     def zero(self) -> Any:
         raise NotImplementedError
 
-    def add(self, x: Any, y: Any) -> Any:
-        return x + y
-
-    def sub(self, x: Any, y: Any) -> Any:
-        return x - y
-
-    def neg(self, x: Any) -> Any:
-        return -x
+    add, sub, neg, eq = map(staticmethod, (operator.add, operator.sub, operator.neg, operator.eq))
 
     def scale(self, c: Fraction, x: Any) -> Any:
         return x.scale(c)
 
     def is_zero(self, x: Any) -> bool:
         return x.is_zero()
-
-    def eq(self, x: Any, y: Any) -> bool:
-        return x == y
 
     def sum(self, terms: Sequence[Any]) -> Any:
         """The sum of a nonempty sequence of terms, added in order."""
@@ -138,8 +131,7 @@ class FractionSpace(CoeffSpace):
     def is_zero(self, x: Fraction) -> bool:
         return x == 0
 
-    def mul(self, x: Fraction, y: Fraction) -> Fraction:
-        return x * y
+    mul = staticmethod(operator.mul)
 
     def one(self) -> Fraction:
         return _ONE

@@ -33,7 +33,7 @@ from dendrimag.prelie_expr import _expressions_of_degree, eval_combo, eval_plana
 from dendrimag.rooted import _graft_basis, rooted_ops
 from dendrimag.series import RATIONALS, CoeffSpace
 
-SCALES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 4), Fraction(-5, 6), 2]
+SCALES = [Fraction(0), Fraction(1), Fraction(-1), 1, -1, Fraction(3, 4), Fraction(-5, 6), 2]  # scale shortcuts +-1
 
 
 def _rational(rng: random.Random) -> Fraction:
@@ -847,11 +847,15 @@ def _entries(rng, count, span):
 
 @pytest.mark.parametrize("seed", [0, 7, 101, 20240501])
 def test_seeded_samples_keep_their_values(seed):
-    """Same draws in the same order: the same (num, den), and the same rng state after."""
+    """Same draws in the same order: the same (num, den), and the same rng state after.
+
+    Spans 0, 1, 3, 4 and 1000 give numerator ranges of width 1, 3, 7, 9 and
+    2001 for the sampler's getrandbits loop: one-bit words rejected half the
+    time, widths one short of a power of two, and an 11-bit width."""
     new, old = random.Random(seed), random.Random(seed)
     theta, m2 = Fraction(1, 3), MatrixSpace(2)
     for _ in range(25):
-        for span in (4, 3):
+        for span in (4, 3, 0, 1, 1000):
             pairs = [
                 (random_matrix(new, 3, span), RatMatrix([_entries(old, 3, span) for _ in range(3)])),
                 (random_gridseq(new, theta, 6, span), GridSeq(theta, _entries(old, 6, span))),
@@ -864,13 +868,15 @@ def test_seeded_samples_keep_their_values(seed):
             for got, want in pairs:
                 assert type(got) is type(want) and (got.num, got.den) == (want.num, want.den)
             assert pairs[1][0].theta is theta and pairs[2][0].base is RATIONALS
-        assert new.random() == old.random()
+            assert new.getstate() == old.getstate()
     # the summation tridendriform draws the same values, on its space's own theta
     summation, new, old = SummationTridendriform(), random.Random(seed), random.Random(seed)
     for _ in range(25):
         got, want = summation.sample(new), GridSeq(Fraction(1), _entries(old, summation.length, 4))
         assert got.theta is summation.space.theta and (got.num, got.den) == (want.num, want.den)
-    assert new.random() == old.random()
+    assert new.getstate() == old.getstate()
+    with pytest.raises(ValueError, match="empty range"):  # as randint(1, -1) raises, not a draw that never ends
+        random_matrix(new, 2, -1)
 
 
 # -- benchmark tracer targets -------------------------------------------------------
@@ -880,6 +886,8 @@ def test_carrier_trace_targets_resolve():
     """The benchmark tracer finds a span target only in its class's own dict, so
     a carrier method inherited from ``DenseRational`` needs an alias there."""
     tracer_file = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    if not tracer_file.is_file():
+        pytest.fail(f"bench/tracer.py is missing (looked for {tracer_file}): this test needs the benchmark tracer")
     spec = importlib.util.spec_from_file_location("bench_tracer", tracer_file)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
