@@ -43,7 +43,6 @@ from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
 from .report import VerificationReport
-from .scalars import rational_str
 from .series import CoeffSpace, TruncatedSeries, bilinear_terms
 
 __all__ = [
@@ -114,9 +113,6 @@ class Dendriform:
         raise NotImplementedError(f"{self.name} registers no sample generator")
 
     # -- adjoined unit -----------------------------------------------------
-    def unit(self) -> UnitalDendElem:
-        return UnitalDendElem(Fraction(1), self.space.zero())
-
     def embed(self, a: Any) -> UnitalDendElem:
         return UnitalDendElem(Fraction(0), a)
 
@@ -276,9 +272,6 @@ class UnitalSpace(CoeffSpace):
 
     def one(self) -> UnitalDendElem:
         return UnitalDendElem(Fraction(1), self.carrier.zero())
-
-    def element_json(self, x: UnitalDendElem):
-        return {"unit": rational_str(x.scalar), "carrier": self.carrier.element_json(x.vec)}
 
 
 # -- the two fundamental equations ------------------------------------------

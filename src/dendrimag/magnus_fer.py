@@ -272,10 +272,10 @@ def power_sum_bridge_check(dend: Dendriform, a, order: int, n_max: int) -> Verif
     powers = [TruncatedSeries.one(dend.unital_space, order)]
     for _ in range(n_max + 1):
         powers.append(powers[-1] * w)
+    succ_w = [series_half_succ(dend, power, w) for power in powers[: n_max + 1]]  # W^*p > W
     for n in range(n_max + 1):
         total = TruncatedSeries.zero(dend.unital_space, order)
         for p in range(n + 1):
-            q = n - p
-            total = total + series_half_prec(dend, series_half_succ(dend, powers[p], w), powers[q])
+            total = total + series_half_prec(dend, succ_w[p], powers[n - p])
         rep.add_residuals(f"n = {n}", total, powers[n + 1])
     return rep

@@ -14,9 +14,8 @@ all-zero block, over one positive ``den`` in lowest terms (zero is ``()``
 over 1).  Sums, scaling and equality come from the base; every operation
 runs on ints with one reduction per result (over matrices, a product sums
 ``matrices.matmul_kernel(n)`` of block pairs); base elements appear only at the
-boundary (the constructor, ``coeffs``, the value of ``eval_at``, ``repr``,
-``to_json``).  Mixing coefficient shapes raises ``ValueError``.  A ``Poly``
-is not hashable.
+boundary (the constructor, ``coeffs``, the value of ``eval_at``, ``repr``).
+Mixing coefficient shapes raises ``ValueError``.  A ``Poly`` is not hashable.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Any, Iterable
 
 from .matrices import MatrixSpace, RatMatrix, matmul_kernel, random_matrix
 from .report import VerificationReport
-from .scalars import DenseRational, as_fractions, random_rationals, ratio, reduced
+from .scalars import DenseRational, as_fractions, random_rationals, ratio, rational_str, reduced
 from .series import CoeffSpace, FractionSpace, RATIONALS
 
 __all__ = ["Poly", "PolySpace", "ibp_power_check", "random_poly"]
@@ -137,10 +136,7 @@ class Poly(DenseRational, shape="n"):
         return RatMatrix._make(n, *reduced(acc, self.den * qk))
 
     def __repr__(self) -> str:
-        return f"Poly({[self.base.element_json(c) for c in self.coeffs]})"
-
-    def to_json(self) -> dict:
-        return {"coeffs": [self.base.element_json(c) for c in self.coeffs]}
+        return f"Poly({[c.to_json() if self.n else rational_str(c) for c in self.coeffs]})"
 
 
 class PolySpace(CoeffSpace):

@@ -28,7 +28,8 @@ arithmetic, the factorization theory this buys:
     solutions of Xh = 1 - lambda Rt(a Xh) and Yh = 1 - lambda R(Yh a);
   * the exponential forms Xh = exp(-Rt(W)), Yh = exp(-R(W)) with W the
     Magnus series of the induced dendriform structure, and the corresponding
-    ordered products over the Fer factors;
+    ordered products over the Fer factors; ``atkinson_check`` solves Xh, Yh,
+    W and the Fer factors once and returns these as three reports;
   * Spitzer's classical identity (commutative carrier)
         1 + sum_n lambda^n R(aR(a...R(a))) = exp(R(log(1 + theta a lambda)/theta)),
     with the weight-zero degeneration exp(lambda R(a));
@@ -67,8 +68,6 @@ __all__ = [
     "atkinson_factor",
     "bch_recursion",
     "atkinson_check",
-    "factor_exponentials_check",
-    "factor_products_check",
     "spitzer_classical_check",
     "spitzer_noncommutative_check",
     "exp_image_check",
@@ -282,58 +281,47 @@ def bch_recursion(
     return TruncatedSeries(sp, n_max, chi)
 
 
-def atkinson_check(rb: RotaBaxter, a: Any, order: int) -> VerificationReport:
-    """Yh (1 - theta lambda a) Xh = 1, and the Magnus-exponential splitting
-    1 - theta lambda a = exp(R(W)) exp(Rt(W))."""
-    rep = VerificationReport(f"Atkinson factorization [{rb.name}]")
+def atkinson_check(rb: RotaBaxter, a: Any, order: int) -> list[VerificationReport]:
+    """Atkinson's factorization and its exponential and Fer-product forms.
+
+    Xh, Yh, W, R(W), Rt(W) and the Fer factors U_n are solved once and shared
+    by three reports:
+      * "Atkinson factorization": Xh and Yh solve their recursions,
+        Yh (1 - theta lambda a) Xh = 1, and the Magnus-exponential splitting
+        1 - theta lambda a = exp(R(W)) exp(Rt(W));
+      * "factor exponentials": Xh = exp(-Rt(W)) and Yh = exp(-R(W));
+      * "factor products": the forward product of exp(-Rt(U_n)) is Xh and
+        the reversed product of exp(-R(U_n)) is Yh.
+    """
     one = TruncatedSeries.one(rb.space, order)
     xh = atkinson_factor(rb, a, "X", order)
     yh = atkinson_factor(rb, a, "Y", order)
-    lam_a = TruncatedSeries.single(rb.space, order, 1, a)
-    rep.add_residuals("Xh substituted back into Xh = 1 - lambda Rt(a Xh)", xh, one - (lam_a * xh).map_coeffs(rb.r_tilde))
-    rep.add_residuals("Yh substituted back into Yh = 1 - lambda R(Yh a)", yh, one - (yh * lam_a).map_coeffs(rb.r))
     mid = _one_minus_theta_a(rb, a, order)
-    rep.add_residuals("Yh (1 - theta lambda a) Xh = 1", yh * mid * xh, one)
     w = magnus(rb.dendriform(), a, order)
-    rep.add_residuals(
-        "1 - theta lambda a = exp(R(W)) exp(Rt(W))",
-        mid,
-        series_exp(w.map_coeffs(rb.r)) * series_exp(w.map_coeffs(rb.r_tilde)),
-    )
-    return rep
+    r_w, rt_w = w.map_coeffs(rb.r), w.map_coeffs(rb.r_tilde)
 
+    atk = VerificationReport(f"Atkinson factorization [{rb.name}]")
+    lam_a = TruncatedSeries.single(rb.space, order, 1, a)
+    atk.add_residuals("Xh substituted back into Xh = 1 - lambda Rt(a Xh)", xh, one - (lam_a * xh).map_coeffs(rb.r_tilde))
+    atk.add_residuals("Yh substituted back into Yh = 1 - lambda R(Yh a)", yh, one - (yh * lam_a).map_coeffs(rb.r))
+    atk.add_residuals("Yh (1 - theta lambda a) Xh = 1", yh * mid * xh, one)
+    atk.add_residuals("1 - theta lambda a = exp(R(W)) exp(Rt(W))", mid, series_exp(r_w) * series_exp(rt_w))
 
-def factor_exponentials_check(rb: RotaBaxter, a: Any, order: int) -> VerificationReport:
-    """Xh = exp(-Rt(W)) and Yh = exp(-R(W)) with W the induced Magnus series."""
-    rep = VerificationReport(f"factor exponentials [{rb.name}]")
-    w = magnus(rb.dendriform(), a, order)
-    rep.add_residuals(
-        "Xh = exp(-Rt(W))",
-        atkinson_factor(rb, a, "X", order),
-        series_exp(-w.map_coeffs(rb.r_tilde)),
-    )
-    rep.add_residuals(
-        "Yh = exp(-R(W))",
-        atkinson_factor(rb, a, "Y", order),
-        series_exp(-w.map_coeffs(rb.r)),
-    )
-    return rep
+    exps = VerificationReport(f"factor exponentials [{rb.name}]")
+    exps.add_residuals("Xh = exp(-Rt(W))", xh, series_exp(-rt_w))
+    exps.add_residuals("Yh = exp(-R(W))", yh, series_exp(-r_w))
 
+    def product(factors, op):
+        prod = one
+        for u in factors:
+            prod = prod * series_exp(-u.map_coeffs(op))
+        return prod
 
-def factor_products_check(rb: RotaBaxter, a: Any, order: int) -> VerificationReport:
-    """Ordered Fer products solve the factor recursions:
-    forward product of exp(-Rt(U_n)) is Xh, reversed product of exp(-R(U_n)) is Yh."""
-    rep = VerificationReport(f"factor products [{rb.name}]")
+    prods = VerificationReport(f"factor products [{rb.name}]")
     factors = fer(rb.dendriform(), a, order)
-    prod = TruncatedSeries.one(rb.space, order)
-    for u in factors:
-        prod = prod * series_exp(-u.map_coeffs(rb.r_tilde))
-    rep.add_residuals("forward product of exp(-Rt(U_n)) = Xh", prod, atkinson_factor(rb, a, "X", order))
-    prod = TruncatedSeries.one(rb.space, order)
-    for u in reversed(factors):
-        prod = prod * series_exp(-u.map_coeffs(rb.r))
-    rep.add_residuals("reversed product of exp(-R(U_n)) = Yh", prod, atkinson_factor(rb, a, "Y", order))
-    return rep
+    prods.add_residuals("forward product of exp(-Rt(U_n)) = Xh", product(factors, rb.r_tilde), xh)
+    prods.add_residuals("reversed product of exp(-R(U_n)) = Yh", product(reversed(factors), rb.r), yh)
+    return [atk, exps, prods]
 
 
 def _iterated_series(rb: RotaBaxter, a: Any, order: int) -> TruncatedSeries:

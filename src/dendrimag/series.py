@@ -26,8 +26,6 @@ from functools import reduce
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, Sequence
 
-from .scalars import rational_str
-
 __all__ = [
     "CoeffSpace",
     "FractionSpace",
@@ -56,12 +54,12 @@ class CoeffSpace:
     Subclasses implement ``zero``.  The other operations default to the
     element's own: ``add``, ``sub``, ``neg`` and ``eq`` are the ``operator``
     functions themselves (``operator.add`` is ``x + y``, with no Python
-    frame of the space's), ``scale`` is ``x.scale(c)``, ``is_zero`` is
-    ``x.is_zero()`` and ``element_json`` is ``x.to_json()``; ``sum`` folds
-    ``add`` over its terms in order.  A space whose elements lack one of
-    these overrides it.  Spaces with a product additionally implement
-    ``mul`` and ``one`` and report ``has_product = True``; where the product
-    is the element's own, ``mul`` is ``operator.mul`` or ``operator.matmul``.
+    frame of the space's), ``scale`` is ``x.scale(c)`` and ``is_zero`` is
+    ``x.is_zero()``; ``sum`` folds ``add`` over its terms in order.  A space
+    whose elements lack one of these overrides it.  Spaces with a product
+    additionally implement ``mul`` and ``one`` and report ``has_product =
+    True``; where the product is the element's own, ``mul`` is
+    ``operator.mul`` or ``operator.matmul``.
 
     ``kernels`` maps a product op to a function that sums it over a whole
     list of operand pairs.  The class default is empty and read-only; an
@@ -109,10 +107,6 @@ class CoeffSpace:
     def one(self) -> Any:
         raise NotImplementedError(f"{type(self).__name__} declares no unit")
 
-    def element_json(self, x: Any) -> Any:
-        """JSON-serializable form of one coefficient."""
-        return x.to_json()
-
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -135,9 +129,6 @@ class FractionSpace(CoeffSpace):
 
     def one(self) -> Fraction:
         return _ONE
-
-    def element_json(self, x: Fraction) -> str:
-        return rational_str(x)
 
 
 RATIONALS = FractionSpace()
@@ -240,12 +231,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.order}, coeffs={list(self.coeffs)!r})"
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "coeffs": [self.space.element_json(c) for c in self.coeffs],
-        }
 
 
 def bilinear_terms(

@@ -423,6 +423,13 @@ def test_poly_ops_match_fraction_reference(base):
         assert Poly(base, a.coeffs) == a and a == _poly(base, ra + [[Fraction(0)] * b])
 
 
+def test_poly_repr():
+    assert repr(Poly(RATIONALS, [1, Fraction(-1, 2), 0, 3])) == "Poly(['1', '-1/2', '0', '3'])"
+    m = RatMatrix([[1, 0], [Fraction(2, 3), -1]])
+    assert repr(Poly(MatrixSpace(2), [m, RatMatrix.zeros(2)])) == "Poly([['1', '0', '2/3', '-1']])"
+    assert repr(Poly(RATIONALS, [])) == repr(Poly(MatrixSpace(2), [])) == "Poly([])"
+
+
 def test_poly_coefficient_space_mismatch():
     # block size 1 for both the rationals and 1 x 1 matrices: shapes, not sizes, must agree
     polys = [Poly(RATIONALS, [1, Fraction(1, 2)]), Poly(MatrixSpace(1), [RatMatrix([[1]])])]

@@ -28,7 +28,7 @@ from dendrimag.dendriform import (
 from dendrimag.instances import grid_rb, matrix_poly_rb, triangular_rb
 from dendrimag.matrices import MatrixSpace, RatMatrix, random_matrix, triangular_project
 from dendrimag.report import VerificationReport
-from dendrimag.rota_baxter import RBDendriform, RBTridendriform, RotaBaxter, check_rb_relation
+from dendrimag.rota_baxter import RBDendriform, RBTridendriform, RotaBaxter, atkinson_check, check_rb_relation
 from dendrimag.series import RATIONALS, TruncatedSeries
 
 N = 12
@@ -270,6 +270,29 @@ def test_noncommutative_carrier_declared_commutative_fails_only_that():
     _assert_fails_exactly(rep, {"declared commutative carrier"}, N + 1, "pairs")
 
 
+def test_doubled_projection_fails_the_factorization_and_every_factor_form():
+    # 2P is not Rota-Baxter of weight -1: (2P(a))(2P(b)) = 4P(a)P(b), but
+    # 2P(2P(a)b + 2aP(b) - ab) = 2P(a)P(b) + 2P(P(a)b + aP(b))
+    space = MatrixSpace(3)
+    rb = RotaBaxter(
+        "doubled triangular projection",
+        space,
+        Fraction(-1),
+        lambda x: space.scale(2, triangular_project(x)),
+        lambda rng: random_matrix(rng, 3),
+    )
+    reports = atkinson_check(rb, rb.sample(random.Random(19)), 6)
+    failed = {(r.name, c.label) for r in reports for c in r.checks if not c.ok}
+    assert failed == {
+        ("Atkinson factorization [doubled triangular projection]", "Yh (1 - theta lambda a) Xh = 1"),
+        ("factor exponentials [doubled triangular projection]", "Xh = exp(-Rt(W))"),
+        ("factor exponentials [doubled triangular projection]", "Yh = exp(-R(W))"),
+        ("factor products [doubled triangular projection]", "forward product of exp(-Rt(U_n)) = Xh"),
+        ("factor products [doubled triangular projection]", "reversed product of exp(-R(U_n)) = Yh"),
+    }, [r.summary() for r in reports]
+    assert [len(r.checks) for r in reports] == [4, 2, 2]
+
+
 class _LtGtSwapped(RBTridendriform):
     def lt(self, a, b):
         return super().gt(a, b)
@@ -388,7 +411,7 @@ class _PrecAcceptsUnitUnit(RBDendriform):
 
     def half_prec(self, x, y):
         if x.scalar and y.scalar:
-            return self.unit()
+            return self.unital_space.one()
         return super().half_prec(x, y)
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dendrimag import magnus_fer
 from dendrimag.dendriform import lift_to_unital, series_half_prec, series_half_succ, solve_left
 from dendrimag.lincomb import LinComb
 from dendrimag.magnus_fer import (
@@ -194,6 +195,25 @@ def test_power_sum_bridge_free_model():
     free = free_dendriform()
     rep = power_sum_bridge_check(free, free.generator(), 6, 5)
     assert rep.ok, rep.summary()
+
+
+def test_power_sum_bridge_computes_each_half_product_once(monkeypatch):
+    # n_max = 5: one W^*p > W per p = 0..5, one (W^*p > W) < W^*q per p + q <= 5
+    calls = {"succ": 0, "prec": 0}
+
+    def counted(kind, f):
+        def wrapper(*args):
+            calls[kind] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(magnus_fer, "series_half_succ", counted("succ", series_half_succ))
+    monkeypatch.setattr(magnus_fer, "series_half_prec", counted("prec", series_half_prec))
+    free = free_dendriform()
+    rep = power_sum_bridge_check(free, free.generator(), 4, 5)
+    assert rep.ok, rep.summary()
+    assert calls == {"succ": 6, "prec": 21}
 
 
 def test_left_absorption_integral_identity():

@@ -19,8 +19,6 @@ from dendrimag.rota_baxter import (
     classical_magnus_check,
     double_product,
     exp_image_check,
-    factor_exponentials_check,
-    factor_products_check,
     spitzer_classical_check,
     spitzer_noncommutative_check,
 )
@@ -133,10 +131,10 @@ def test_atkinson_factor_recursion_residual(tri_rb, rng):
 def test_atkinson_and_factor_forms(tri_rb, grid_strict, grid_incl, rng):
     for rb in (tri_rb, grid_strict, grid_incl):
         a = rb.sample(rng)
-        assert atkinson_check(rb, a, 6).ok
-        assert factor_exponentials_check(rb, a, 5).ok
-        assert factor_products_check(rb, a, 5).ok
-    assert atkinson_check(tri_rb, tri_rb.space.zero(), 6).ok
+        reports = atkinson_check(rb, a, 6)
+        assert [len(r.checks) for r in reports] == [4, 2, 2]
+        assert all(r.ok for r in reports), [r.summary() for r in reports]
+    assert all(r.ok for r in atkinson_check(tri_rb, tri_rb.space.zero(), 6))
 
 
 def test_bch_recursion_requires_nonzero_weight(poly_scalar):

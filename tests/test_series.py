@@ -154,11 +154,6 @@ def test_shift_and_low_degree():
     assert TruncatedSeries.zero(RATIONALS, 4).low_degree() is None
 
 
-def test_series_json():
-    s = scalar_series(2, [1, Fraction(-1, 2)])
-    assert s.to_json() == {"order": 2, "coeffs": ["1", "-1/2", "0"]}
-
-
 # -- the shared truncated bilinear loop --------------------------------------
 
 
