@@ -13,6 +13,9 @@ with a * b := a prec b + a succ b associative.  The derived bilinear maps
     a lhd b := a prec b - b succ a        (right pre-Lie)
 
 satisfy the pre-Lie identities and share one Lie bracket with ``*``.
+A tridendriform algebra (lt, gt, dot, whose sum is associative) is a
+dendriform algebra through the collapse prec = lt + dot, succ = gt, so
+:class:`Tridendriform` is a :class:`Dendriform` with those two methods.
 
 Contracts here are verified by sampling, not by proof: every concrete
 instance registers a sample generator, and the checkers in this module
@@ -49,7 +52,6 @@ __all__ = [
     "UndefinedUnitProduct",
     "Dendriform",
     "Tridendriform",
-    "DendriformFromTridendriform",
     "AssocDendriform",
     "UnitalDendElem",
     "UnitalSpace",
@@ -158,13 +160,16 @@ class Dendriform:
         return UnitalDendElem(scalar, terms[0] if len(terms) == 1 else sp.sum(terms))
 
 
-class Tridendriform:
-    """Three operations lt, gt, dot whose sum is associative (seven axioms)."""
+class Tridendriform(Dendriform):
+    """Three operations lt, gt, dot whose sum is associative (seven axioms).
+
+    The dendriform methods are the collapse prec = lt + dot, succ = gt.
+    ``star`` stays the three-term sum, so the dendriform axioms read
+    lt + gt + dot, and only ``Dendriform.star`` (prec + succ) reads the
+    collapse.
+    """
 
     name = "tridendriform"
-
-    def __init__(self, space: CoeffSpace):
-        self.space = space
 
     def lt(self, a: Any, b: Any) -> Any:
         raise NotImplementedError
@@ -175,32 +180,15 @@ class Tridendriform:
     def dot(self, a: Any, b: Any) -> Any:
         raise NotImplementedError
 
+    def prec(self, a: Any, b: Any) -> Any:
+        return self.space.add(self.lt(a, b), self.dot(a, b))
+
+    def succ(self, a: Any, b: Any) -> Any:
+        return self.gt(a, b)
+
     def star(self, a: Any, b: Any) -> Any:
         sp = self.space
         return sp.add(sp.add(self.lt(a, b), self.gt(a, b)), self.dot(a, b))
-
-    def sample(self, rng: random.Random) -> Any:
-        raise NotImplementedError(f"{self.name} registers no sample generator")
-
-    def as_dendriform(self) -> "DendriformFromTridendriform":
-        """Collapse dot into the left half: prec = lt + dot, succ = gt."""
-        return DendriformFromTridendriform(self)
-
-
-class DendriformFromTridendriform(Dendriform):
-    def __init__(self, tri: Tridendriform):
-        super().__init__(tri.space)
-        self.tri = tri
-        self.name = f"{tri.name}-as-dendriform"
-
-    def prec(self, a, b):
-        return self.space.add(self.tri.lt(a, b), self.tri.dot(a, b))
-
-    def succ(self, a, b):
-        return self.tri.gt(a, b)
-
-    def sample(self, rng):
-        return self.tri.sample(rng)
 
 
 class AssocDendriform(Dendriform):
@@ -280,21 +268,14 @@ class UnitalSpace(CoeffSpace):
 def solve_left(dend: Dendriform, a: Any, order: int) -> TruncatedSeries:
     """The unique X with X = 1 + lambda a prec X, modulo lambda^(order+1)."""
     usp = dend.unital_space
-    coeffs = [usp.one()]
-    xa = dend.embed(a)
-    for _ in range(order):
-        coeffs.append(dend.half_prec(xa, coeffs[-1]))
-    return TruncatedSeries(usp, order, coeffs)
+    return TruncatedSeries.iterate(usp, order, usp.one(), partial(dend.half_prec, dend.embed(a)))
 
 
 def solve_right(dend: Dendriform, a: Any, order: int) -> TruncatedSeries:
     """The unique Y with Y = 1 - Y succ lambda a, modulo lambda^(order+1)."""
     usp = dend.unital_space
-    coeffs = [usp.one()]
     xa = dend.embed(a)
-    for _ in range(order):
-        coeffs.append(usp.neg(dend.half_succ(coeffs[-1], xa)))
-    return TruncatedSeries(usp, order, coeffs)
+    return TruncatedSeries.iterate(usp, order, usp.one(), lambda y: usp.neg(dend.half_succ(y, xa)))
 
 
 def _series_bilinear(dend, op, sx: TruncatedSeries, sy: TruncatedSeries) -> TruncatedSeries:

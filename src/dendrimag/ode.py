@@ -221,9 +221,6 @@ def _transitions(a: FloatMatrixPoly, t0s: np.ndarray, h: float, method: str) -> 
 @dataclass
 class StepResult:
     final: np.ndarray
-    method: str
-    order: int
-    exponentials_per_step: int
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -244,8 +241,7 @@ def integrate(
             phi = u @ phi
     if not np.all(np.isfinite(phi)):
         raise NonFinite("propagator overflowed")
-    order, nexp = _METHOD_META[method]
-    return StepResult(phi, method, order, nexp)
+    return StepResult(phi)
 
 
 # The reference grid is this many times finer than the finest sweep.

@@ -10,16 +10,18 @@ satisfies (RB) with the same weight, and both images are subalgebras.  Every
 such operator induces:
 
   * a tridendriform structure  a<b = aR(b), a>b = R(a)b, a.b = theta ab;
-  * a dendriform structure     a prec b = aR(b) + theta ab = -a Rt(b),
+  * through its collapse, a dendriform structure
+                               a prec b = aR(b) + theta ab = -a Rt(b),
                                a succ b = R(a)b;
   * a left pre-Lie product     a rhd b = [R(a), b] - theta ba;
-  * the double product         a *t b = aR(b) + R(a)b + theta ab, for which
-    R and -Rt are algebra morphisms: R(a *t b) = R(a)R(b) and
-    Rt(a *t b) = -Rt(a)Rt(b).
+  * the double product         a *t b = aR(b) + R(a)b + theta ab, which is
+    the induced dendriform ``star`` and for which R and -Rt are algebra
+    morphisms: R(a *t b) = R(a)R(b) and Rt(a *t b) = -Rt(a)Rt(b).
 
 On the adjoined dendriform unit the operator extends by R(1u) = 1 and
 Rt(1u) = -1 (1u annihilates the carrier multiplicatively), which is exactly
-what makes unital exponentials land where they should.
+what makes unital exponentials land where they should: R maps the
+*t-exponential over the induced unital space to the plain exponential.
 
 The checks in this module verify, per lambda-degree and with exact rational
 arithmetic, the factorization theory this buys:
@@ -53,7 +55,7 @@ import random
 from fractions import Fraction
 from typing import Any, Callable
 
-from .dendriform import Dendriform, Tridendriform, UnitalDendElem, sample_tuples
+from .dendriform import Dendriform, Tridendriform, UnitalDendElem, lift_to_unital, sample_tuples
 from .magnus_fer import fer, magnus, magnus_from_series
 from .report import VerificationReport
 from .series import CoeffSpace, TruncatedSeries, bch, series_exp, series_log
@@ -63,7 +65,6 @@ __all__ = [
     "ZeroWeight",
     "RBTridendriform",
     "RBDendriform",
-    "double_product",
     "check_rb_relation",
     "atkinson_factor",
     "bch_recursion",
@@ -179,20 +180,11 @@ class RBDendriform(Dendriform):
         return self.rb.sample(rng)
 
 
-def double_product(rb: RotaBaxter, a: Any, b: Any) -> Any:
-    """a *t b = aR(b) + R(a)b + theta ab; R and -Rt are morphisms for it."""
-    sp = rb.space
-    return sp.add(
-        sp.add(sp.mul(a, rb.r(b)), sp.mul(rb.r(a), b)),
-        sp.scale(rb.weight, sp.mul(a, b)),
-    )
-
-
 def check_rb_relation(rb: RotaBaxter, samples: int, seed: int = 0) -> VerificationReport:
     """(RB) for R and for Rt, plus the morphism identities for the double product."""
     rep = VerificationReport(f"Rota-Baxter relation [{rb.name}], weight {rb.weight}")
     sp = rb.space
-    eq, add, mul, r, rt = sp.eq, sp.add, sp.mul, rb.r, rb.r_tilde
+    eq, add, mul, r, rt, star = sp.eq, sp.add, sp.mul, rb.r, rb.r_tilde, rb.dendriform().star
     labels = [
         "R(a)R(b) = R(R(a)b + aR(b) + theta ab)",
         "Rt satisfies the same weight relation",
@@ -208,8 +200,8 @@ def check_rb_relation(rb: RotaBaxter, samples: int, seed: int = 0) -> Verificati
         r_ab, rt_ab = mul(r_a, r_b), mul(rt_a, rt_b)
         yield eq(r_ab, r(add(add(mul(r_a, b), mul(a, r_b)), theta_ab)))
         yield eq(rt_ab, rt(add(add(mul(rt_a, b), mul(a, rt_b)), theta_ab)))
-        # a *t b from double_product, not from the inner sum above
-        d = double_product(rb, a, b)
+        # a *t b is the induced dendriform star, not the inner sum above
+        d = star(a, b)
         yield eq(r(d), r_ab)
         yield eq(rt(d), sp.neg(rt_ab))
         if rb.commutative:
@@ -222,9 +214,9 @@ def check_rb_relation(rb: RotaBaxter, samples: int, seed: int = 0) -> Verificati
 # -- series helpers over the carrier ----------------------------------------
 
 
-def _one_minus_theta_a(rb: RotaBaxter, a: Any, order: int) -> TruncatedSeries:
-    s = TruncatedSeries.single(rb.space, order, 1, rb.space.scale(-rb.weight, a))
-    return TruncatedSeries.one(rb.space, order) + s
+def _one_plus_lambda(space: CoeffSpace, order: int, c: Any) -> TruncatedSeries:
+    """The series 1 + lambda c."""
+    return TruncatedSeries.one(space, order) + TruncatedSeries.single(space, order, 1, c)
 
 
 def atkinson_factor(rb: RotaBaxter, a: Any, side: str, order: int) -> TruncatedSeries:
@@ -237,10 +229,7 @@ def atkinson_factor(rb: RotaBaxter, a: Any, side: str, order: int) -> TruncatedS
         step = lambda c: rb.r(sp.mul(c, a))
     else:
         raise ValueError(f"side must be 'X' or 'Y', got {side!r}")
-    coeffs = [sp.one()]
-    for _ in range(order):
-        coeffs.append(sp.neg(step(coeffs[-1])))
-    return TruncatedSeries(sp, order, coeffs)
+    return TruncatedSeries.iterate(sp, order, sp.one(), lambda c: sp.neg(step(c)))
 
 
 def bch_recursion(
@@ -296,7 +285,7 @@ def atkinson_check(rb: RotaBaxter, a: Any, order: int) -> list[VerificationRepor
     one = TruncatedSeries.one(rb.space, order)
     xh = atkinson_factor(rb, a, "X", order)
     yh = atkinson_factor(rb, a, "Y", order)
-    mid = _one_minus_theta_a(rb, a, order)
+    mid = _one_plus_lambda(rb.space, order, rb.space.scale(-rb.weight, a))
     w = magnus(rb.dendriform(), a, order)
     r_w, rt_w = w.map_coeffs(rb.r), w.map_coeffs(rb.r_tilde)
 
@@ -327,12 +316,7 @@ def atkinson_check(rb: RotaBaxter, a: Any, order: int) -> list[VerificationRepor
 def _iterated_series(rb: RotaBaxter, a: Any, order: int) -> TruncatedSeries:
     """1 + sum_n lambda^n R(a R(a ... R(a)))  (innermost first)."""
     sp = rb.space
-    coeffs = [sp.one()]
-    z = sp.one()
-    for _ in range(order):
-        z = rb.r(sp.mul(a, z))
-        coeffs.append(z)
-    return TruncatedSeries(sp, order, coeffs)
+    return TruncatedSeries.iterate(sp, order, sp.one(), lambda z: rb.r(sp.mul(a, z)))
 
 
 def spitzer_classical_check(rb: RotaBaxter, a: Any, order: int) -> VerificationReport:
@@ -347,10 +331,7 @@ def spitzer_classical_check(rb: RotaBaxter, a: Any, order: int) -> VerificationR
     sp = rb.space
     lhs = _iterated_series(rb, a, order)
     if rb.weight != 0:
-        inner = series_log(
-            TruncatedSeries.one(sp, order)
-            + TruncatedSeries.single(sp, order, 1, sp.scale(rb.weight, a))
-        ).scale(1 / rb.weight)
+        inner = series_log(_one_plus_lambda(sp, order, sp.scale(rb.weight, a))).scale(1 / rb.weight)
         rhs = series_exp(inner.map_coeffs(rb.r))
         label = "iterated series = exp(R(log(1 + theta a lambda)/theta))"
     else:
@@ -381,7 +362,7 @@ def spitzer_noncommutative_check(
     theta = rb.weight
     one = TruncatedSeries.one(sp, order)
 
-    alpha_t = -series_log(_one_minus_theta_a(rb, a, order)).scale(1 / theta)
+    alpha_t = -series_log(_one_plus_lambda(sp, order, sp.scale(-theta, a))).scale(1 / theta)
     chi_two = bch_recursion(rb, alpha_t, "two_sided")
     chi_one = bch_recursion(rb, alpha_t, "one_sided")
     rep.add_residuals("two-sided and one-sided chi forms agree", chi_two, chi_one)
@@ -395,9 +376,7 @@ def spitzer_noncommutative_check(
         series_exp(chi_two.map_coeffs(rb.r)) * series_exp(chi_two.map_coeffs(rb.r_tilde)),
     )
 
-    plus = series_log(
-        one + TruncatedSeries.single(sp, order, 1, sp.scale(theta, a))
-    ).scale(1 / theta)
+    plus = series_log(_one_plus_lambda(sp, order, sp.scale(theta, a))).scale(1 / theta)
     rep.add_residuals(
         "iterated series = exp(R(chi(log(1 + theta a lambda)/theta)))",
         _iterated_series(rb, a, order),
@@ -417,17 +396,15 @@ def spitzer_noncommutative_check(
 
 def exp_image_check(rb: RotaBaxter, a: Any, order: int) -> VerificationReport:
     """R maps the double-product exponential to the plain exponential:
-    R(exp_{*t}(lambda a)) = exp(lambda R(a)), using R(1u) = 1."""
+    R(exp_{*t}(lambda a)) = exp(lambda R(a)).
+
+    The left side is ``series_exp`` over the induced unital space, whose
+    product is the double product, mapped by R with R(1u) = 1.
+    """
     rep = VerificationReport(f"exponential image [{rb.name}]")
     sp = rb.space
-    coeffs = [sp.one()]  # degree 0: R applied to the dendriform unit
-    power = None
-    fact = 1
-    for n in range(1, order + 1):
-        power = a if power is None else double_product(rb, power, a)
-        fact *= n
-        coeffs.append(sp.scale(Fraction(1, fact), rb.r(power)))
-    lhs = TruncatedSeries(sp, order, coeffs)
+    lam_a = TruncatedSeries.single(sp, order, 1, a)
+    lhs = series_exp(lift_to_unital(rb.dendriform(), lam_a)).map_coeffs(rb.unital_r, sp)
     rhs = series_exp(TruncatedSeries.single(sp, order, 1, rb.r(a)))
     rep.add_residuals("R(exp_*t(lambda a)) = exp(lambda R(a))", lhs, rhs)
     return rep

@@ -167,6 +167,15 @@ class TruncatedSeries:
         cs[degree] = x
         return cls(space, order, cs)
 
+    @classmethod
+    def iterate(cls, space: CoeffSpace, order: int, first: Any, step: Callable[[Any], Any]) -> "TruncatedSeries":
+        """The series with c_0 = first and c_n = step(c_(n-1)): the order-by-order
+        solution of a fixed point whose degree-n term is linear in degree n - 1."""
+        coeffs = [first]
+        for _ in range(order):
+            coeffs.append(step(coeffs[-1]))
+        return cls(space, order, coeffs)
+
     def coeff(self, k: int) -> Any:
         return self.coeffs[k]
 

@@ -20,6 +20,7 @@ from fractions import Fraction
 from math import factorial
 
 from .dendriform import (
+    Dendriform,
     check_dendriform_axioms,
     check_prelie_identities,
     check_tridendriform_axioms,
@@ -133,10 +134,10 @@ def suite_tridendriform(order: int, seed: int) -> list[VerificationReport]:
         triples = sample_tuples(tri, rng, SAMPLE_TRIPLES, 3)
         reports.append(check_tridendriform_axioms(tri, triples))
 
-        dend = tri.as_dendriform()
-        reports.append(check_dendriform_axioms(dend, triples))
+        reports.append(check_dendriform_axioms(tri, triples, f"dendriform axioms [{tri.name}-as-dendriform]"))
+        # the axioms above read the three-term star; only this ties prec + succ to it
         rep = VerificationReport(f"collapse to dendriform [{tri.name}]")
-        collapse = lambda a, b, _: (tri.space.eq(dend.star(a, b), tri.star(a, b)),)
+        collapse = lambda a, b, _: (tri.space.eq(Dendriform.star(tri, a, b), tri.star(a, b)),)
         rep.add_sampled(triples, ["dendriform star equals tridendriform star"], collapse, "pairs")
         reports.append(rep)
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from dendrimag import magnus_fer
+from dendrimag import magnus_fer, suites
 from dendrimag.dendriform import (
     AssocDendriform,
     UndefinedUnitProduct,
@@ -28,7 +28,14 @@ from dendrimag.dendriform import (
 from dendrimag.instances import grid_rb, matrix_poly_rb, triangular_rb
 from dendrimag.matrices import MatrixSpace, RatMatrix, random_matrix, triangular_project
 from dendrimag.report import VerificationReport
-from dendrimag.rota_baxter import RBDendriform, RBTridendriform, RotaBaxter, atkinson_check, check_rb_relation
+from dendrimag.rota_baxter import (
+    RBDendriform,
+    RBTridendriform,
+    RotaBaxter,
+    atkinson_check,
+    check_rb_relation,
+    exp_image_check,
+)
 from dendrimag.series import RATIONALS, TruncatedSeries
 
 N = 12
@@ -102,7 +109,7 @@ def test_each_product_is_computed_once_per_sample(monkeypatch):
         (lambda: check_dendriform_axioms(rb.dendriform(), triples), 18),
         (lambda: check_prelie_identities(rb.dendriform(), triples), 38),
         (lambda: check_tridendriform_axioms(RBTridendriform(rb), triples), 32),
-        (lambda: check_rb_relation(rb, N, seed=20), 10),
+        (lambda: check_rb_relation(rb, N, seed=20), 9),
     ]
     for check, per_sample in runs:
         calls[0] = 0
@@ -320,7 +327,7 @@ def test_tridendriform_with_lt_gt_swapped(make_rb):
         "triples",
     )
     _assert_fails_exactly(
-        check_dendriform_axioms(tri.as_dendriform(), triples),
+        check_dendriform_axioms(tri, triples),
         {"(A1) (a<b)<c = a<(b*c)", "(A2) (a>b)<c = a>(b<c)", "(A3) a>(b>c) = (a*b)>c"},
         N + 1,
         "triples",
@@ -367,6 +374,42 @@ def test_tridendriform_with_a_non_associative_product(make_tri, broken):
     tri = make_tri(triangular_rb())
     triples = _with_zero(tri.space, sample_tuples(tri, random.Random(22), N, 3))
     _assert_fails_exactly(check_tridendriform_axioms(tri, triples), broken, N + 1, "triples")
+
+
+class _PrecDropsDot(RBTridendriform):
+    """prec = lt instead of lt + dot; lt, gt, dot and star stay correct."""
+
+    def prec(self, a, b):
+        return self.lt(a, b)
+
+
+@pytest.mark.parametrize("make_tri", [_PrecDropsDot, _TriStarSymmetrised], ids=["prec", "star"])
+def test_collapse_report_catches_a_broken_collapse(monkeypatch, make_tri):
+    monkeypatch.setattr(suites, "RBTridendriform", make_tri)
+    reports = {r.name: r for r in suites.suite_tridendriform(5, 2024)}
+    name = "tridendriform from triangular projection 3x3"
+    collapse = reports[f"collapse to dendriform [{name}]"]
+    assert [(c.ok, c.detail) for c in collapse.checks] == [(False, "0/200 pairs")], collapse.summary()
+    assert reports["collapse to dendriform [summation tridendriform]"].ok
+    if make_tri is _PrecDropsDot:
+        # the dendriform axioms read the three-term star, so with prec = lt they
+        # are tridendriform axioms 1-3 and hold: only the collapse report fails
+        assert reports[f"dendriform axioms [{name}-as-dendriform]"].ok
+        assert [r.name for r in reports.values() if not r.ok] == [f"collapse to dendriform [{name}]"]
+
+
+@pytest.mark.parametrize(
+    "factor, weight, op",
+    [(2, -1, triangular_project), (1, 1, triangular_project), (1, 0, lambda x: x)],
+    ids=["2P-weight-minus-1", "P-weight-plus-1", "identity-weight-0"],
+)
+def test_exp_image_fails_for_an_operator_that_is_not_rota_baxter(factor, weight, op):
+    space = MatrixSpace(3)
+    scaled = lambda x: space.scale(factor, op(x))
+    rb = RotaBaxter("not Rota-Baxter", space, Fraction(weight), scaled, lambda rng: random_matrix(rng, 3))
+    assert not check_rb_relation(rb, N, seed=23).ok
+    rep = exp_image_check(rb, rb.sample(random.Random(23)), 5)
+    assert [(c.label, c.ok) for c in rep.checks] == [("R(exp_*t(lambda a)) = exp(lambda R(a))", False)], rep.summary()
 
 
 class _PrecIgnoresUnit(RBDendriform):

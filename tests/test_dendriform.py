@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dendrimag.dendriform import (
+    Dendriform,
     UndefinedUnitProduct,
     check_dendriform_axioms,
     check_prelie_identities,
@@ -138,19 +139,17 @@ def test_geometric_series_in_associative_degeneration(assoc_dend, rng):
 def test_tridendriform_collapse(poly_scalar, summation_tri, rng):
     # weight zero kills the dot product, so the collapse returns (lt, gt)
     tri = RBTridendriform(poly_scalar)
-    dend = tri.as_dendriform()
     for _ in range(20):
         a, b = tri.sample(rng), tri.sample(rng)
         assert tri.space.is_zero(tri.dot(a, b))
-        assert tri.space.eq(dend.prec(a, b), tri.lt(a, b))
-        assert tri.space.eq(dend.succ(a, b), tri.gt(a, b))
-    # collapsed star agrees with the three-term star in general
-    dend2 = summation_tri.as_dendriform()
+        assert tri.space.eq(tri.prec(a, b), tri.lt(a, b))
+        assert tri.space.eq(tri.succ(a, b), tri.gt(a, b))
+    # collapsed star (prec + succ) agrees with the three-term star in general
     triples = sample_tuples(summation_tri, rng, 40, 3)
     assert check_tridendriform_axioms(summation_tri, triples).ok
-    assert check_dendriform_axioms(dend2, triples).ok
+    assert check_dendriform_axioms(summation_tri, triples).ok
     for a, b, _ in triples:
-        assert summation_tri.space.eq(dend2.star(a, b), summation_tri.star(a, b))
+        assert summation_tri.space.eq(Dendriform.star(summation_tri, a, b), summation_tri.star(a, b))
 
 
 def test_induced_prec_matches_both_formulas(tri_rb, grid_strict, rng):

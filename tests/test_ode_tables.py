@@ -113,5 +113,3 @@ def test_batches_split_long_runs_without_changing_steps(method):
     for k in range(130):
         expected = _transitions(a, np.array([k * h]), h, method)[0] @ expected
     assert np.array_equal(res.final, expected)
-    meta = {"magnus2": (2, 1), "magnus4": (4, 1), "fer1": (2, 1), "fer2": (4, 2)}
-    assert (res.method, res.order, res.exponentials_per_step) == (method, *meta[method])

@@ -17,7 +17,6 @@ from dendrimag.rota_baxter import (
     bch_recursion,
     check_rb_relation,
     classical_magnus_check,
-    double_product,
     exp_image_check,
     spitzer_classical_check,
     spitzer_noncommutative_check,
@@ -93,13 +92,15 @@ def test_summation_instance_tridendriform(summation_tri, rng):
     assert rep.ok, rep.summary()
 
 
-def test_double_product_specialization(poly_scalar, rng):
-    # weight zero, commutative carrier: a *t b = aR(b) + R(a)b
-    sp = poly_scalar.space
-    for _ in range(20):
-        a, b = poly_scalar.sample(rng), poly_scalar.sample(rng)
-        expected = sp.add(sp.mul(a, poly_scalar.r(b)), sp.mul(poly_scalar.r(a), b))
-        assert sp.eq(double_product(poly_scalar, a, b), expected)
+def test_double_product_specialization(rng):
+    # the induced star is a *t b = aR(b) + R(a)b + theta ab, written out, on every
+    # instance; at weight zero (the polynomial instances) the theta ab term drops
+    for rb in (triangular_rb(), grid_rb(), grid_rb(strict=False), summation_rb(), poly_rb(), matrix_poly_rb()):
+        sp, r, star = rb.space, rb.r, rb.dendriform().star
+        for _ in range(20):
+            a, b = rb.sample(rng), rb.sample(rng)
+            expected = sp.add(sp.add(sp.mul(a, r(b)), sp.mul(r(a), b)), sp.scale(rb.weight, sp.mul(a, b)))
+            assert sp.eq(star(a, b), expected), rb.name
 
 
 def test_atkinson_factor_zero_input(tri_rb):

@@ -146,6 +146,12 @@ def test_series_equality_needs_all_coefficients():
     assert s.truncated(2) == t.truncated(2)
 
 
+def test_iterate_applies_the_step_once_per_degree():
+    s = TruncatedSeries.iterate(RATIONALS, 4, Fraction(3), lambda c: c / 2 - 1)
+    assert s == scalar_series(4, [3, Fraction(1, 2), Fraction(-3, 4), Fraction(-11, 8), Fraction(-27, 16)])
+    assert TruncatedSeries.iterate(RATIONALS, 0, Fraction(3), None) == scalar_series(0, [3])
+
+
 def test_shift_and_low_degree():
     s = scalar_series(4, [1, 2])
     shifted = TruncatedSeries.single(RATIONALS, 4, 2, Fraction(1)) * s  # lambda^2 s
