@@ -12,15 +12,18 @@ collapses distinct expressions.  Rooted trees are the free pre-Lie algebra,
 so two combinations are equal there exactly when their rooted-tree images
 agree.  ``minimal_forms`` finds every fewest-monomial representative of a
 homogeneous combination by an exact sparsest-preimage solve over that linear
-map, so the count it returns is proven minimal; it covers degrees up to 5
-(14 expressions onto 9 trees) and refuses higher ones.  ``rewrite_reduce``
-picks one of those forms deterministically.
+map, so the count it returns is proven minimal.  It walks the candidate zero
+sets depth first, carrying a fraction-free reduced echelon form of the
+prefix, and drops a prefix with every superset as soon as its newest kernel
+row is dependent: at degree 5 (14 expressions onto 9 trees, kernel dimension
+5) that leaves 438 of the 2002 subsets to solve.  Degree 6 (kernel dimension
+22 over 42 expressions) stays out of reach and is refused.
+``rewrite_reduce`` picks one of the forms deterministically.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from itertools import combinations
 from math import gcd, lcm
 from typing import Callable
 
@@ -231,6 +234,51 @@ def _rank(c: LinComb):
     )
 
 
+def _independent_prefixes(rows: list[list[int]], d: int, start: int = 0, pivots: tuple = (), det: int = 1):
+    """Yield (pivots, det) for every sorted d-subset of ``rows`` whose first d
+    columns are independent, in lexicographic order of the subsets.
+
+    ``pivots`` is the prefix in fraction-free reduced echelon form: pairs
+    (column, row), each row holding ``det`` in its own column and 0 in the
+    other pivot columns.  A new row, reduced against them, has the (k+1)-order
+    minors as entries with no division; Bareiss's update of the old rows then
+    divides exactly by ``det``.  A reduced row that is zero in the first d
+    columns is dependent on the prefix, so that prefix and every superset of
+    it are dropped.
+    """
+    k = len(pivots)
+    if k == d:
+        yield pivots, det
+        return
+    for z in range(start, len(rows) - (d - k) + 1):
+        row = rows[z]
+        new = [det * v for v in row]
+        for c, p in pivots:
+            f = row[c]
+            if f:
+                new = [x - f * y for x, y in zip(new, p)]
+        col = next((j for j in range(d) if new[j]), None)
+        if col is None:
+            continue
+        a = new[col]
+        grown = tuple((c, [(a * x - p[col] * y) // det for x, y in zip(p, new)]) for c, p in pivots)
+        yield from _independent_prefixes(rows, d, z + 1, grown + ((col, new),), a)
+
+
+def _leaf_form(pivots: tuple, det: int, x0: list[int], den: int, kernel) -> tuple[tuple[int, ...], int]:
+    """x0 + K y, over den, for a full-rank zero set: ``reduced`` numerators and
+    denominator.  Row (c, r) of the reduced prefix holds det * y_c last, so
+    det * x = det * x0 + K (det * y)."""
+    x = [det * v for v in x0]
+    for c, r in pivots:
+        y = r[-1]
+        if y:
+            x = [v + y * k for v, k in zip(x, kernel[c])]
+    if det < 0:
+        x, det = [-v for v in x], -det
+    return reduced(x, det * den)
+
+
 def minimal_forms(combo: LinComb) -> list[LinComb]:
     """Every combination with the fewest monomials equal to ``combo`` in the
     free pre-Lie algebra, in ``_rank`` order.
@@ -239,8 +287,16 @@ def minimal_forms(combo: LinComb) -> list[LinComb]:
     and K a kernel basis of the rooted-tree evaluation, of dimension d.  A
     fewest-monomial x vanishes on d coordinates where K has rank d (were the
     rank lower, a kernel direction would zero one more coordinate), so
-    solving K_Z y = -x0_Z over every d-subset Z finds all of them: a proven
-    minimum.  Degrees above ``MAX_REDUCE_DEGREE`` raise ``ValueError``.
+    solving K_Z y = -x0_Z over every full-rank d-subset Z finds all of them:
+    a proven minimum.  The subsets are walked depth first over the rows
+    [K_z | -x0_z], and a prefix whose newest row depends on the earlier ones
+    is dropped with all its supersets (:func:`_independent_prefixes`).  At
+    degree 5 (d = 5 over 14 expressions; kernel rows 0 and 6 are zero) 438
+    of the C(14, 5) = 2002 subsets have full rank, and only those are
+    solved.  Degrees above ``MAX_REDUCE_DEGREE`` raise ``ValueError``: at
+    degree 6 the kernel has dimension 22 over 42 expressions, C(42, 22)
+    (about 5e11) subsets, which no pruning of dependent prefixes brings
+    within reach.
     """
     if combo.is_zero():
         return [combo]
@@ -254,21 +310,15 @@ def minimal_forms(combo: LinComb) -> list[LinComb]:
     kernel = _kernel(n)
     d = len(kernel)
     x0, den = [combo.num.get(e, 0) for e in exprs], combo.den
+    rows = [[k[z] for k in kernel] + [-v] for z, v in enumerate(x0)]
     best, found = len(exprs), set()
-    for zeros in combinations(range(len(exprs)), d):
-        rows = [[k[z] for k in kernel] + [-x0[z]] for z in zeros]
-        pivots, det = _fraction_free_reduce(rows, d)
-        if len(pivots) < d:
-            continue
-        # det * x = det * x0 + K (det * y), with det * y in the last column
-        x = [det * v + sum(row[d] * k[i] for row, k in zip(rows, kernel)) for i, v in enumerate(x0)]
-        if det < 0:
-            x, det = [-v for v in x], -det
+    for pivots, det in _independent_prefixes(rows, d):
+        x, q = _leaf_form(pivots, det, x0, den, kernel)
         size = len(x) - x.count(0)
         if size < best:
             best, found = size, set()
         if size == best:
-            found.add(reduced(x, det * den))
+            found.add((x, q))
     forms = sorted((LinComb._make({e: v for e, v in zip(exprs, x) if v}, q) for x, q in found), key=_rank)
     target = eval_rooted(combo)
     if any(eval_rooted(f) != target for f in forms):

@@ -132,12 +132,15 @@ class RotaBaxter:
 
     # -- unit convention: R(1u) = 1, Rt(1u) = -1 ---------------------------
     def unital_r(self, x: UnitalDendElem) -> Any:
-        return self.space.add(self.space.scale(x.scalar, self.space.one()), self.r(x.vec))
+        return self._plus_unit(x.scalar, self.r(x.vec))
 
     def unital_r_tilde(self, x: UnitalDendElem) -> Any:
-        return self.space.add(
-            self.space.scale(-x.scalar, self.space.one()), self.r_tilde(x.vec)
-        )
+        return self._plus_unit(-x.scalar, self.r_tilde(x.vec))
+
+    def _plus_unit(self, c: Fraction, y: Any) -> Any:
+        """c * 1 + y, with no unit term when c is zero."""
+        sp = self.space
+        return sp.add(sp.scale(c, sp.one()), y) if c else y
 
 
 class RBTridendriform(Tridendriform):

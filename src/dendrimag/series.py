@@ -197,8 +197,9 @@ class TruncatedSeries:
         return self.map_coeffs(self.space.neg)
 
     def scale(self, c: Fraction) -> "TruncatedSeries":
-        sc = self.space.scale
-        return TruncatedSeries(self.space, self.order, [sc(c, a) for a in self.coeffs])
+        """c times the series; zero coefficients pass through unscaled."""
+        sc, is_zero = self.space.scale, self.space.is_zero
+        return TruncatedSeries(self.space, self.order, [a if is_zero(a) else sc(c, a) for a in self.coeffs])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product, truncated; requires the space to declare a product."""
@@ -281,7 +282,8 @@ def _power_sum(first: TruncatedSeries, x: TruncatedSeries, ratio: Callable[[int]
     """sum_n t_n with t_0 = first and t_n = ratio(n) t_(n-1) x, mod lambda^(N+1).
 
     The one power-series loop behind exp and log.  x has zero constant term,
-    so t_n starts at degree n or later and coefficient k sums t_0..t_k once.
+    so t_n starts at degree n or later and coefficient k sums the nonzero
+    coefficients of t_0..t_k once.
     """
     sp = x.space
     term = first
@@ -289,7 +291,11 @@ def _power_sum(first: TruncatedSeries, x: TruncatedSeries, ratio: Callable[[int]
     for n in range(1, x.order + 1):
         term = (term * x).scale(ratio(n))
         terms.append(term.coeffs)
-    return TruncatedSeries(sp, x.order, [sp.sum([t[k] for t in terms[: k + 1]]) for k in range(x.order + 1)])
+    sums = []
+    for k in range(x.order + 1):
+        nonzero = [t[k] for t in terms[: k + 1] if not sp.is_zero(t[k])]
+        sums.append(sp.sum(nonzero) if nonzero else sp.zero())
+    return TruncatedSeries(sp, x.order, sums)
 
 
 def series_exp(s: TruncatedSeries) -> TruncatedSeries:

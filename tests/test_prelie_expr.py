@@ -1,3 +1,6 @@
+import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -17,6 +20,7 @@ from dendrimag.prelie_expr import (
     rewrite_reduce,
 )
 from dendrimag.rooted import VERTEX, graft
+from dendrimag.scalars import reduced
 
 
 def expr(shape):
@@ -83,6 +87,10 @@ def test_rewrite_reduce_minimal_input_unchanged():
     # below degree 4 the rooted-tree map is injective: every combination is its only form
     three = LinComb.single(expr((AA, "a")), Fraction(2)) - LinComb.single(expr(("a", AA)), Fraction(1, 3))
     assert minimal_forms(three) == [three]
+    for degree in (1, 2, 3):
+        assert prelie_expr._kernel(degree) == ()
+        for combo in _seeded_combos(degree, 2400 + degree, 4):
+            assert minimal_forms(combo) == [combo]
 
 
 def test_rewrite_reduce_rejects_mixed_degrees():
@@ -221,3 +229,113 @@ def test_single_monomial_is_its_only_minimal_form():
 def test_support_counts():
     assert monomial_count(LinComb.zero()) == 0
     assert monomial_count(LinComb.single(GEN)) == 1
+
+
+# -- the prefix walk against the all-subsets loop ---------------------------------
+
+
+def _all_subsets_minimal_forms(combo):
+    """minimal_forms as one elimination per d-subset of the kernel rows, with no
+    pruning: the loop the depth-first walk replaces."""
+    (n,) = {e.degree for e in combo.num}
+    exprs = prelie_expr._expressions_of_degree(n)
+    kernel = prelie_expr._kernel(n)
+    d = len(kernel)
+    x0, den = [combo.num.get(e, 0) for e in exprs], combo.den
+    best, found = len(exprs), set()
+    for zeros in combinations(range(len(exprs)), d):
+        rows = [[k[z] for k in kernel] + [-x0[z]] for z in zeros]
+        pivots, det = prelie_expr._fraction_free_reduce(rows, d)
+        if len(pivots) < d:
+            continue
+        x = [det * v + sum(row[d] * k[i] for row, k in zip(rows, kernel)) for i, v in enumerate(x0)]
+        if det < 0:
+            x, det = [-v for v in x], -det
+        size = len(x) - x.count(0)
+        if size < best:
+            best, found = size, set()
+        if size == best:
+            found.add(reduced(x, det * den))
+    return sorted((LinComb._make({e: v for e, v in zip(exprs, x) if v}, q) for x, q in found), key=prelie_expr._rank)
+
+
+def _seeded_combos(degree, seed, count):
+    # half of them put weight on expressions 0 and 6, whose degree-5 kernel rows are zero
+    rng = random.Random(seed)
+    exprs = prelie_expr._expressions_of_degree(degree)
+    combos = []
+    while len(combos) < count:
+        terms = [(rng.choice(exprs), Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(rng.randint(1, 9))]
+        if len(combos) % 2:
+            terms += [(exprs[0], Fraction(rng.randint(1, 5), 2)), (exprs[min(6, len(exprs) - 1)], Fraction(-rng.randint(1, 5)))]
+        combo = LinComb(terms)
+        if not combo.is_zero():
+            combos.append(combo)
+    return combos
+
+
+def test_prefix_walk_matches_all_subsets_loop():
+    raw4, _ = magnus_free_component(4)
+    raw5, _ = magnus_free_component(5)
+    combos = [raw4, raw5] + _seeded_combos(4, 2404, 8) + _seeded_combos(5, 2405, 8)
+    for combo in combos:
+        assert minimal_forms(combo) == _all_subsets_minimal_forms(combo), str(combo)
+    assert len(minimal_forms(raw5)) == 12
+
+
+def test_degree_five_solves_only_full_rank_subsets(monkeypatch):
+    # 438 of the C(14, 5) = 2002 zero sets have full rank; a walk that stops
+    # pruning, or that skips a full-rank set, solves a different number
+    kernel = prelie_expr._kernel(5)
+    assert len(kernel) == 5 and len(kernel[0]) == 14
+    assert {z for z in range(14) if not any(k[z] for k in kernel)} == {0, 6}
+    full_rank = sum(
+        len(prelie_expr._fraction_free_reduce([[k[z] for k in kernel] for z in zeros], 5)[0]) == 5
+        for zeros in combinations(range(14), 5)
+    )
+    assert full_rank == 438
+    solves = []
+    leaf = prelie_expr._leaf_form
+
+    def counted(*args):
+        solves.append(args[0])
+        return leaf(*args)
+
+    monkeypatch.setattr(prelie_expr, "_leaf_form", counted)
+    raw5, _ = magnus_free_component(5)
+    assert len(minimal_forms(raw5)) == 12
+    assert len(solves) == 438
+    # each leaf holds one pivot in each of the d kernel columns
+    assert all(sorted(c for c, _ in pivots) == list(range(5)) for pivots in solves)
+    solves.clear()
+    raw4, _ = magnus_free_component(4)
+    minimal_forms(raw4)
+    # degree 4: one kernel vector over 5 expressions, zero at one coordinate
+    assert len(solves) == 4
+
+
+def test_minimal_forms_from_threads_with_cold_caches():
+    raw5, _ = magnus_free_component(5)
+    want = minimal_forms(raw5)
+    prelie_expr._kernel.cache_clear()
+    prelie_expr._expressions_of_degree.cache_clear()
+    workers = 8
+    results = [None] * workers
+    barrier = threading.Barrier(workers)
+
+    def work(i):
+        barrier.wait(timeout=30)
+        results[i] = minimal_forms(raw5)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == want for r in results)

@@ -22,6 +22,7 @@ from dendrimag.rota_baxter import (
     spitzer_noncommutative_check,
 )
 from dendrimag.series import RATIONALS, TruncatedSeries, bch, series_exp
+from dendrimag.suites import suite_spitzer
 
 
 def test_rb_relation_all_instances(tri_rb, grid_strict, grid_incl, poly_scalar, poly_matrix):
@@ -238,6 +239,35 @@ def test_exp_image_all_instances(tri_rb, poly_scalar, rng):
     for rb in (tri_rb, poly_scalar):
         assert exp_image_check(rb, rb.sample(rng), 6).ok
         assert exp_image_check(rb, rb.space.zero(), 6).ok
+
+
+def test_series_layer_scales_and_adds_no_zero_matrix(tri_rb, monkeypatch):
+    # zero coefficients pass through TruncatedSeries.scale, stay out of the
+    # exp/log sums, and R(1u) = 1 enters only with a nonzero scalar; at the
+    # parent the check below made 70 scales, 53 of them of a zero matrix
+    calls = {"scale": 0, "zero scale": 0, "add": 0}
+    scale, add = RatMatrix.scale, RatMatrix.__add__
+
+    def counted_scale(self, c):
+        calls["scale"] += 1
+        calls["zero scale"] += self.is_zero()
+        return scale(self, c)
+
+    def counted_add(self, other):
+        calls["add"] += 1
+        return add(self, other)
+
+    monkeypatch.setattr(RatMatrix, "scale", counted_scale)
+    monkeypatch.setattr(RatMatrix, "__add__", counted_add)
+    rep = exp_image_check(tri_rb, tri_rb.sample(random.Random(3)), 5)
+    assert rep.ok, rep.summary()
+    # 7 scales of power-sum terms, 4 of R~ inside prec and one unit term (degree 0);
+    # a unit term at each of degrees 1..5 would add 5 scales and 5 additions
+    assert calls == {"scale": 12, "zero scale": 0, "add": 5}
+    for key in calls:
+        calls[key] = 0
+    assert all(r.ok for r in suite_spitzer(5, 1729))
+    assert calls["scale"] < 5553 and calls["add"] < 3572
 
 
 def test_classical_magnus_reduction(poly_scalar, poly_matrix, grid_strict, rng):
