@@ -15,9 +15,11 @@ homogeneous combination by an exact sparsest-preimage solve over that linear
 map, so the count it returns is proven minimal.  It walks the candidate zero
 sets depth first, carrying a fraction-free reduced echelon form of the
 prefix, and drops a prefix with every superset as soon as its newest kernel
-row is dependent: at degree 5 (14 expressions onto 9 trees, kernel dimension
-5) that leaves 438 of the 2002 subsets to solve.  Degree 6 (kernel dimension
-22 over 42 expressions) stays out of reach and is refused.
+row is dependent: at degree 5 (14 expressions onto 9 trees, kernel
+dimension 5) that leaves 438 of the 2002 subsets to solve.  One
+fraction-free Gauss-Jordan step, ``_extend``, is the only elimination: it
+grows the walk's prefix and also builds the kernel basis.  Degree 6 (kernel
+dimension 22 over 42 expressions) stays out of reach and is refused.
 ``rewrite_reduce`` picks one of the forms deterministically.
 """
 
@@ -36,7 +38,6 @@ __all__ = [
     "GEN",
     "FormalPreLieOps",
     "formal_ops",
-    "eval_expr",
     "eval_combo",
     "eval_rooted",
     "eval_planar",
@@ -118,24 +119,18 @@ def formal_ops() -> FormalPreLieOps:
     return FormalPreLieOps()
 
 
-def eval_expr(e: PreLieExpr, gen_value, rhd: Callable, _memo=None):
-    """Interpret the expression with the given generator image and product."""
-    if _memo is None:
-        _memo = {}
-    got = _memo.get(e)
-    if got is not None:
-        return got
-    if e.is_gen:
-        val = gen_value
-    else:
-        val = rhd(eval_expr(e.left, gen_value, rhd, _memo), eval_expr(e.right, gen_value, rhd, _memo))
-    _memo[e] = val
-    return val
-
-
 def eval_combo(combo: LinComb, gen_value, rhd: Callable):
+    """Interpret the combination with the given generator image and product;
+    shared subexpressions are evaluated once."""
     memo: dict = {}
-    return combine(((c, eval_expr(e, gen_value, rhd, memo)) for e, c in combo.num.items()), combo.den)
+
+    def value(e: PreLieExpr):
+        got = memo.get(e)
+        if got is None:
+            got = memo[e] = gen_value if e.is_gen else rhd(value(e.left), value(e.right))
+        return got
+
+    return combine(((c, value(e)) for e, c in combo.num.items()), combo.den)
 
 
 def eval_rooted(combo: LinComb) -> LinComb:
@@ -173,32 +168,27 @@ def _expressions_of_degree(n: int) -> tuple[PreLieExpr, ...]:
     )
 
 
-def _fraction_free_reduce(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
-    """Gauss-Jordan on integer rows, in place, without fractions.
+def _extend(pivots: tuple, det: int, row: list[int], ncols: int) -> tuple[tuple, int] | None:
+    """One fraction-free Gauss-Jordan step (Bareiss, Math. Comp. 22 (1968)).
 
-    Bareiss's update (a*x - b*y) // previous pivot divides exactly (Bareiss,
-    Math. Comp. 22 (1968)), also on the rows above the pivot.  Pivots are
-    sought in the first ``ncols`` columns only.  Returns the pivot columns
-    and the common pivot value D: pivot row i holds D in pivot column i and
-    0 in every other pivot column.
+    ``pivots`` is a fraction-free reduced echelon form: pairs (column, row),
+    each row holding ``det`` in its own column and 0 in the other pivot
+    columns.  ``row``, reduced against them, has the next-order minors as
+    entries with no division.  Returns None when it is zero in the first
+    ``ncols`` columns (dependent), else the grown pivots, the old rows updated
+    by Bareiss's exact division by ``det``, and the new common pivot value.
     """
-    pivots: list[int] = []
-    prev = 1
-    for col in range(ncols):
-        r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        top = rows[r]
-        a = top[col]
-        for i, row in enumerate(rows):
-            if i != r:
-                b = row[col]
-                rows[i] = [(a * x - b * y) // prev for x, y in zip(row, top)]
-        pivots.append(col)
-        prev = a
-    return pivots, prev
+    new = [det * v for v in row]
+    for c, p in pivots:
+        f = row[c]
+        if f:
+            new = [x - f * y for x, y in zip(new, p)]
+    col = next((j for j in range(ncols) if new[j]), None)
+    if col is None:
+        return None
+    a = new[col]
+    grown = tuple((c, [(a * x - p[col] * y) // det for x, y in zip(p, new)]) for c, p in pivots)
+    return grown + ((col, new),), a
 
 
 @lru_cache(maxsize=None)
@@ -212,12 +202,14 @@ def _kernel(n: int) -> tuple[tuple[int, ...], ...]:
     images = [eval_rooted(LinComb.single(e)) for e in exprs]
     den = lcm(*(img.den for img in images))
     rows = [[img.num.get(t, 0) * (den // img.den) for img in images] for t in rooted_trees_of_degree(n)]
-    pivots, det = _fraction_free_reduce(rows, len(exprs))
+    pivots, det = (), 1
+    for row in rows:
+        pivots, det = _extend(pivots, det, row, len(exprs)) or (pivots, det)
     basis = []
-    for free in sorted(set(range(len(exprs))) - set(pivots)):
+    for free in sorted(set(range(len(exprs))) - {c for c, _ in pivots}):
         v = [0] * len(exprs)
         v[free] = det
-        for row, col in zip(rows, pivots):
+        for col, row in pivots:
             v[col] = -row[free]
         g = gcd(*v)
         basis.append(tuple(x // g for x in v))
@@ -238,31 +230,17 @@ def _independent_prefixes(rows: list[list[int]], d: int, start: int = 0, pivots:
     """Yield (pivots, det) for every sorted d-subset of ``rows`` whose first d
     columns are independent, in lexicographic order of the subsets.
 
-    ``pivots`` is the prefix in fraction-free reduced echelon form: pairs
-    (column, row), each row holding ``det`` in its own column and 0 in the
-    other pivot columns.  A new row, reduced against them, has the (k+1)-order
-    minors as entries with no division; Bareiss's update of the old rows then
-    divides exactly by ``det``.  A reduced row that is zero in the first d
-    columns is dependent on the prefix, so that prefix and every superset of
-    it are dropped.
+    ``pivots`` and ``det`` are the prefix after one :func:`_extend` step per
+    row.  A row that ``_extend`` finds dependent in the first d columns drops
+    the prefix it would grow and every superset of it.
     """
-    k = len(pivots)
-    if k == d:
+    if len(pivots) == d:
         yield pivots, det
         return
-    for z in range(start, len(rows) - (d - k) + 1):
-        row = rows[z]
-        new = [det * v for v in row]
-        for c, p in pivots:
-            f = row[c]
-            if f:
-                new = [x - f * y for x, y in zip(new, p)]
-        col = next((j for j in range(d) if new[j]), None)
-        if col is None:
-            continue
-        a = new[col]
-        grown = tuple((c, [(a * x - p[col] * y) // det for x, y in zip(p, new)]) for c, p in pivots)
-        yield from _independent_prefixes(rows, d, z + 1, grown + ((col, new),), a)
+    for z in range(start, len(rows) - (d - len(pivots)) + 1):
+        grown = _extend(pivots, det, rows[z], d)
+        if grown is not None:
+            yield from _independent_prefixes(rows, d, z + 1, *grown)
 
 
 def _leaf_form(pivots: tuple, det: int, x0: list[int], den: int, kernel) -> tuple[tuple[int, ...], int]:
@@ -289,14 +267,14 @@ def minimal_forms(combo: LinComb) -> list[LinComb]:
     rank lower, a kernel direction would zero one more coordinate), so
     solving K_Z y = -x0_Z over every full-rank d-subset Z finds all of them:
     a proven minimum.  The subsets are walked depth first over the rows
-    [K_z | -x0_z], and a prefix whose newest row depends on the earlier ones
-    is dropped with all its supersets (:func:`_independent_prefixes`).  At
-    degree 5 (d = 5 over 14 expressions; kernel rows 0 and 6 are zero) 438
-    of the C(14, 5) = 2002 subsets have full rank, and only those are
-    solved.  Degrees above ``MAX_REDUCE_DEGREE`` raise ``ValueError``: at
-    degree 6 the kernel has dimension 22 over 42 expressions, C(42, 22)
-    (about 5e11) subsets, which no pruning of dependent prefixes brings
-    within reach.
+    [K_z | -x0_z], one :func:`_extend` step per row, and a prefix whose
+    newest row depends on the earlier ones is dropped with all its supersets
+    (:func:`_independent_prefixes`).  At degree 5 (d = 5 over 14
+    expressions; kernel rows 0 and 6 are zero) 438 of the C(14, 5) = 2002
+    subsets have full rank, and only those are solved.  Degrees above
+    ``MAX_REDUCE_DEGREE`` raise ``ValueError``: at degree 6 the kernel has
+    dimension 22 over 42 expressions, C(42, 22) (about 5e11) subsets, which
+    no pruning of dependent prefixes brings within reach.
     """
     if combo.is_zero():
         return [combo]

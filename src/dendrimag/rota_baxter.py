@@ -102,9 +102,10 @@ class RotaBaxter:
         self._sampler = sampler
         self.commutative = commutative
         self._neg_weight = -self.weight
-        self._dend: RBDendriform | None = None
         if not self.weight:  # decided once, not by comparing a Fraction with 0 per call: Rt(x) = -R(x)
             self.r_tilde = lambda x: space.neg(operator(x))
+        # built here, not on first use, so threads sharing an instance share one dendriform
+        self._dend = RBDendriform(self)
 
     def r_tilde(self, x: Any) -> Any:
         """Rt(x) = -theta x - R(x)."""
@@ -126,8 +127,6 @@ class RotaBaxter:
         )
 
     def dendriform(self) -> "RBDendriform":
-        if self._dend is None:
-            self._dend = RBDendriform(self)
         return self._dend
 
     # -- unit convention: R(1u) = 1, Rt(1u) = -1 ---------------------------

@@ -217,7 +217,12 @@ class TruncatedSeries:
     def map_coeffs(
         self, f: Callable[[Any], Any], space: CoeffSpace | None = None
     ) -> "TruncatedSeries":
-        return TruncatedSeries(space or self.space, self.order, [f(c) for c in self.coeffs])
+        """f applied to each coefficient, landing in ``space`` (default: this
+        series' space).  f must be linear: a zero coefficient maps to the
+        target's zero without a call."""
+        target = space or self.space
+        is_zero = self.space.is_zero
+        return TruncatedSeries(target, self.order, [target.zero() if is_zero(c) else f(c) for c in self.coeffs])
 
     def is_zero(self) -> bool:
         return all(self.space.is_zero(c) for c in self.coeffs)

@@ -3,7 +3,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 import pytest
 
@@ -19,8 +19,7 @@ from dendrimag.prelie_expr import (
     monomial_count,
     rewrite_reduce,
 )
-from dendrimag.rooted import VERTEX, graft
-from dendrimag.scalars import reduced
+from dendrimag.rooted import VERTEX, graft, rooted_trees_of_degree
 
 
 def expr(shape):
@@ -234,29 +233,47 @@ def test_support_counts():
 # -- the prefix walk against the all-subsets loop ---------------------------------
 
 
+def _gauss_jordan(rows, ncols):
+    """Reduced row echelon form over plain Fractions, pivots sought in the first
+    ``ncols`` columns: (pivot columns, rows).  Shares no code with prelie_expr."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        a = rows[r][col]
+        top = rows[r] = [v / a for v in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and f:
+                rows[i] = [x - f * y for x, y in zip(row, top)]
+        pivots.append(col)
+    return pivots, rows
+
+
 def _all_subsets_minimal_forms(combo):
-    """minimal_forms as one elimination per d-subset of the kernel rows, with no
-    pruning: the loop the depth-first walk replaces."""
+    """minimal_forms as one Fraction solve per d-subset of the kernel rows, with
+    no pruning: the loop the depth-first walk replaces."""
     (n,) = {e.degree for e in combo.num}
     exprs = prelie_expr._expressions_of_degree(n)
     kernel = prelie_expr._kernel(n)
     d = len(kernel)
-    x0, den = [combo.num.get(e, 0) for e in exprs], combo.den
+    x0 = [combo.coeff(e) for e in exprs]
     best, found = len(exprs), set()
     for zeros in combinations(range(len(exprs)), d):
-        rows = [[k[z] for k in kernel] + [-x0[z]] for z in zeros]
-        pivots, det = prelie_expr._fraction_free_reduce(rows, d)
+        pivots, rows = _gauss_jordan([[k[z] for k in kernel] + [-x0[z]] for z in zeros], d)
         if len(pivots) < d:
             continue
-        x = [det * v + sum(row[d] * k[i] for row, k in zip(rows, kernel)) for i, v in enumerate(x0)]
-        if det < 0:
-            x, det = [-v for v in x], -det
+        x = [v + sum(row[d] * k[i] for row, k in zip(rows, kernel)) for i, v in enumerate(x0)]
         size = len(x) - x.count(0)
         if size < best:
             best, found = size, set()
         if size == best:
-            found.add(reduced(x, det * den))
-    return sorted((LinComb._make({e: v for e, v in zip(exprs, x) if v}, q) for x, q in found), key=prelie_expr._rank)
+            found.add(LinComb(zip(exprs, x)))
+    return sorted(found, key=prelie_expr._rank)
 
 
 def _seeded_combos(degree, seed, count):
@@ -290,8 +307,7 @@ def test_degree_five_solves_only_full_rank_subsets(monkeypatch):
     assert len(kernel) == 5 and len(kernel[0]) == 14
     assert {z for z in range(14) if not any(k[z] for k in kernel)} == {0, 6}
     full_rank = sum(
-        len(prelie_expr._fraction_free_reduce([[k[z] for k in kernel] for z in zeros], 5)[0]) == 5
-        for zeros in combinations(range(14), 5)
+        len(_gauss_jordan([[k[z] for k in kernel] for z in zeros], 5)[0]) == 5 for zeros in combinations(range(14), 5)
     )
     assert full_rank == 438
     solves = []
@@ -312,6 +328,24 @@ def test_degree_five_solves_only_full_rank_subsets(monkeypatch):
     minimal_forms(raw4)
     # degree 4: one kernel vector over 5 expressions, zero at one coordinate
     assert len(solves) == 4
+
+
+def test_kernel_is_a_basis_of_the_rooted_tree_kernel():
+    # the image matrix comes from the test's own grafting, not from eval_rooted
+    dims = []
+    for n in range(1, 6):
+        exprs = prelie_expr._expressions_of_degree(n)
+        images = [_grafted(e) for e in exprs]
+        trees = sorted({t for img in images for t in img.terms}, key=str)
+        matrix = [[img.coeff(t) for img in images] for t in trees]
+        kernel = prelie_expr._kernel(n)
+        assert all(sum(m * v for m, v in zip(row, k)) == 0 for row in matrix for k in kernel)
+        # rank(image) = #trees and the kernel vectors are independent, so they span the kernel
+        assert len(_gauss_jordan(matrix, len(exprs))[0]) == len(trees) == len(rooted_trees_of_degree(n))
+        assert len(_gauss_jordan(kernel, len(exprs))[0]) == len(kernel)
+        assert len(kernel) == comb(2 * n - 2, n - 1) // n - len(trees)
+        dims.append(len(kernel))
+    assert dims == [0, 0, 0, 1, 5]
 
 
 def test_minimal_forms_from_threads_with_cold_caches():

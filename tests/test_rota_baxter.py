@@ -1,8 +1,12 @@
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 
+from dendrimag import rota_baxter
 from dendrimag.dendriform import check_tridendriform_axioms, sample_tuples
 from dendrimag.grids import GridSeq, NonSummable, random_gridseq
 from dendrimag.instances import grid_rb, matrix_poly_rb, poly_rb, summation_rb, triangular_rb
@@ -268,6 +272,59 @@ def test_series_layer_scales_and_adds_no_zero_matrix(tri_rb, monkeypatch):
         calls[key] = 0
     assert all(r.ok for r in suite_spitzer(5, 1729))
     assert calls["scale"] < 5553 and calls["add"] < 3572
+    # map_coeffs sends zero coefficients to zero without calling R, Rt or the
+    # rescaled operator; calling them would add 277 scales of a zero matrix
+    assert calls == {"scale": 2194, "zero scale": 0, "add": 2093}
+
+
+def test_map_coeffs_calls_no_map_on_zero_coefficients(tri_rb):
+    sp = tri_rb.space
+    a = tri_rb.sample(random.Random(5))
+    s = TruncatedSeries(sp, 3, [sp.zero(), a, sp.zero(), sp.scale(2, a)])
+    seen = []
+
+    def r(x):
+        seen.append(x)
+        return tri_rb.r(x)
+
+    mapped = s.map_coeffs(r)
+    assert seen == [a, sp.scale(2, a)]
+    assert list(mapped.coeffs) == [sp.zero(), tri_rb.r(a), sp.zero(), tri_rb.r(sp.scale(2, a))]
+    usp = tri_rb.dendriform().unital_space
+    lifted = s.map_coeffs(tri_rb.dendriform().embed, usp)
+    assert lifted.space is usp and usp.is_zero(lifted.coeffs[0]) and usp.is_zero(lifted.coeffs[2])
+
+
+def test_dendriform_from_threads_is_one_object(monkeypatch):
+    # a slow constructor widens any check-then-act window in dendriform()
+    class SlowDendriform(rota_baxter.RBDendriform):
+        def __init__(self, rb):
+            time.sleep(0.01)
+            super().__init__(rb)
+
+    monkeypatch.setattr(rota_baxter, "RBDendriform", SlowDendriform)
+    rb = triangular_rb()
+    workers = 8
+    results = [None] * workers
+    barrier = threading.Barrier(workers)
+
+    def work(i):
+        barrier.wait(timeout=30)
+        results[i] = rb.dendriform()
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert isinstance(results[0], SlowDendriform)
+    assert all(r is results[0] for r in results)
 
 
 def test_classical_magnus_reduction(poly_scalar, poly_matrix, grid_strict, rng):
