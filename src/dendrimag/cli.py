@@ -34,13 +34,11 @@ VERIFY_FAILURE = 1
 
 # Highest --order for expand, verify and trees, and the package's one order
 # bound: every suite checks its instances at exactly --order.  On a 2-CPU Xeon
-# with Python 3.11, three runs each, one fresh process per run, `verify --suite
-# all` takes 1.8-2.7 s at order 5 and 2.1-3.2 s at order 8, of which about
-# 0.25 s is interpreter start-up and package import without a bytecode cache;
-# run in one process, the suites take 2.5-3.9 s at order 9 (27 MB peak RSS)
-# and 5.4-6.4 s at order 10 (57 MB), 3.7-4.4 s of it in the magnus and fer
-# suites.  The host's speed drifts by up to 1.7x from run to run, which sets
-# the width of these ranges.
+# with Python 3.11, three runs each: `verify --suite all` takes 1.4 s at order 5
+# and 1.7-1.8 s at order 8 in a fresh process (0.1 s of it start-up and
+# import); run in one process, the suites take 2.2-2.5 s at order 9 (27 MB peak
+# RSS) and 4.4-4.7 s at order 10 (57 MB), 2.8-3.0 s of it in magnus and fer.
+# The host's speed drifts by up to 1.7x from run to run.
 MAX_ORDER = 8
 
 # solve input bounds.  The reference solution runs REFERENCE_REFINEMENT x

@@ -23,8 +23,9 @@ U_0 = lambda a and
 
     U_{n+1} = sum_{l>0} ((-1)^l l / (l+1)!) (U_n rhd .)^l (U_n),
 
-and Y the reversed product of exp*(-U_n).  The lowest degree of U_n is
-2^n, so floor(log2 N) + 1 factors saturate order N.
+and Y the reversed product of exp*(-U_n).  Each correction is a power
+series in the operator U_n rhd ., summed by the loop behind exp and log.
+The lowest degree of U_n is 2^n, so floor(log2 N) + 1 factors saturate order N.
 
 A "pre-Lie ops" bundle is anything with a ``space`` and ``rhd`` (and
 ``lhd`` for the right Magnus form); every Dendriform instance qualifies,
@@ -34,6 +35,7 @@ as do the free rooted-tree and formal-expression models.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import comb
 
 from .dendriform import (
@@ -48,7 +50,7 @@ from .lincomb import LinComb
 from .prelie_expr import eval_rooted, formal_ops
 from .report import VerificationReport
 from .scalars import bernoulli_weight
-from .series import TruncatedSeries, bilinear_terms, series_exp
+from .series import TruncatedSeries, _power_sum, bilinear_terms, series_exp
 
 __all__ = [
     "magnus",
@@ -143,18 +145,14 @@ def fer_depth(order: int) -> int:
 
 
 def fer_step_series(ops, u: TruncatedSeries) -> TruncatedSeries:
-    """One Fer correction: sum_{l>0} ((-1)^l l/(l+1)!) (u rhd .)^l (u)."""
-    sp = ops.space
-    out = TruncatedSeries.zero(sp, u.order)
-    q = u
-    fact = 1  # (l+1)! running value
-    for l in range(1, u.order + 1):
-        q = TruncatedSeries(sp, u.order, bilinear_terms(sp, ops.rhd, u.coeffs, q.coeffs, 0, u.order))
-        if q.is_zero():
-            break
-        fact *= l + 1
-        out = out + q.scale(Fraction((-1) ** l * l, fact))
-    return out
+    """One Fer correction: sum_{l>0} ((-1)^l l/(l+1)!) (u rhd .)^l (u).
+
+    A power series in the operator u rhd ., summed by the exp/log loop: its
+    l-th term is -(l+1)/(l(l+2)) times u rhd (term l-1), from -(u rhd u)/2.
+    """
+    sp, order = ops.space, u.order
+    step = lambda t: TruncatedSeries(sp, order, bilinear_terms(sp, ops.rhd, u.coeffs, t.coeffs, 0, order))
+    return _power_sum(step(u).scale(Fraction(-1, 2)), step, lambda l: Fraction(-(l + 1), l * (l + 2)))
 
 
 def fer(ops, a, order: int) -> list[TruncatedSeries]:
@@ -174,12 +172,10 @@ _CLOSED_STEPS = (1, 2)
 def _fer_closed_step(
     dend: Dendriform, u_unital: TruncatedSeries, e_plus: TruncatedSeries, e_minus: TruncatedSeries
 ) -> TruncatedSeries:
-    """The two-term closed recursion (exp*(-u) - 1) < exp*(u) + exp*(-u) > u < exp*(u),
+    """The two-term closed recursion ((exp*(-u) - 1) + exp*(-u) > u) < exp*(u),
     given e_plus = exp*(u) and e_minus = exp*(-u)."""
     one = TruncatedSeries.one(dend.unital_space, u_unital.order)
-    first = series_half_prec(dend, e_minus - one, e_plus)
-    second = series_half_prec(dend, series_half_succ(dend, e_minus, u_unital), e_plus)
-    return first + second
+    return series_half_prec(dend, e_minus - one + series_half_succ(dend, e_minus, u_unital), e_plus)
 
 
 def verify_fer(dend: Dendriform, a, order: int, exact_onsets: bool = False) -> VerificationReport:
@@ -194,24 +190,15 @@ def verify_fer(dend: Dendriform, a, order: int, exact_onsets: bool = False) -> V
     factors = fer(dend, a, order)
     lifted = [lift_to_unital(dend, u) for u in factors]
 
-    # exp*(U_n) and exp*(-U_n) for the U_n the closed-step checks read; the rest are dropped
+    # exp*(U_n) and exp*(-U_n) are kept for the U_n that the closed-step checks read
     kept = {n - 1 for n in _CLOSED_STEPS if n < len(factors)}
-    e_plus, e_minus = {}, {}
-
-    prod = TruncatedSeries.one(dend.unital_space, order)
-    for n, u in enumerate(lifted):
-        e = series_exp(u)
-        if n in kept:
-            e_plus[n] = e
-        prod = prod * e
+    e_plus = {n: series_exp(lifted[n]) for n in kept}
+    exps = (e_plus[n] if n in kept else series_exp(u) for n, u in enumerate(lifted))
+    prod = reduce(TruncatedSeries.__mul__, exps)
     rep.add_residuals(f"forward product of {len(factors)} exponentials equals X", prod, solve_left(dend, a, order))
-
-    prod = TruncatedSeries.one(dend.unital_space, order)
-    for n in reversed(range(len(lifted))):
-        e = series_exp(-lifted[n])
-        if n in kept:
-            e_minus[n] = e
-        prod = prod * e
+    e_minus = {n: series_exp(-lifted[n]) for n in kept}
+    exps = (e_minus[n] if n in kept else series_exp(-lifted[n]) for n in reversed(range(len(lifted))))
+    prod = reduce(TruncatedSeries.__mul__, exps)
     rep.add_residuals("reversed product of negated exponentials equals Y", prod, solve_right(dend, a, order))
 
     for n, u in enumerate(factors):

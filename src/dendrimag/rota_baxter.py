@@ -26,8 +26,9 @@ what makes unital exponentials land where they should: R maps the
 The checks in this module verify, per lambda-degree and with exact rational
 arithmetic, the factorization theory this buys:
 
-  * Atkinson: Yh (1 - theta lambda a) Xh = 1 for the order-by-order
-    solutions of Xh = 1 - lambda Rt(a Xh) and Yh = 1 - lambda R(Yh a);
+  * Atkinson: Yh (1 - theta lambda a) Xh = 1 for the images Xh = -Rt(X)
+    and Yh = R(Y) of the solutions of the two dendriform equations, which
+    solve Xh = 1 - lambda Rt(a Xh) and Yh = 1 - lambda R(Yh a);
   * the exponential forms Xh = exp(-Rt(W)), Yh = exp(-R(W)) with W the
     Magnus series of the induced dendriform structure, and the corresponding
     ordered products over the Fer factors; ``atkinson_check`` solves Xh, Yh,
@@ -55,7 +56,7 @@ import random
 from fractions import Fraction
 from typing import Any, Callable
 
-from .dendriform import Dendriform, Tridendriform, UnitalDendElem, lift_to_unital, sample_tuples
+from .dendriform import Dendriform, Tridendriform, UnitalDendElem, lift_to_unital, sample_tuples, solve_left, solve_right
 from .magnus_fer import fer, magnus, magnus_from_series
 from .report import VerificationReport
 from .series import CoeffSpace, TruncatedSeries, bch, series_exp, series_log
@@ -66,7 +67,7 @@ __all__ = [
     "RBTridendriform",
     "RBDendriform",
     "check_rb_relation",
-    "atkinson_factor",
+    "atkinson_factors",
     "bch_recursion",
     "atkinson_check",
     "spitzer_classical_check",
@@ -221,17 +222,14 @@ def _one_plus_lambda(space: CoeffSpace, order: int, c: Any) -> TruncatedSeries:
     return TruncatedSeries.one(space, order) + TruncatedSeries.single(space, order, 1, c)
 
 
-def atkinson_factor(rb: RotaBaxter, a: Any, side: str, order: int) -> TruncatedSeries:
-    """Order-by-order solution of Xh = 1 - lambda Rt(a Xh) (side "X") or
-    Yh = 1 - lambda R(Yh a) (side "Y")."""
-    sp = rb.space
-    if side == "X":
-        step = lambda c: rb.r_tilde(sp.mul(a, c))
-    elif side == "Y":
-        step = lambda c: rb.r(sp.mul(c, a))
-    else:
-        raise ValueError(f"side must be 'X' or 'Y', got {side!r}")
-    return TruncatedSeries.iterate(sp, order, sp.one(), lambda c: sp.neg(step(c)))
+def atkinson_factors(rb: RotaBaxter, a: Any, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """(Xh, Yh) = (-Rt(X), R(Y)) for X = 1 + lambda a prec X and Y = 1 - Y succ lambda a
+    over the induced dendriform.  As a prec X = -a Rt(X), Y succ a = R(Y) a and
+    R(1u) = 1 = -Rt(1u), they solve Xh = 1 - lambda Rt(a Xh) and Yh = 1 - lambda R(Yh a)
+    for any linear R."""
+    dend, sp = rb.dendriform(), rb.space
+    xh = -solve_left(dend, a, order).map_coeffs(rb.unital_r_tilde, sp)
+    return xh, solve_right(dend, a, order).map_coeffs(rb.unital_r, sp)
 
 
 def bch_recursion(
@@ -283,10 +281,20 @@ def atkinson_check(rb: RotaBaxter, a: Any, order: int) -> list[VerificationRepor
       * "factor exponentials": Xh = exp(-Rt(W)) and Yh = exp(-R(W));
       * "factor products": the forward product of exp(-Rt(U_n)) is Xh and
         the reversed product of exp(-R(U_n)) is Yh.
+
+    Three labels hold for any linear R with Rt = -theta id - R, so they test
+    other code than (RB).  Both "substituted back" checks test the dendriform
+    solvers and the unit convention R(1u) = 1, Rt(1u) = -1 (see
+    ``atkinson_factors``).  The splitting tests the Magnus recursion,
+    ``series_exp`` and the carrier.  Proof: W rhd b = R(W) b + b Rt(W) =: T(b)
+    is a left plus a right multiplication, and the two commute.  The left
+    Magnus recursion reads W = f(T)(lambda a) with f(z) = z/(e^z - 1), so
+    g(T)(W) = lambda a with g(z) = (e^z - 1)/z.  T(1) = R(W) + Rt(W) =
+    -theta W, hence exp(R(W)) exp(Rt(W)) - 1 = (e^T - 1)(1) = g(T)(T(1)) =
+    -theta lambda a.  The other five labels need (RB).
     """
     one = TruncatedSeries.one(rb.space, order)
-    xh = atkinson_factor(rb, a, "X", order)
-    yh = atkinson_factor(rb, a, "Y", order)
+    xh, yh = atkinson_factors(rb, a, order)
     mid = _one_plus_lambda(rb.space, order, rb.space.scale(-rb.weight, a))
     w = magnus(rb.dendriform(), a, order)
     r_w, rt_w = w.map_coeffs(rb.r), w.map_coeffs(rb.r_tilde)

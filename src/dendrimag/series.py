@@ -15,7 +15,8 @@ combinations and unital dendriform elements.
 exp/log are the grading-safe versions: ``series_exp`` requires a zero constant
 term (such inputs are nilpotent modulo lambda^(N+1), so the sums terminate)
 and ``series_log`` requires constant term equal to the unit.  Both run one
-power-series loop, which sums each result coefficient once.
+power-series loop, which sums each result coefficient once; the Fer
+correction in ``magnus_fer`` runs the same loop with the step u rhd .
 """
 
 from __future__ import annotations
@@ -283,31 +284,36 @@ def bilinear_terms(
     return out
 
 
-def _power_sum(first: TruncatedSeries, x: TruncatedSeries, ratio: Callable[[int], Fraction]) -> TruncatedSeries:
-    """sum_n t_n with t_0 = first and t_n = ratio(n) t_(n-1) x, mod lambda^(N+1).
+def _power_sum(
+    first: TruncatedSeries, step: Callable[[TruncatedSeries], TruncatedSeries], ratio: Callable[[int], Fraction]
+) -> TruncatedSeries:
+    """sum_n t_n with t_0 = first and t_n = ratio(n) step(t_(n-1)), mod lambda^(N+1).
 
-    The one power-series loop behind exp and log.  x has zero constant term,
-    so t_n starts at degree n or later and coefficient k sums the nonzero
+    The one power-series loop behind exp, log and the Fer correction.  step
+    is linear, so the sum stops at the first zero term, and t_n has no
+    coefficient below degree n, so coefficient k sums the nonzero
     coefficients of t_0..t_k once.
     """
-    sp = x.space
+    sp, order = first.space, first.order
     term = first
     terms = [term.coeffs]
-    for n in range(1, x.order + 1):
-        term = (term * x).scale(ratio(n))
+    for n in range(1, order + 1):
+        term = step(term).scale(ratio(n))
+        if term.is_zero():
+            break
         terms.append(term.coeffs)
     sums = []
-    for k in range(x.order + 1):
+    for k in range(order + 1):
         nonzero = [t[k] for t in terms[: k + 1] if not sp.is_zero(t[k])]
         sums.append(sp.sum(nonzero) if nonzero else sp.zero())
-    return TruncatedSeries(sp, x.order, sums)
+    return TruncatedSeries(sp, order, sums)
 
 
 def series_exp(s: TruncatedSeries) -> TruncatedSeries:
     """exp of a series with zero constant term: sum_n s^n / n! mod lambda^(N+1)."""
     if not s.space.is_zero(s.coeff(0)):
         raise NonNilpotentInput("series_exp needs a zero constant term")
-    return _power_sum(TruncatedSeries.one(s.space, s.order), s, lambda n: Fraction(1, n))
+    return _power_sum(TruncatedSeries.one(s.space, s.order), lambda t: t * s, lambda n: Fraction(1, n))
 
 
 def series_log(s: TruncatedSeries) -> TruncatedSeries:
@@ -316,7 +322,7 @@ def series_log(s: TruncatedSeries) -> TruncatedSeries:
     if not sp.eq(s.coeff(0), sp.one()):
         raise BadConstantTerm("series_log needs constant term equal to the unit")
     x = s - TruncatedSeries.one(sp, s.order)
-    return _power_sum(x, x, lambda n: Fraction(-n, n + 1))
+    return _power_sum(x, lambda t: t * x, lambda n: Fraction(-n, n + 1))
 
 
 def bch(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:

@@ -57,6 +57,9 @@ GOLDEN_VERIFY_ALL_ORDER8 = Path(__file__).parent / "golden" / "verify_all_order8
 # stdout of verify --suite S --order 5 --seed 101 for each S below, in order
 GOLDEN_EXACT_SEED101 = Path(__file__).parent / "golden" / "verify_exact_order5_seed101.txt"
 EXACT_SUITES = ("tridendriform", "rb", "spitzer", "atkinson", "chi")
+# stdout of verify --suite S --order 8 --seed 2024 for each S below, in order
+GOLDEN_FACTOR_ORDER8_SEED2024 = Path(__file__).parent / "golden" / "verify_factor_order8_seed2024.txt"
+FACTOR_SUITES = ("atkinson", "spitzer", "chi")
 
 
 def _report(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -290,6 +293,14 @@ def test_exact_suites_second_seed_match_golden(capsys):
         assert cli.main(["verify", "--suite", suite, "--order", "5", "--seed", "101"]) == 0
         out.append(capsys.readouterr().out)
     assert "".join(out) == GOLDEN_EXACT_SEED101.read_text()
+
+
+def test_factorization_suites_order8_third_seed_match_golden(capsys):
+    out = []
+    for suite in FACTOR_SUITES:
+        assert cli.main(["verify", "--suite", suite, "--order", "8", "--seed", "2024"]) == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == GOLDEN_FACTOR_ORDER8_SEED2024.read_text()
 
 
 def test_verify_all_order8_matches_golden(capsys, monkeypatch):

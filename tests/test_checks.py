@@ -34,7 +34,9 @@ from dendrimag.rota_baxter import (
     RotaBaxter,
     atkinson_check,
     check_rb_relation,
+    classical_magnus_check,
     exp_image_check,
+    spitzer_noncommutative_check,
 )
 from dendrimag.series import RATIONALS, TruncatedSeries
 
@@ -298,6 +300,76 @@ def test_doubled_projection_fails_the_factorization_and_every_factor_form():
         ("factor products [doubled triangular projection]", "reversed product of exp(-R(U_n)) = Yh"),
     }, [r.summary() for r in reports]
     assert [len(r.checks) for r in reports] == [4, 2, 2]
+
+
+
+def _random_linear_operator(seed: int):
+    """x -> M vec(x) on 3x3 matrices, for a seeded random 9x9 rational M:
+    linear, and (almost surely) Rota-Baxter of no weight."""
+    m = random_matrix(random.Random(seed), 9).rows
+
+    def r(x):
+        v = [e for row in x.rows for e in row]
+        out = [sum(mij * vj for mij, vj in zip(mi, v)) for mi in m]
+        return RatMatrix([out[0:3], out[3:6], out[6:9]])
+
+    return r
+
+
+# The hard checks that a linear operator which is not Rota-Baxter fails, by
+# report; every other hard check of these reports holds for any linear R.
+_FAILS_FOR_ANY_LINEAR_R = {
+    "Rota-Baxter relation": {
+        "R(a)R(b) = R(R(a)b + aR(b) + theta ab)",
+        "Rt satisfies the same weight relation",
+        "R(a *t b) = R(a)R(b) (image of R closed)",
+        "Rt(a *t b) = -Rt(a)Rt(b) (image of Rt closed)",
+    },
+    "Atkinson factorization": {"Yh (1 - theta lambda a) Xh = 1"},
+    "factor exponentials": {"Xh = exp(-Rt(W))", "Yh = exp(-R(W))"},
+    "factor products": {"forward product of exp(-Rt(U_n)) = Xh", "reversed product of exp(-R(U_n)) = Yh"},
+    "magnus order 5": {"exp*(W) solves X = 1 + lambda a<X", "exp*(-W) solves Y = 1 - Y>lambda a"},
+    "fer order 5": {
+        "forward product of 4 exponentials equals X",
+        "reversed product of negated exponentials equals Y",
+        "pre-Lie form of U_1 matches the closed recursion",
+    },
+    "exponential image": {"R(exp_*t(lambda a)) = exp(lambda R(a))"},
+    "dendriform axioms": {"(A1) (a<b)<c = a<(b*c)", "(A3) a>(b>c) = (a*b)>c", "star associativity"},
+    "pre-Lie identities": {"left pre-Lie identity for rhd", "right pre-Lie identity for lhd"},
+    "tridendriform axioms": {"(x<y)<z = x<(y*z)", "(x*y)>z = x>(y>z)", "star associativity"},
+    "non-commutative Spitzer": {"iterated series = exp(R(chi(log(1 + theta a lambda)/theta)))"},
+    "classical Magnus reduction": set(),
+}
+
+
+@pytest.mark.parametrize("weight", [-1, 0, 2])
+def test_random_linear_operator_fails_exactly_the_checks_that_read_rota_baxter(weight):
+    """Negative control: every RB checker on a random linear R.
+
+    A check that goes blind to a broken operator, or a check that is an
+    identity for any linear R and starts failing, changes the failing set.
+    """
+    space = MatrixSpace(3)
+    rb = RotaBaxter("random linear R", space, Fraction(weight), _random_linear_operator(5), lambda rng: random_matrix(rng, 3))
+    a, order, dend = random_matrix(random.Random(19), 3), 5, rb.dendriform()
+    triples = sample_tuples(rb, random.Random(20), N, 3)
+    reports = [
+        check_rb_relation(rb, N, seed=20),
+        *atkinson_check(rb, a, order),
+        magnus_fer.verify_magnus(dend, a, order),
+        magnus_fer.verify_fer(dend, a, order),
+        exp_image_check(rb, a, order),
+        check_dendriform_axioms(dend, triples),
+        check_prelie_identities(dend, triples),
+        check_tridendriform_axioms(RBTridendriform(rb), triples),
+        spitzer_noncommutative_check(rb, a, order) if weight else classical_magnus_check(rb, a, order),
+    ]
+    failed = {r.name.split(" [")[0]: {c.label for c in r.checks if not c.ok} for r in reports}
+    assert all(not c.informational for r in reports for c in r.checks)
+    assert failed == {k: v for k, v in _FAILS_FOR_ANY_LINEAR_R.items() if k in failed}, [r.summary() for r in reports]
+    assert len(failed) == len(reports)
+    assert sum(len(r.checks) for r in reports) == (44 if weight else 40)
 
 
 class _LtGtSwapped(RBTridendriform):

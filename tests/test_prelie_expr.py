@@ -2,6 +2,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb, lcm
 
@@ -254,20 +255,33 @@ def _gauss_jordan(rows, ncols):
     return pivots, rows
 
 
+@cache
+def _full_rank_inverses(n):
+    """(Z, K_Z^-1) for each d-subset Z of the degree-n expressions on which the
+    d x d matrix K_Z of the kernel rows has full rank: the right half of
+    _gauss_jordan([K_Z | I]).  Each K_Z is inverted once per degree."""
+    kernel = prelie_expr._kernel(n)
+    d = len(kernel)
+    eye = [[int(i == j) for j in range(d)] for i in range(d)]
+    out = []
+    for zeros in combinations(range(len(kernel[0])), d):
+        pivots, rows = _gauss_jordan([[k[z] for k in kernel] + e for z, e in zip(zeros, eye)], d)
+        if len(pivots) == d:
+            out.append((zeros, [row[d:] for row in rows]))
+    return out
+
+
 def _all_subsets_minimal_forms(combo):
     """minimal_forms as one Fraction solve per d-subset of the kernel rows, with
     no pruning: the loop the depth-first walk replaces."""
     (n,) = {e.degree for e in combo.num}
     exprs = prelie_expr._expressions_of_degree(n)
     kernel = prelie_expr._kernel(n)
-    d = len(kernel)
     x0 = [combo.coeff(e) for e in exprs]
     best, found = len(exprs), set()
-    for zeros in combinations(range(len(exprs)), d):
-        pivots, rows = _gauss_jordan([[k[z] for k in kernel] + [-x0[z]] for z in zeros], d)
-        if len(pivots) < d:
-            continue
-        x = [v + sum(row[d] * k[i] for row, k in zip(rows, kernel)) for i, v in enumerate(x0)]
+    for zeros, inverse in _full_rank_inverses(n):
+        c = [-sum(v * x0[z] for v, z in zip(row, zeros)) for row in inverse]
+        x = [v + sum(ci * k[i] for ci, k in zip(c, kernel)) for i, v in enumerate(x0)]
         size = len(x) - x.count(0)
         if size < best:
             best, found = size, set()
@@ -306,9 +320,7 @@ def test_degree_five_solves_only_full_rank_subsets(monkeypatch):
     kernel = prelie_expr._kernel(5)
     assert len(kernel) == 5 and len(kernel[0]) == 14
     assert {z for z in range(14) if not any(k[z] for k in kernel)} == {0, 6}
-    full_rank = sum(
-        len(_gauss_jordan([[k[z] for k in kernel] for z in zeros], 5)[0]) == 5 for zeros in combinations(range(14), 5)
-    )
+    full_rank = len(_full_rank_inverses(5))
     assert full_rank == 438
     solves = []
     leaf = prelie_expr._leaf_form

@@ -17,7 +17,7 @@ from dendrimag.rota_baxter import (
     RBTridendriform,
     ZeroWeight,
     atkinson_check,
-    atkinson_factor,
+    atkinson_factors,
     bch_recursion,
     check_rb_relation,
     classical_magnus_check,
@@ -109,15 +109,7 @@ def test_double_product_specialization(rng):
 
 
 def test_atkinson_factor_zero_input(tri_rb):
-    for side in ("X", "Y"):
-        s = atkinson_factor(tri_rb, tri_rb.space.zero(), side, 5)
-        assert s == TruncatedSeries.one(tri_rb.space, 5)
-
-
-@pytest.mark.parametrize("order", [0, 3])
-def test_atkinson_factor_rejects_unknown_side(tri_rb, order):
-    with pytest.raises(ValueError, match="side"):
-        atkinson_factor(tri_rb, tri_rb.space.zero(), "Z", order)
+    assert atkinson_factors(tri_rb, tri_rb.space.zero(), 5) == (TruncatedSeries.one(tri_rb.space, 5),) * 2
 
 
 def test_atkinson_factor_recursion_residual(tri_rb, rng):
@@ -125,8 +117,7 @@ def test_atkinson_factor_recursion_residual(tri_rb, rng):
     sp = tri_rb.space
     a = tri_rb.sample(rng)
     order = 6
-    xh = atkinson_factor(tri_rb, a, "X", order)
-    yh = atkinson_factor(tri_rb, a, "Y", order)
+    xh, yh = atkinson_factors(tri_rb, a, order)
     one = TruncatedSeries.one(sp, order)
     ax = TruncatedSeries.single(sp, order, 1, a) * xh
     assert xh == one - ax.map_coeffs(tri_rb.r_tilde)
@@ -438,5 +429,5 @@ def test_factor_exponential_consistency_with_magnus(tri_rb, rng):
     # Xh and Yh really are the exponentials of -Rt(W) and -R(W)
     a = tri_rb.sample(rng)
     w = magnus(tri_rb.dendriform(), a, 5)
-    xh = atkinson_factor(tri_rb, a, "X", 5)
+    xh, _ = atkinson_factors(tri_rb, a, 5)
     assert xh == series_exp(-w.map_coeffs(tri_rb.r_tilde))
