@@ -30,8 +30,8 @@ lowest terms.  Sums, scaling, equality and hashing come from the base, which
 reads a shorter window as padded with zeros; every operator above runs on
 ints too and builds no per-entry ``Fraction``.  ``Fraction`` is
 used only at the boundary: the constructor, ``theta`` (which must be
-positive), the ``scale`` argument, the read-only ``values`` property,
-``repr`` and ``to_json``.
+positive), the ``scale`` argument, the read-only ``values`` property and
+``repr``; a sequence has no JSON form.
 """
 
 from __future__ import annotations
@@ -134,12 +134,6 @@ class GridSeq(DenseRational, shape="theta"):
         if sum(self.num):
             raise NonSummable("total must vanish for a finitely supported tail sum")
         return self.tail_sum()
-
-    def to_json(self) -> dict:
-        return {
-            "theta": rational_str(self.theta),
-            "values": [rational_str(v) for v in self.values],
-        }
 
 
 class GridSpace(CoeffSpace):

@@ -25,11 +25,13 @@ U_0 = lambda a and
 
 and Y the reversed product of exp*(-U_n).  Each correction is a power
 series in the operator U_n rhd ., summed by the loop behind exp and log.
-The lowest degree of U_n is 2^n, so floor(log2 N) + 1 factors saturate order N.
+The lowest degree of U_n is 2^n, so floor(log2 N) + 1 factors saturate order N
+and the last factor ``fer`` returns is zero; an ordered product multiplies the
+exponentials of the nonzero factors only, since exp*(0) = 1.
 
 A "pre-Lie ops" bundle is anything with a ``space`` and ``rhd`` (and
 ``lhd`` for the right Magnus form); every Dendriform instance qualifies,
-as do the free rooted-tree and formal-expression models.
+as do the free models and a ``SimpleNamespace(space=..., rhd=...)``.
 """
 
 from __future__ import annotations
@@ -126,7 +128,8 @@ def magnus(ops, a, order: int, variant: str = "left_rhd") -> TruncatedSeries:
 
 
 def verify_magnus(dend: Dendriform, a, order: int) -> VerificationReport:
-    """exp*(W) against the left solution and exp*(-W) against the right one."""
+    """exp*(W) against the left solution and exp*(-W) against the right one.
+    The shapes agree for any bilinear prec and succ (x lhd W = -(W rhd x))."""
     rep = VerificationReport(f"magnus order {order} [{dend.name}]")
     w_left = magnus(dend, a, order, "left_rhd")
     w_right = magnus(dend, a, order, "right_lhd")
@@ -150,8 +153,7 @@ def fer_step_series(ops, u: TruncatedSeries) -> TruncatedSeries:
     A power series in the operator u rhd ., summed by the exp/log loop: its
     l-th term is -(l+1)/(l(l+2)) times u rhd (term l-1), from -(u rhd u)/2.
     """
-    sp, order = ops.space, u.order
-    step = lambda t: TruncatedSeries(sp, order, bilinear_terms(sp, ops.rhd, u.coeffs, t.coeffs, 0, order))
+    step = lambda t: u.bilinear(ops.rhd, t)
     return _power_sum(step(u).scale(Fraction(-1, 2)), step, lambda l: Fraction(-(l + 1), l * (l + 2)))
 
 
@@ -165,40 +167,31 @@ def fer(ops, a, order: int) -> list[TruncatedSeries]:
     return factors
 
 
-# The closed two-term recursion is checked for U_1 and U_2, from U_0 and U_1.
-_CLOSED_STEPS = (1, 2)
-
-
-def _fer_closed_step(
-    dend: Dendriform, u_unital: TruncatedSeries, e_plus: TruncatedSeries, e_minus: TruncatedSeries
-) -> TruncatedSeries:
-    """The two-term closed recursion ((exp*(-u) - 1) + exp*(-u) > u) < exp*(u),
-    given e_plus = exp*(u) and e_minus = exp*(-u)."""
-    one = TruncatedSeries.one(dend.unital_space, u_unital.order)
-    return series_half_prec(dend, e_minus - one + series_half_succ(dend, e_minus, u_unital), e_plus)
-
-
 def verify_fer(dend: Dendriform, a, order: int, exact_onsets: bool = False) -> VerificationReport:
     """Ordered exponential products against both fixed points, plus onsets
-    and agreement of the pre-Lie form with the closed two-term recursion.
+    and agreement of the pre-Lie form with the closed two-term recursion
+    U_n = ((exp*(-u) - 1) + exp*(-u) > u) < exp*(u), u = U_(n-1), for n = 1, 2.
 
     Generically the n-th correction starts at degree >= 2^n (or vanishes,
     e.g. whenever the pre-Lie product degenerates); ``exact_onsets`` upgrades
-    this to equality, which holds in the free model.
+    this to equality, which holds in the free model.  The onsets hold for any
+    bilinear rhd, and so does the U_2 recursion below order 6 (both sides are
+    (u<u - u>u)/2 there, u = U_1); the products and U_1 need the axioms.
     """
     rep = VerificationReport(f"fer order {order} [{dend.name}]")
     factors = fer(dend, a, order)
     lifted = [lift_to_unital(dend, u) for u in factors]
+    one = TruncatedSeries.one(dend.unital_space, order)
 
-    # exp*(U_n) and exp*(-U_n) are kept for the U_n that the closed-step checks read
-    kept = {n - 1 for n in _CLOSED_STEPS if n < len(factors)}
-    e_plus = {n: series_exp(lifted[n]) for n in kept}
-    exps = (e_plus[n] if n in kept else series_exp(u) for n, u in enumerate(lifted))
-    prod = reduce(TruncatedSeries.__mul__, exps)
+    # exp*(+-U_0) and exp*(+-U_1) serve the closed steps and the products; exp*(0) = 1 enters none
+    steps = range(1, min(3, len(factors)))
+    e_plus, e_minus = [series_exp(lifted[n - 1]) for n in steps], [series_exp(-lifted[n - 1]) for n in steps]
+    nonzero = [n for n, u in enumerate(factors) if not u.is_zero()]
+    exps = (e_plus[n] if n < len(e_plus) else series_exp(lifted[n]) for n in nonzero)
+    prod = reduce(TruncatedSeries.__mul__, exps) if nonzero else one
     rep.add_residuals(f"forward product of {len(factors)} exponentials equals X", prod, solve_left(dend, a, order))
-    e_minus = {n: series_exp(-lifted[n]) for n in kept}
-    exps = (e_minus[n] if n in kept else series_exp(-lifted[n]) for n in reversed(range(len(lifted))))
-    prod = reduce(TruncatedSeries.__mul__, exps)
+    exps = (e_minus[n] if n < len(e_minus) else series_exp(-lifted[n]) for n in reversed(nonzero))
+    prod = reduce(TruncatedSeries.__mul__, exps) if nonzero else one
     rep.add_residuals("reversed product of negated exponentials equals Y", prod, solve_right(dend, a, order))
 
     for n, u in enumerate(factors):
@@ -215,10 +208,9 @@ def verify_fer(dend: Dendriform, a, order: int, exact_onsets: bool = False) -> V
                 f"low degree {onset}",
             )
 
-    for n in _CLOSED_STEPS:
-        if n >= len(factors):
-            break
-        closed = _fer_closed_step(dend, lifted[n - 1], e_plus[n - 1], e_minus[n - 1])
+    for n in steps:
+        inner = e_minus[n - 1] - one + series_half_succ(dend, e_minus[n - 1], lifted[n - 1])
+        closed = series_half_prec(dend, inner, e_plus[n - 1])
         rep.add_residuals(f"pre-Lie form of U_{n} matches the closed recursion", lifted[n], closed)
     return rep
 

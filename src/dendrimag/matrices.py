@@ -9,8 +9,8 @@ denominator, in lowest terms.  Sums, scaling, equality and hashing come from
 the base; the projection runs on ints too, and the product is one call of
 :func:`matmul_kernel`, the int kernel of its size, which ``Poly`` shares.
 ``Fraction`` is used only at the boundary: the constructor from user rows, the
-``scale`` argument, the read-only ``rows`` property, ``repr`` and ``to_json``.
-Matrices serialize as flat row-major arrays of "p/q" strings.
+``scale`` argument, the read-only ``rows`` property and ``repr``; a matrix has
+no JSON form.
 """
 
 from __future__ import annotations
@@ -96,9 +96,6 @@ class RatMatrix(DenseRational, shape="n"):
 
     def __repr__(self) -> str:
         return f"RatMatrix({[[rational_str(a) for a in row] for row in self.rows]})"
-
-    def to_json(self) -> list[str]:
-        return [rational_str(a) for a in as_fractions(self.num, self.den)]
 
 
 class MatrixSpace(CoeffSpace):

@@ -102,8 +102,6 @@ class FormalPreLieOps:
     monomial combination, before any identity is applied.
     """
 
-    name = "formal-prelie-expressions"
-
     def __init__(self):
         self.space = LinCombSpace()
 

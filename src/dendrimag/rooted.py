@@ -106,8 +106,6 @@ graft = bilinear(_graft_basis)
 class RootedGraftOps:
     """The free left pre-Lie algebra as a pre-Lie ops bundle (space + rhd)."""
 
-    name = "free-prelie-rooted"
-
     def __init__(self):
         self.space = LinCombSpace()
 

@@ -54,6 +54,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
+from types import SimpleNamespace
 from typing import Any, Callable
 
 from .dendriform import Dendriform, Tridendriform, UnitalDendElem, lift_to_unital, sample_tuples, solve_left, solve_right
@@ -310,11 +312,9 @@ def atkinson_check(rb: RotaBaxter, a: Any, order: int) -> list[VerificationRepor
     exps.add_residuals("Xh = exp(-Rt(W))", xh, series_exp(-rt_w))
     exps.add_residuals("Yh = exp(-R(W))", yh, series_exp(-r_w))
 
-    def product(factors, op):
-        prod = one
-        for u in factors:
-            prod = prod * series_exp(-u.map_coeffs(op))
-        return prod
+    def product(factors, op):  # exp(0) = 1 enters no product
+        exponents = [e for e in (-u.map_coeffs(op) for u in factors) if not e.is_zero()]
+        return reduce(TruncatedSeries.__mul__, map(series_exp, exponents)) if exponents else one
 
     prods = VerificationReport(f"factor products [{rb.name}]")
     factors = fer(rb.dendriform(), a, order)
@@ -364,6 +364,8 @@ def spitzer_noncommutative_check(
         exp(R(chi(log(1 + theta a lambda)/theta)));
       * the change of variable chi(alpha) = W((1 - exp(-theta alpha))/theta)
         on the supplied alpha (defaults to lambda a).
+    Only the iterated series needs (RB).  The other four hold for any linear R
+    (R chi + Rt chi = -theta chi and the Atkinson splitting hold for any).
     """
     if rb.weight == 0:
         raise ZeroWeight("use spitzer_classical_check / classical_magnus_check at weight zero")
@@ -420,28 +422,14 @@ def exp_image_check(rb: RotaBaxter, a: Any, order: int) -> VerificationReport:
     return rep
 
 
-class _AdjointOps:
-    """rhd(x, y) = [R(x), y]: the weight-zero shape of the induced pre-Lie."""
-
-    def __init__(self, rb: RotaBaxter):
-        self.rb = rb
-        self.space = rb.space
-
-    def rhd(self, x, y):
-        sp = self.space
-        rx = self.rb.r(x)
-        return sp.sub(sp.mul(rx, y), sp.mul(y, rx))
-
-
 def classical_magnus_check(rb: RotaBaxter, a: Any, order: int) -> VerificationReport:
     """At weight zero the induced recursion is the commutator-form Magnus
-    recursion: rhd coincides with ad_{R(.)} and both fixed points agree."""
+    recursion: rhd coincides with ad_{R(.)} and both fixed points agree.
+    This holds for any linear R, as the induced rhd is R(a)b - bR(a)."""
     if rb.weight != 0:
         raise ValueError("classical reduction concerns weight-zero instances")
     rep = VerificationReport(f"classical Magnus reduction [{rb.name}]")
-    rep.add_residuals(
-        "induced recursion = ad_{R(.)} recursion",
-        magnus(rb.dendriform(), a, order),
-        magnus(_AdjointOps(rb), a, order),
-    )
+    sp = rb.space
+    ad_r = SimpleNamespace(space=sp, rhd=lambda x, y: sp.sub(sp.mul(rb.r(x), y), sp.mul(y, rb.r(x))))
+    rep.add_residuals("induced recursion = ad_{R(.)} recursion", magnus(rb.dendriform(), a, order), magnus(ad_r, a, order))
     return rep

@@ -6,11 +6,11 @@ every operation carries the order bound along and discards higher degrees,
 so there is no silent precision loss and no hidden convergence question.
 
 Coefficients live in a :class:`CoeffSpace`: anything with addition, rational
-scaling and a zero test.  Spaces that additionally declare an associative
-product and a unit support the multiplicative layer (Cauchy product,
-``series_exp``, ``series_log``, ``bch``).  The same engine therefore serves
-rational scalars, rational matrices, polynomials, grid sequences, tree linear
-combinations and unital dendriform elements.
+scaling and a zero test.  ``TruncatedSeries.bilinear(op, other)`` is the one
+bilinear series product; the Cauchy product is it with the ``mul`` that spaces
+with a unit declare for ``series_exp``, ``series_log`` and ``bch``.  The same
+engine serves rational scalars, rational matrices, polynomials, grid sequences,
+tree linear combinations and unital dendriform elements.
 
 exp/log are the grading-safe versions: ``series_exp`` requires a zero constant
 term (such inputs are nilpotent modulo lambda^(N+1), so the sums terminate)
@@ -202,12 +202,14 @@ class TruncatedSeries:
         sc, is_zero = self.space.scale, self.space.is_zero
         return TruncatedSeries(self.space, self.order, [a if is_zero(a) else sc(c, a) for a in self.coeffs])
 
+    def bilinear(self, op: Callable[[Any, Any], Any], other: "TruncatedSeries") -> "TruncatedSeries":
+        """The series of sum_{i+j=n} op(c_i, d_j): one ``bilinear_terms`` call."""
+        self._require_same(other)
+        return TruncatedSeries(self.space, self.order, bilinear_terms(self.space, op, self.coeffs, other.coeffs, 0, self.order))
+
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product, truncated; requires the space to declare a product."""
-        self._require_same(other)
-        sp = self.space
-        coeffs = bilinear_terms(sp, sp.mul, self.coeffs, other.coeffs, 0, self.order)
-        return TruncatedSeries(sp, self.order, coeffs)
+        return self.bilinear(self.space.mul, other)
 
     def truncated(self, m: int) -> "TruncatedSeries":
         """The same series modulo lambda^(m+1), m <= order."""
@@ -259,9 +261,9 @@ def bilinear_terms(
 ) -> list[Any]:
     """Coefficients of degrees lo..hi of sum_{i+j=n} op(x_i, y_j).
 
-    This is the one truncated bilinear loop: the Cauchy product, the
-    dendriform half-products of unital series, the Fer corrections and the
-    Magnus recursion all extend a bilinear op degree by degree through it.
+    This is the one truncated bilinear loop: ``TruncatedSeries.bilinear``
+    (the Cauchy product, the unital half-products, the Fer correction) and
+    the Magnus recursion extend a bilinear op degree by degree through it.
     Each factor is tested for zero once per call, and the nonzero pairs
     (x_i, y_j) of each degree, in ascending i, go to one
     ``space.sum_products(op, pairs)``.  Coefficients past the end of xs or

@@ -41,7 +41,7 @@ from dendrimag.ode import (
     reference_solution,
 )
 from dendrimag.pbt import free_dendriform, trees_of_degree
-from dendrimag.polys import ibp_power_check, random_poly
+from dendrimag.polys import ibp_power_holds, random_poly
 from dendrimag.prelie_expr import eval_rooted, monomial_count, rewrite_reduce
 from dendrimag.rota_baxter import (
     RBTridendriform,
@@ -60,6 +60,9 @@ EXACT_SUITES = ("tridendriform", "rb", "spitzer", "atkinson", "chi")
 # stdout of verify --suite S --order 8 --seed 2024 for each S below, in order
 GOLDEN_FACTOR_ORDER8_SEED2024 = Path(__file__).parent / "golden" / "verify_factor_order8_seed2024.txt"
 FACTOR_SUITES = ("atkinson", "spitzer", "chi")
+# stdout of verify --suite S --order 8 --seed 101 for each S below, in order
+GOLDEN_MAGNUS_FER_ORDER8_SEED101 = Path(__file__).parent / "golden" / "verify_magnus_fer_order8_seed101.txt"
+EXPANSION_SUITES = ("magnus", "fer")
 
 
 def _report(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -232,7 +235,7 @@ def test_criterion_11_grid_and_integration_identities():
         rhs = f.diff() * g + f * g.diff() + (f.diff() * g.diff()).scale(theta)
         ok = ok and lhs == rhs and f.diff().shift_sum() == f
     for n in range(7):
-        ok = ok and ibp_power_check(random_poly(rng, 3), n).ok
+        ok = ok and ibp_power_holds(random_poly(rng, 3), n)
     _report(11, "skew-derivation rule, S(d(f)) = f (100 samples); (I(a))^n nesting n<=6", ok)
 
 
@@ -301,6 +304,15 @@ def test_factorization_suites_order8_third_seed_match_golden(capsys):
         assert cli.main(["verify", "--suite", suite, "--order", "8", "--seed", "2024"]) == 0
         out.append(capsys.readouterr().out)
     assert "".join(out) == GOLDEN_FACTOR_ORDER8_SEED2024.read_text()
+
+
+def test_expansion_suites_order8_second_seed_match_golden(capsys):
+    # pins the ordered Fer and Magnus exponential products off the default seed
+    out = []
+    for suite in EXPANSION_SUITES:
+        assert cli.main(["verify", "--suite", suite, "--order", "8", "--seed", "101"]) == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == GOLDEN_MAGNUS_FER_ORDER8_SEED101.read_text()
 
 
 def test_verify_all_order8_matches_golden(capsys, monkeypatch):

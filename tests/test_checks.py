@@ -8,6 +8,7 @@ on which every bilinear identity holds, rides along with the random ones,
 so a failing count reads 1/n: the counter counts, it does not just flag.
 """
 
+import operator
 import random
 import threading
 from fractions import Fraction
@@ -38,6 +39,7 @@ from dendrimag.rota_baxter import (
     exp_image_check,
     spitzer_noncommutative_check,
 )
+from dendrimag.scalars import reduced
 from dendrimag.series import RATIONALS, TruncatedSeries
 
 N = 12
@@ -303,15 +305,15 @@ def test_doubled_projection_fails_the_factorization_and_every_factor_form():
 
 
 
-def _random_linear_operator(seed: int):
-    """x -> M vec(x) on 3x3 matrices, for a seeded random 9x9 rational M:
-    linear, and (almost surely) Rota-Baxter of no weight."""
-    m = random_matrix(random.Random(seed), 9).rows
+def _random_linear_operator(seed: int, n: int = 3):
+    """x -> M vec(x) on n x n matrices, for a seeded random n^2 x n^2 rational M:
+    linear, and (almost surely) Rota-Baxter of no weight.  Runs on the int
+    numerators: M vec(x) = (num(M) num(x)) / (den(M) den(x))."""
+    m = random_matrix(random.Random(seed), n * n)
+    rows = [m.num[k : k + n * n] for k in range(0, len(m.num), n * n)]
 
     def r(x):
-        v = [e for row in x.rows for e in row]
-        out = [sum(mij * vj for mij, vj in zip(mi, v)) for mi in m]
-        return RatMatrix([out[0:3], out[3:6], out[6:9]])
+        return RatMatrix._make(n, *reduced([sum(map(operator.mul, row, x.num)) for row in rows], m.den * x.den))
 
     return r
 
@@ -370,6 +372,35 @@ def test_random_linear_operator_fails_exactly_the_checks_that_read_rota_baxter(w
     assert failed == {k: v for k, v in _FAILS_FOR_ANY_LINEAR_R.items() if k in failed}, [r.summary() for r in reports]
     assert len(failed) == len(reports)
     assert sum(len(r.checks) for r in reports) == (44 if weight else 40)
+
+
+# The labels of the Atkinson, Magnus and weight-zero reduction reports that
+# _FAILS_FOR_ANY_LINEAR_R leaves out: identities of any linear R (see the
+# atkinson_check, verify_magnus and classical_magnus_check docstrings).
+_HOLDS_FOR_ANY_LINEAR_R = (
+    "Xh substituted back into Xh = 1 - lambda Rt(a Xh)",
+    "Yh substituted back into Yh = 1 - lambda R(Yh a)",
+    "1 - theta lambda a = exp(R(W)) exp(Rt(W))",
+    "left and right recursion shapes agree",
+    "induced recursion = ad_{R(.)} recursion",
+)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_structural_identities_hold_for_any_linear_operator(n):
+    """Oracle: a random linear R on n x n matrices, at four weights and
+    orders 1 to 6, passes every label that no Rota-Baxter property backs."""
+    assert not set(_HOLDS_FOR_ANY_LINEAR_R) & set().union(*_FAILS_FOR_ANY_LINEAR_R.values())
+    space, a = MatrixSpace(n), random_matrix(random.Random(19), n)
+    for weight in (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2)):
+        rb = RotaBaxter("random linear R", space, weight, _random_linear_operator(5, n), lambda rng: random_matrix(rng, n))
+        labels = _HOLDS_FOR_ANY_LINEAR_R if weight == 0 else _HOLDS_FOR_ANY_LINEAR_R[:-1]
+        for order in range(1, 7):
+            reports = [atkinson_check(rb, a, order)[0], magnus_fer.verify_magnus(rb.dendriform(), a, order)]
+            if weight == 0:
+                reports.append(classical_magnus_check(rb, a, order))
+            ok = {c.label: c.ok for r in reports for c in r.checks}
+            assert [label for label in labels if not ok[label]] == [], (weight, order)
 
 
 class _LtGtSwapped(RBTridendriform):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -214,6 +215,47 @@ def test_power_sum_bridge_computes_each_half_product_once(monkeypatch):
     rep = power_sum_bridge_check(free, free.generator(), 4, 5)
     assert rep.ok, rep.summary()
     assert calls == {"succ": 6, "prec": 21}
+
+
+def test_fer_products_multiply_only_the_exponentials_of_nonzero_factors(monkeypatch):
+    # The last Fer factor is zero modulo truncation, and poly_rb's rhd vanishes,
+    # so there every U_n with n > 0 is.  exp*(0) = 1 enters no ordered product
+    # and no product starts from the unit series; products that did would make
+    # 46, 22 and 49 Cauchy products, with 2, 6 and 2 factors exp of a zero series.
+    from dendrimag import rota_baxter
+    from dendrimag.instances import poly_rb, triangular_rb
+
+    products, zero_factors = [0], [0]
+    zero_exps = []  # the objects themselves, kept alive, so no id is reused
+
+    def counted_exp(s):
+        e = series_exp(s)
+        if s.is_zero():
+            zero_exps.append(e)
+        return e
+
+    def counted_mul(x, y):
+        products[0] += 1
+        zero_factors[0] += sum(e is x or e is y for e in zero_exps)
+        return cauchy(x, y)
+
+    cauchy = TruncatedSeries.__mul__
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
+    monkeypatch.setattr(magnus_fer, "series_exp", counted_exp)
+    monkeypatch.setattr(rota_baxter, "series_exp", counted_exp)
+    free, p, tri = free_dendriform(), poly_rb(), triangular_rb()
+    runs = [
+        lambda: [verify_fer(free, free.generator(), 8)],
+        lambda: [verify_fer(p.dendriform(), p.sample(random.Random(1)), 5)],
+        lambda: rota_baxter.atkinson_check(tri, tri.sample(random.Random(1)), 5),
+    ]
+    counts = []
+    for run in runs:
+        products[0] = zero_factors[0] = 0
+        reports = run()
+        assert all(r.ok for r in reports), [r.summary() for r in reports]
+        counts.append((products[0], zero_factors[0]))
+    assert counts == [(42, 0), (12, 0), (43, 0)]
 
 
 def test_left_absorption_integral_identity():
