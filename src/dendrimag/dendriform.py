@@ -24,6 +24,9 @@ exhaustive basis checks in their own modules).  Each checker evaluates
 all its axioms on one sample in one function, so a product that several
 axioms need is computed once, as a local, and always by the instance's own
 method (``star``, ``rhd``, ``lhd``), never rebuilt from other products.
+The suites run the checkers that read one sample list in lockstep
+(``report.run_sampled``) on a :func:`remembered` view of the instance, so a
+product that several checkers need is computed once per sample as well.
 
 The unit is adjoined structurally: a :class:`UnitalDendElem` is a rational
 multiple of the formal unit plus a carrier element, with
@@ -40,13 +43,14 @@ while "1 prec 1" and "1 succ 1" stay undefined and raise
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
-from .report import VerificationReport
+from .report import SampledCheck, VerificationReport, run_sampled
 from .series import CoeffSpace, TruncatedSeries
 
 __all__ = [
@@ -61,6 +65,10 @@ __all__ = [
     "series_half_prec",
     "series_half_succ",
     "lift_to_unital",
+    "remembered",
+    "dendriform_axioms",
+    "prelie_identities",
+    "tridendriform_axioms",
     "check_dendriform_axioms",
     "check_prelie_identities",
     "check_tridendriform_axioms",
@@ -308,11 +316,41 @@ def sample_tuples(instance, rng: random.Random, count: int, arity: int) -> list[
     return [tuple(instance.sample(rng) for _ in range(arity)) for _ in range(count)]
 
 
-def check_dendriform_axioms(
-    dend: Dendriform, triples: Iterable[tuple], name: str | None = None
-) -> VerificationReport:
-    """(A1)-(A3), star associativity, and the Zinbiel flag when declared.  On an
-    instance induced by any linear R, (A2) is associativity of the carrier."""
+def remembered(instance: Dendriform) -> tuple[Dendriform, dict]:
+    """A view of ``instance`` that remembers its carrier products, and its memo.
+
+    The view is a shallow copy whose ``lt``, ``gt``, ``dot`` and ``star``
+    (for a :class:`Tridendriform`) or ``prec``, ``succ`` and ``star`` (for
+    any other instance) first look up ``(operation, id(a), id(b))`` in the
+    memo.  A miss calls the instance's own method bound to the view, so
+    subclass overrides take effect and a product built from others (the
+    collapse prec = lt + dot, ``rhd``, ``lhd``) reads the remembered ones.
+    The memo keeps each product's operands, so their ids are not reused
+    while it lives; clear it between samples to bound it by one sample.
+    The view's ``unital_space`` is still the instance's: use the view for
+    carrier products only.
+    """
+    view = copy.copy(instance)
+    memo: dict = {}
+    ops = ("lt", "gt", "dot", "star") if isinstance(instance, Tridendriform) else ("prec", "succ", "star")
+    for op in ops:
+        setattr(view, op, _remember(memo, op, getattr(view, op)))
+    return view, memo
+
+
+def _remember(memo: dict, op: str, product: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
+    def remembered_product(a, b):
+        key = (op, id(a), id(b))
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = (a, b, product(a, b))
+        return hit[2]
+
+    return remembered_product
+
+
+def dendriform_axioms(dend: Dendriform, name: str | None = None) -> SampledCheck:
+    """The sampled check behind :func:`check_dendriform_axioms`, for ``run_sampled``."""
     rep = VerificationReport(name or f"dendriform axioms [{dend.name}]")
     eq, prec, succ, star = dend.space.eq, dend.prec, dend.succ, dend.star
     labels = [
@@ -333,15 +371,19 @@ def check_dendriform_axioms(
         if dend.commutative:
             yield eq(ab_gt, prec(b, a))
 
-    rep.add_sampled(triples, labels, holds, "triples")
-    return rep
+    return rep, labels, holds, "triples"
 
 
-def check_prelie_identities(
+def check_dendriform_axioms(
     dend: Dendriform, triples: Iterable[tuple], name: str | None = None
 ) -> VerificationReport:
-    """Left/right pre-Lie identities for rhd/lhd and the shared Lie bracket;
-    the bracket check holds by definition for inherited star, rhd and lhd."""
+    """(A1)-(A3), star associativity, and the Zinbiel flag when declared.  On an
+    instance induced by any linear R, (A2) is associativity of the carrier."""
+    return run_sampled(triples, [dendriform_axioms(dend, name)])[0]
+
+
+def prelie_identities(dend: Dendriform, name: str | None = None) -> SampledCheck:
+    """The sampled check behind :func:`check_prelie_identities`, for ``run_sampled``."""
     rep = VerificationReport(name or f"pre-Lie identities [{dend.name}]")
     sp = dend.space
     eq, sub, rhd, lhd, star = sp.eq, sp.sub, dend.rhd, dend.lhd, dend.star
@@ -358,15 +400,19 @@ def check_prelie_identities(
         br = sub(star(a, b), star(b, a))
         yield eq(br, sub(ab_r, ba_r)) and eq(br, sub(ab_l, lhd(b, a)))
 
-    rep.add_sampled(triples, labels, holds, "triples")
-    return rep
+    return rep, labels, holds, "triples"
 
 
-def check_tridendriform_axioms(
-    tri: Tridendriform, triples: Iterable[tuple], name: str | None = None
+def check_prelie_identities(
+    dend: Dendriform, triples: Iterable[tuple], name: str | None = None
 ) -> VerificationReport:
-    """The seven axioms plus star associativity.  On an instance induced by any
-    linear R, (x>y)<z = x>(y<z) and the four with a dot are carrier associativity."""
+    """Left/right pre-Lie identities for rhd/lhd and the shared Lie bracket;
+    the bracket check holds by definition for inherited star, rhd and lhd."""
+    return run_sampled(triples, [prelie_identities(dend, name)])[0]
+
+
+def tridendriform_axioms(tri: Tridendriform, name: str | None = None) -> SampledCheck:
+    """The sampled check behind :func:`check_tridendriform_axioms`, for ``run_sampled``."""
     rep = VerificationReport(name or f"tridendriform axioms [{tri.name}]")
     eq, lt, gt, dot, star = tri.space.eq, tri.lt, tri.gt, tri.dot, tri.star
     labels = [
@@ -392,8 +438,15 @@ def check_tridendriform_axioms(
         yield eq(dot(xy_dot, z), dot(x, yz_dot))
         yield eq(star(xy, z), star(x, yz))
 
-    rep.add_sampled(triples, labels, holds, "triples")
-    return rep
+    return rep, labels, holds, "triples"
+
+
+def check_tridendriform_axioms(
+    tri: Tridendriform, triples: Iterable[tuple], name: str | None = None
+) -> VerificationReport:
+    """The seven axioms plus star associativity.  On an instance induced by any
+    linear R, (x>y)<z = x>(y<z) and the four with a dot are carrier associativity."""
+    return run_sampled(triples, [tridendriform_axioms(tri, name)])[0]
 
 
 def check_unit_rules(dend: Dendriform, elems: Iterable[Any]) -> VerificationReport:

@@ -10,14 +10,21 @@ identities come from :meth:`VerificationReport.add_sampled`, which counts
 the samples that pass.  It calls one function per sample that returns a
 truth value for every identity, so the products the identities share are
 computed once per sample, as locals of that function.
+
+Several checkers that read one sample list run in lockstep through
+:func:`run_sampled`: every checker's function runs on a sample before the
+next sample, after a reset that the caller supplies.  A suite passes the
+checkers a view of its instance that remembers products for one sample and
+clears that memo in the reset, so the products shared per sample are shared
+across the checkers too, and no product outlives its sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
-__all__ = ["Check", "VerificationReport"]
+__all__ = ["Check", "SampledCheck", "VerificationReport", "run_sampled"]
 
 
 @dataclass(frozen=True)
@@ -60,16 +67,7 @@ class VerificationReport:
         noun``; a check over no samples fails, so an exhausted generator
         cannot pass vacuously.
         """
-        labels = list(labels)
-        passed = [0] * len(labels)
-        total = 0
-        for s in samples:
-            total += 1
-            for i, ok in enumerate(holds(*s)):
-                if ok:
-                    passed[i] += 1
-        for label, n in zip(labels, passed):
-            self.add(label, 0 < n == total, f"{n}/{total} {noun}")
+        run_sampled(samples, [(self, labels, holds, noun)])
 
     @property
     def ok(self) -> bool:
@@ -85,3 +83,33 @@ class VerificationReport:
             detail = f"  ({c.detail})" if c.detail else ""
             lines.append(f"    {tag}: {c.label}{detail}")
         return "\n".join(lines)
+
+
+# (report, labels, holds, noun): the arguments of one add_sampled call
+SampledCheck = tuple[VerificationReport, Iterable[str], Callable[..., Iterable[Any]], str]
+
+
+def run_sampled(
+    samples: Iterable[tuple], checks: Sequence[SampledCheck], reset: Callable[[], Any] = lambda: None
+) -> list[VerificationReport]:
+    """``report.add_sampled(samples, labels, holds, noun)`` for each check, in lockstep.
+
+    ``samples`` is read once.  For each sample, ``reset()`` runs first, then
+    every check's ``holds`` in order, so all checks see the sample before
+    the next one.  Each report gets its hard checks as ``add_sampled``
+    would give them; the reports are returned in order.
+    """
+    labels = [list(c[1]) for c in checks]
+    passed = [[0] * len(ls) for ls in labels]
+    total = 0
+    for s in samples:
+        total += 1
+        reset()
+        for (_, _, holds, _), counts in zip(checks, passed):
+            for i, ok in enumerate(holds(*s)):
+                if ok:
+                    counts[i] += 1
+    for (rep, _, _, noun), ls, counts in zip(checks, labels, passed):
+        for label, n in zip(ls, counts):
+            rep.add(label, 0 < n == total, f"{n}/{total} {noun}")
+    return [rep for rep, *_ in checks]

@@ -17,17 +17,19 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 from .dendriform import (
     Dendriform,
-    check_dendriform_axioms,
-    check_prelie_identities,
-    check_tridendriform_axioms,
     check_unit_rules,
+    dendriform_axioms,
     lift_to_unital,
+    prelie_identities,
+    remembered,
     sample_tuples,
     solve_left,
+    tridendriform_axioms,
 )
 from .instances import (
     SummationTridendriform,
@@ -51,7 +53,7 @@ from .magnus_fer import (
 from .pbt import free_dendriform, trees_of_degree
 from .polys import ibp_power_holds, random_poly
 from .prelie_expr import eval_planar, eval_rooted, monomial_count, rewrite_reduce
-from .report import VerificationReport
+from .report import SampledCheck, VerificationReport, run_sampled
 from .rooted import rooted_trees_of_degree, rooted_ops
 from .rota_baxter import (
     RBTridendriform,
@@ -81,19 +83,19 @@ def _basis_triples(basis_of_degree, max_total: int):
                             yield (LinComb.single(s), LinComb.single(t), LinComb.single(u))
 
 
+def _lockstep(instance, samples, *checks) -> list[VerificationReport]:
+    """Run each check(view) over the samples in lockstep, on one view of the
+    instance that remembers its products for one sample."""
+    view, memo = remembered(instance)
+    return run_sampled(samples, [check(view) for check in checks], memo.clear)
+
+
 def suite_dendriform(order: int, seed: int) -> list[VerificationReport]:
-    reports = []
-    free = free_dendriform()
-    triples = list(_basis_triples(trees_of_degree, EXHAUSTIVE_DEGREE))
-    reports.append(
-        check_dendriform_axioms(
-            free, triples, f"dendriform axioms [free model, exhaustive degree <= {EXHAUSTIVE_DEGREE}]"
-        )
-    )
-    reports.append(
-        check_prelie_identities(
-            free, triples, f"pre-Lie identities [free model, exhaustive degree <= {EXHAUSTIVE_DEGREE}]"
-        )
+    reports = _lockstep(
+        free_dendriform(),
+        _basis_triples(trees_of_degree, EXHAUSTIVE_DEGREE),
+        partial(dendriform_axioms, name=f"dendriform axioms [free model, exhaustive degree <= {EXHAUSTIVE_DEGREE}]"),
+        partial(prelie_identities, name=f"pre-Lie identities [free model, exhaustive degree <= {EXHAUSTIVE_DEGREE}]"),
     )
 
     rep = VerificationReport("free pre-Lie model (rooted trees, exhaustive)")
@@ -119,10 +121,16 @@ def suite_dendriform(order: int, seed: int) -> list[VerificationReport]:
     for idx, dend in enumerate(instances):
         rng = random.Random(seed + idx)
         triples = sample_tuples(dend, rng, SAMPLE_TRIPLES, 3)
-        reports.append(check_dendriform_axioms(dend, triples))
-        reports.append(check_prelie_identities(dend, triples))
+        reports.extend(_lockstep(dend, triples, dendriform_axioms, prelie_identities))
         reports.append(check_unit_rules(dend, [dend.sample(rng) for _ in range(20)]))
     return reports
+
+
+def _collapse(tri) -> SampledCheck:
+    # the axioms read the three-term star; only this ties prec + succ to it
+    holds = lambda a, b, _: (tri.space.eq(Dendriform.star(tri, a, b), tri.star(a, b)),)
+    rep = VerificationReport(f"collapse to dendriform [{tri.name}]")
+    return rep, ["dendriform star equals tridendriform star"], holds, "pairs"
 
 
 def suite_tridendriform(order: int, seed: int) -> list[VerificationReport]:
@@ -131,15 +139,9 @@ def suite_tridendriform(order: int, seed: int) -> list[VerificationReport]:
     rb_induced = RBTridendriform(triangular_rb())
     for idx, tri in enumerate((summation, rb_induced)):
         rng = random.Random(seed + idx)
+        as_dendriform = partial(dendriform_axioms, name=f"dendriform axioms [{tri.name}-as-dendriform]")
         triples = sample_tuples(tri, rng, SAMPLE_TRIPLES, 3)
-        reports.append(check_tridendriform_axioms(tri, triples))
-
-        reports.append(check_dendriform_axioms(tri, triples, f"dendriform axioms [{tri.name}-as-dendriform]"))
-        # the axioms above read the three-term star; only this ties prec + succ to it
-        rep = VerificationReport(f"collapse to dendriform [{tri.name}]")
-        collapse = lambda a, b, _: (tri.space.eq(Dendriform.star(tri, a, b), tri.star(a, b)),)
-        rep.add_sampled(triples, ["dendriform star equals tridendriform star"], collapse, "pairs")
-        reports.append(rep)
+        reports.extend(_lockstep(tri, triples, tridendriform_axioms, as_dendriform, _collapse))
 
     # the summation instance is the Rota-Baxter construction for tail sums
     rep = VerificationReport("summation instance matches its Rota-Baxter form")

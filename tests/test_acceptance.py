@@ -63,6 +63,8 @@ FACTOR_SUITES = ("atkinson", "spitzer", "chi")
 # stdout of verify --suite S --order 8 --seed 101 for each S below, in order
 GOLDEN_MAGNUS_FER_ORDER8_SEED101 = Path(__file__).parent / "golden" / "verify_magnus_fer_order8_seed101.txt"
 EXPANSION_SUITES = ("magnus", "fer")
+# stdout of verify --suite dendriform --order 5 --seed 101
+GOLDEN_DENDRIFORM_SEED101 = Path(__file__).parent / "golden" / "verify_dendriform_order5_seed101.txt"
 
 
 def _report(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -313,6 +315,12 @@ def test_expansion_suites_order8_second_seed_match_golden(capsys):
         assert cli.main(["verify", "--suite", suite, "--order", "8", "--seed", "101"]) == 0
         out.append(capsys.readouterr().out)
     assert "".join(out) == GOLDEN_MAGNUS_FER_ORDER8_SEED101.read_text()
+
+
+def test_dendriform_suite_second_seed_matches_golden(capsys):
+    # captured before the suite ran its checkers in lockstep on one product memo
+    assert cli.main(["verify", "--suite", "dendriform", "--order", "5", "--seed", "101"]) == 0
+    assert capsys.readouterr().out == GOLDEN_DENDRIFORM_SEED101.read_text()
 
 
 def test_verify_all_order8_matches_golden(capsys, monkeypatch):

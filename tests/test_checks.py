@@ -18,6 +18,7 @@ import pytest
 from dendrimag import magnus_fer, suites
 from dendrimag.dendriform import (
     AssocDendriform,
+    Dendriform,
     UndefinedUnitProduct,
     UnitalDendElem,
     check_dendriform_axioms,
@@ -26,8 +27,11 @@ from dendrimag.dendriform import (
     check_unit_rules,
     sample_tuples,
 )
-from dendrimag.instances import grid_rb, matrix_poly_rb, triangular_rb
+from dendrimag.grids import GridSeq
+from dendrimag.instances import SummationTridendriform, grid_rb, matrix_poly_rb, triangular_rb
 from dendrimag.matrices import MatrixSpace, RatMatrix, random_matrix, triangular_project
+from dendrimag.pbt import free_dendriform, trees_of_degree
+from dendrimag.polys import Poly
 from dendrimag.report import VerificationReport
 from dendrimag.rota_baxter import (
     RBDendriform,
@@ -318,6 +322,13 @@ def _random_linear_operator(seed: int, n: int = 3):
     return r
 
 
+def _random_linear_rb(weight=-1) -> RotaBaxter:
+    """The panel's operator: ``_random_linear_operator(5)`` on 3 x 3 matrices."""
+    return RotaBaxter(
+        "random linear R", MatrixSpace(3), Fraction(weight), _random_linear_operator(5), lambda rng: random_matrix(rng, 3)
+    )
+
+
 # The hard checks that a linear operator which is not Rota-Baxter fails, by
 # report; every other hard check of these reports holds for any linear R.
 _FAILS_FOR_ANY_LINEAR_R = {
@@ -352,8 +363,7 @@ def test_random_linear_operator_fails_exactly_the_checks_that_read_rota_baxter(w
     A check that goes blind to a broken operator, or a check that is an
     identity for any linear R and starts failing, changes the failing set.
     """
-    space = MatrixSpace(3)
-    rb = RotaBaxter("random linear R", space, Fraction(weight), _random_linear_operator(5), lambda rng: random_matrix(rng, 3))
+    rb = _random_linear_rb(weight)
     a, order, dend = random_matrix(random.Random(19), 3), 5, rb.dendriform()
     triples = sample_tuples(rb, random.Random(20), N, 3)
     reports = [
@@ -588,4 +598,131 @@ def test_threads_sharing_an_instance_get_one_summary():
     for t in threads:
         t.join()
     assert summaries[0] is not None and "20/20 triples" in summaries[0]
+    assert summaries == [summaries[0]] * 8
+
+
+# -- the lockstep suites against each checker run on its own ----------------
+
+
+def _reference_tridendriform(seed: int) -> list[VerificationReport]:
+    """The per-instance reports of suite_tridendriform, one checker at a time
+    on the plain instance."""
+    reports = []
+    for idx, tri in enumerate((SummationTridendriform(), suites.RBTridendriform(suites.triangular_rb()))):
+        triples = sample_tuples(tri, random.Random(seed + idx), suites.SAMPLE_TRIPLES, 3)
+        collapse = VerificationReport(f"collapse to dendriform [{tri.name}]")
+        holds = lambda a, b, _: (tri.space.eq(Dendriform.star(tri, a, b), tri.star(a, b)),)
+        collapse.add_sampled(triples, ["dendriform star equals tridendriform star"], holds, "pairs")
+        reports += [
+            check_tridendriform_axioms(tri, triples),
+            check_dendriform_axioms(tri, triples, f"dendriform axioms [{tri.name}-as-dendriform]"),
+            collapse,
+        ]
+    return reports
+
+
+def _reference_dendriform(seed: int) -> list[VerificationReport]:
+    """The axiom and pre-Lie reports of suite_dendriform, one checker at a time
+    on the plain instance."""
+    free, deg = free_dendriform(), suites.EXHAUSTIVE_DEGREE
+    triples = list(suites._basis_triples(trees_of_degree, deg))
+    reports = [
+        check_dendriform_axioms(free, triples, f"dendriform axioms [free model, exhaustive degree <= {deg}]"),
+        check_prelie_identities(free, triples, f"pre-Lie identities [free model, exhaustive degree <= {deg}]"),
+    ]
+    instances = [rb.dendriform() for rb in suites.standard_rb_instances()]
+    instances += [suites.matrix_poly_rb().dendriform(), suites.assoc_matrix_dendriform()]
+    for idx, dend in enumerate(instances):
+        triples = sample_tuples(dend, random.Random(seed + idx), suites.SAMPLE_TRIPLES, 3)
+        reports += [check_dendriform_axioms(dend, triples), check_prelie_identities(dend, triples)]
+    return reports
+
+
+def _assert_suite_matches_reference(suite, reference, seed: int) -> None:
+    got = {r.name: r for r in suite(5, seed)}
+    want = reference(seed)
+    assert [got.get(r.name) for r in want] == want
+
+
+@pytest.mark.parametrize("seed", [1, 101, 2024])
+def test_lockstep_suites_match_each_checker_run_alone(seed):
+    """Names, labels, verdicts and pass counts, report for report."""
+    _assert_suite_matches_reference(suites.suite_tridendriform, _reference_tridendriform, seed)
+    _assert_suite_matches_reference(suites.suite_dendriform, _reference_dendriform, seed)
+
+
+@pytest.mark.parametrize("broken", ["prec", "star", "random-R"])
+def test_lockstep_suites_fail_as_each_checker_run_alone(monkeypatch, broken):
+    """The same on broken instances, so that failing counts match too."""
+    if broken == "random-R":
+        monkeypatch.setattr(suites, "triangular_rb", _random_linear_rb)
+        monkeypatch.setattr(suites, "standard_rb_instances", lambda: [_random_linear_rb()])
+    else:
+        monkeypatch.setattr(suites, "RBTridendriform", {"prec": _PrecDropsDot, "star": _TriStarSymmetrised}[broken])
+    assert not all(r.ok for r in _reference_tridendriform(2024))
+    _assert_suite_matches_reference(suites.suite_tridendriform, _reference_tridendriform, 2024)
+    if broken == "random-R":
+        assert not all(r.ok for r in _reference_dendriform(2024))
+        _assert_suite_matches_reference(suites.suite_dendriform, _reference_dendriform, 2024)
+
+
+def test_lockstep_suites_compute_each_product_once_per_sample(monkeypatch):
+    """Carrier products of the two suites, and the memo bounded by one sample.
+
+    Each checker run alone makes 13000 RatMatrix, 13300 GridSeq products in
+    suite_tridendriform(5, 2024), and 16800, 11200 and 22600 RatMatrix,
+    GridSeq and Poly products in suite_dendriform(8, 2024).
+    """
+    calls = {}
+    for cls, name in ((RatMatrix, "__matmul__"), (GridSeq, "__mul__"), (Poly, "__mul__")):
+
+        def counted(self, other, product=getattr(cls, name), cls=cls):
+            calls[cls] = calls.get(cls, 0) + 1
+            return product(self, other)
+
+        monkeypatch.setattr(cls, name, counted)
+    memos, largest = [], [0]
+    remembered, run_sampled = suites.remembered, suites.run_sampled
+
+    def spy_remembered(instance):
+        view, memo = remembered(instance)
+        memos.append(memo)
+        return view, memo
+
+    def spy_run_sampled(samples, checks, reset):
+        def spy_reset():
+            largest[0] = max(largest[0], len(memos[-1]))
+            reset()
+
+        return run_sampled(samples, checks, spy_reset)
+
+    monkeypatch.setattr(suites, "remembered", spy_remembered)
+    monkeypatch.setattr(suites, "run_sampled", spy_run_sampled)
+    for suite, order, want, memo_size in (
+        (suites.suite_tridendriform, 5, {RatMatrix: 5400, GridSeq: 5700}, 31),
+        (suites.suite_dendriform, 8, {RatMatrix: 10800, GridSeq: 7200, Poly: 14400}, 41),
+    ):
+        calls.clear()
+        largest[0] = 0
+        assert all(r.ok for r in suite(order, 2024))
+        assert calls == want
+        assert largest[0] == memo_size
+
+
+def test_threads_running_the_lockstep_suites_get_one_summary():
+    start = threading.Barrier(8)
+    summaries = [None] * 8
+
+    def run(i):
+        start.wait()
+        reports = suites.suite_tridendriform(5, 101) + suites.suite_dendriform(5, 101)
+        summaries[i] = "\n".join(r.summary() for r in reports)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert summaries[0] is not None and "FAIL" not in summaries[0]
     assert summaries == [summaries[0]] * 8
