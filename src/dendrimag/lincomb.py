@@ -106,6 +106,8 @@ class LinComb:
         # gcd(p, q) == 1 and the input is in lowest terms, so only p/den and q/num can cancel
         g, h = gcd(p, self.den), gcd(q, *self.num.values())
         p, q = p // g, q // h
+        if p == 1 and h == 1:  # only den changes; combinations are never mutated, so share num
+            return LinComb._make(self.num, self.den // g * q)
         return LinComb._make({b: p * (v // h) for b, v in self.num.items()}, self.den // g * q)
 
     def coeff(self, basis: Any) -> Fraction:

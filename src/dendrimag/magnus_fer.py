@@ -25,6 +25,8 @@ U_0 = lambda a and
 
 and Y the reversed product of exp*(-U_n).  Each correction is a power
 series in the operator U_n rhd ., summed by the loop behind exp and log.
+The verifiers take exp*(W) and exp*(-W), and each pair exp*(+-U_n), from one
+table of powers (``series_exp_pair``), since (-s)^n = (-1)^n s^n.
 The lowest degree of U_n is 2^n, so floor(log2 N) + 1 factors saturate order N
 and the last factor ``fer`` returns is zero; an ordered product multiplies the
 exponentials of the nonzero factors only, since exp*(0) = 1.
@@ -52,7 +54,7 @@ from .lincomb import LinComb
 from .prelie_expr import eval_rooted, formal_ops
 from .report import VerificationReport
 from .scalars import bernoulli_weight
-from .series import TruncatedSeries, _power_sum, bilinear_terms, series_exp
+from .series import TruncatedSeries, _power_sum, bilinear_terms, series_exp_pair
 
 __all__ = [
     "magnus",
@@ -134,9 +136,9 @@ def verify_magnus(dend: Dendriform, a, order: int) -> VerificationReport:
     w_left = magnus(dend, a, order, "left_rhd")
     w_right = magnus(dend, a, order, "right_lhd")
     rep.add_residuals("left and right recursion shapes agree", w_left, w_right)
-    w = lift_to_unital(dend, w_left)
-    rep.add_residuals("exp*(W) solves X = 1 + lambda a<X", series_exp(w), solve_left(dend, a, order))
-    rep.add_residuals("exp*(-W) solves Y = 1 - Y>lambda a", series_exp(-w), solve_right(dend, a, order))
+    exp_w, exp_minus_w = series_exp_pair(lift_to_unital(dend, w_left))
+    rep.add_residuals("exp*(W) solves X = 1 + lambda a<X", exp_w, solve_left(dend, a, order))
+    rep.add_residuals("exp*(-W) solves Y = 1 - Y>lambda a", exp_minus_w, solve_right(dend, a, order))
     return rep
 
 
@@ -183,15 +185,12 @@ def verify_fer(dend: Dendriform, a, order: int, exact_onsets: bool = False) -> V
     lifted = [lift_to_unital(dend, u) for u in factors]
     one = TruncatedSeries.one(dend.unital_space, order)
 
-    # exp*(+-U_0) and exp*(+-U_1) serve the closed steps and the products; exp*(0) = 1 enters none
-    steps = range(1, min(3, len(factors)))
-    e_plus, e_minus = [series_exp(lifted[n - 1]) for n in steps], [series_exp(-lifted[n - 1]) for n in steps]
-    nonzero = [n for n, u in enumerate(factors) if not u.is_zero()]
-    exps = (e_plus[n] if n < len(e_plus) else series_exp(lifted[n]) for n in nonzero)
-    prod = reduce(TruncatedSeries.__mul__, exps) if nonzero else one
+    # (exp*(U_n), exp*(-U_n)) from one table of powers; exp*(0) = 1 enters no product
+    pairs = [None if u.is_zero() else series_exp_pair(lifted[n]) for n, u in enumerate(factors)]
+    nonzero = [pair for pair in pairs if pair]
+    prod = reduce(TruncatedSeries.__mul__, (e for e, _ in nonzero)) if nonzero else one
     rep.add_residuals(f"forward product of {len(factors)} exponentials equals X", prod, solve_left(dend, a, order))
-    exps = (e_minus[n] if n < len(e_minus) else series_exp(-lifted[n]) for n in reversed(nonzero))
-    prod = reduce(TruncatedSeries.__mul__, exps) if nonzero else one
+    prod = reduce(TruncatedSeries.__mul__, (e for _, e in reversed(nonzero))) if nonzero else one
     rep.add_residuals("reversed product of negated exponentials equals Y", prod, solve_right(dend, a, order))
 
     for n, u in enumerate(factors):
@@ -208,9 +207,10 @@ def verify_fer(dend: Dendriform, a, order: int, exact_onsets: bool = False) -> V
                 f"low degree {onset}",
             )
 
-    for n in steps:
-        inner = e_minus[n - 1] - one + series_half_succ(dend, e_minus[n - 1], lifted[n - 1])
-        closed = series_half_prec(dend, inner, e_plus[n - 1])
+    for n in range(1, min(3, len(factors))):  # the closed steps from U_0 and U_1
+        e_plus, e_minus = pairs[n - 1] or (one, one)
+        inner = e_minus - one + series_half_succ(dend, e_minus, lifted[n - 1])
+        closed = series_half_prec(dend, inner, e_plus)
         rep.add_residuals(f"pre-Lie form of U_{n} matches the closed recursion", lifted[n], closed)
     return rep
 

@@ -61,7 +61,7 @@ from typing import Any, Callable
 from .dendriform import Dendriform, Tridendriform, UnitalDendElem, lift_to_unital, sample_tuples, solve_left, solve_right
 from .magnus_fer import fer, magnus, magnus_from_series
 from .report import VerificationReport
-from .series import CoeffSpace, TruncatedSeries, bch, series_exp, series_log
+from .series import CoeffSpace, TruncatedSeries, bch, series_exp, series_exp_pair, series_log
 
 __all__ = [
     "RotaBaxter",
@@ -275,8 +275,9 @@ def bch_recursion(
 def atkinson_check(rb: RotaBaxter, a: Any, order: int) -> list[VerificationReport]:
     """Atkinson's factorization and its exponential and Fer-product forms.
 
-    Xh, Yh, W, R(W), Rt(W) and the Fer factors U_n are solved once and shared
-    by three reports:
+    Xh, Yh, W, exp(+-R(W)), exp(+-Rt(W)) and the Fer factors U_n are
+    computed once and shared by three reports; each +- pair comes from one
+    table of powers (``series_exp_pair``):
       * "Atkinson factorization": Xh and Yh solve their recursions,
         Yh (1 - theta lambda a) Xh = 1, and the Magnus-exponential splitting
         1 - theta lambda a = exp(R(W)) exp(Rt(W));
@@ -288,7 +289,7 @@ def atkinson_check(rb: RotaBaxter, a: Any, order: int) -> list[VerificationRepor
     other code than (RB).  Both "substituted back" checks test the dendriform
     solvers and the unit convention R(1u) = 1, Rt(1u) = -1 (see
     ``atkinson_factors``).  The splitting tests the Magnus recursion,
-    ``series_exp`` and the carrier.  Proof: W rhd b = R(W) b + b Rt(W) =: T(b)
+    ``series_exp_pair`` and the carrier.  Proof: W rhd b = R(W) b + b Rt(W) =: T(b)
     is a left plus a right multiplication, and the two commute.  The left
     Magnus recursion reads W = f(T)(lambda a) with f(z) = z/(e^z - 1), so
     g(T)(W) = lambda a with g(z) = (e^z - 1)/z.  T(1) = R(W) + Rt(W) =
@@ -299,18 +300,18 @@ def atkinson_check(rb: RotaBaxter, a: Any, order: int) -> list[VerificationRepor
     xh, yh = atkinson_factors(rb, a, order)
     mid = _one_plus_lambda(rb.space, order, rb.space.scale(-rb.weight, a))
     w = magnus(rb.dendriform(), a, order)
-    r_w, rt_w = w.map_coeffs(rb.r), w.map_coeffs(rb.r_tilde)
+    (exp_r, exp_minus_r), (exp_rt, exp_minus_rt) = (series_exp_pair(w.map_coeffs(op)) for op in (rb.r, rb.r_tilde))
 
     atk = VerificationReport(f"Atkinson factorization [{rb.name}]")
     lam_a = TruncatedSeries.single(rb.space, order, 1, a)
     atk.add_residuals("Xh substituted back into Xh = 1 - lambda Rt(a Xh)", xh, one - (lam_a * xh).map_coeffs(rb.r_tilde))
     atk.add_residuals("Yh substituted back into Yh = 1 - lambda R(Yh a)", yh, one - (yh * lam_a).map_coeffs(rb.r))
     atk.add_residuals("Yh (1 - theta lambda a) Xh = 1", yh * mid * xh, one)
-    atk.add_residuals("1 - theta lambda a = exp(R(W)) exp(Rt(W))", mid, series_exp(r_w) * series_exp(rt_w))
+    atk.add_residuals("1 - theta lambda a = exp(R(W)) exp(Rt(W))", mid, exp_r * exp_rt)
 
     exps = VerificationReport(f"factor exponentials [{rb.name}]")
-    exps.add_residuals("Xh = exp(-Rt(W))", xh, series_exp(-rt_w))
-    exps.add_residuals("Yh = exp(-R(W))", yh, series_exp(-r_w))
+    exps.add_residuals("Xh = exp(-Rt(W))", xh, exp_minus_rt)
+    exps.add_residuals("Yh = exp(-R(W))", yh, exp_minus_r)
 
     def product(factors, op):  # exp(0) = 1 enters no product
         exponents = [e for e in (-u.map_coeffs(op) for u in factors) if not e.is_zero()]

@@ -17,6 +17,9 @@ term (such inputs are nilpotent modulo lambda^(N+1), so the sums terminate)
 and ``series_log`` requires constant term equal to the unit.  Both run one
 power-series loop, which sums each result coefficient once; the Fer
 correction in ``magnus_fer`` runs the same loop with the step u rhd .
+``series_exp_pair`` returns exp(s) and exp(-s) from one table of powers
+s^n/n!: the even and the odd powers are summed apart, and the two
+exponentials are their sum and their difference.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "NonNilpotentInput",
     "BadConstantTerm",
     "series_exp",
+    "series_exp_pair",
     "series_log",
     "bch",
 ]
@@ -286,36 +290,76 @@ def bilinear_terms(
     return out
 
 
+def _power_terms(
+    first: TruncatedSeries, step: Callable[[TruncatedSeries], TruncatedSeries], ratio: Callable[[int], Fraction]
+) -> list[tuple[Any, ...]]:
+    """Coefficients of t_0 = first and t_n = ratio(n) step(t_(n-1)), up to the
+    first zero term (step is linear, so every later term is zero too)."""
+    term = first
+    terms = [term.coeffs]
+    for n in range(1, first.order + 1):
+        term = step(term).scale(ratio(n))
+        if term.is_zero():
+            break
+        terms.append(term.coeffs)
+    return terms
+
+
+def _coeff_sum(space: CoeffSpace, terms: Sequence[tuple[Any, ...]], k: int) -> Any:
+    """The sum of the nonzero coefficients k of the terms, in order."""
+    nonzero = [t[k] for t in terms if not space.is_zero(t[k])]
+    return space.sum(nonzero) if nonzero else space.zero()
+
+
 def _power_sum(
     first: TruncatedSeries, step: Callable[[TruncatedSeries], TruncatedSeries], ratio: Callable[[int], Fraction]
 ) -> TruncatedSeries:
     """sum_n t_n with t_0 = first and t_n = ratio(n) step(t_(n-1)), mod lambda^(N+1).
 
-    The one power-series loop behind exp, log and the Fer correction.  step
-    is linear, so the sum stops at the first zero term, and t_n has no
-    coefficient below degree n, so coefficient k sums the nonzero
+    The one power-series loop behind exp, log and the Fer correction.  t_n
+    has no coefficient below degree n, so coefficient k sums the nonzero
     coefficients of t_0..t_k once.
     """
     sp, order = first.space, first.order
-    term = first
-    terms = [term.coeffs]
-    for n in range(1, order + 1):
-        term = step(term).scale(ratio(n))
-        if term.is_zero():
-            break
-        terms.append(term.coeffs)
-    sums = []
-    for k in range(order + 1):
-        nonzero = [t[k] for t in terms[: k + 1] if not sp.is_zero(t[k])]
-        sums.append(sp.sum(nonzero) if nonzero else sp.zero())
-    return TruncatedSeries(sp, order, sums)
+    terms = _power_terms(first, step, ratio)
+    return TruncatedSeries(sp, order, [_coeff_sum(sp, terms[: k + 1], k) for k in range(order + 1)])
+
+
+def _exp_loop(s: TruncatedSeries) -> tuple[TruncatedSeries, Callable, Callable]:
+    """The power loop of exp(s), t_n = s^n / n!, for a zero constant term."""
+    if not s.space.is_zero(s.coeff(0)):
+        raise NonNilpotentInput("series_exp needs a zero constant term")
+    return TruncatedSeries.one(s.space, s.order), lambda t: t * s, lambda n: Fraction(1, n)
 
 
 def series_exp(s: TruncatedSeries) -> TruncatedSeries:
     """exp of a series with zero constant term: sum_n s^n / n! mod lambda^(N+1)."""
-    if not s.space.is_zero(s.coeff(0)):
-        raise NonNilpotentInput("series_exp needs a zero constant term")
-    return _power_sum(TruncatedSeries.one(s.space, s.order), lambda t: t * s, lambda n: Fraction(1, n))
+    return _power_sum(*_exp_loop(s))
+
+
+def series_exp_pair(s: TruncatedSeries) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """(exp(s), exp(-s)) from one table of powers s^n / n!.
+
+    (-s)^n = (-1)^n s^n, so with E_k and O_k the coefficient-k sums of the
+    even and the odd powers, exp(s)_k = E_k + O_k and exp(-s)_k = E_k - O_k.
+    Both equal ``series_exp(s)`` and ``series_exp(-s)`` exactly, at the
+    Cauchy products of one of them.
+    """
+    sp, order = s.space, s.order
+    terms = _power_terms(*_exp_loop(s))
+    plus, minus = [], []
+    for k in range(order + 1):
+        e, o = _coeff_sum(sp, terms[0 : k + 1 : 2], k), _coeff_sum(sp, terms[1 : k + 1 : 2], k)
+        if sp.is_zero(o):
+            plus.append(e)
+            minus.append(e)
+        elif sp.is_zero(e):
+            plus.append(o)
+            minus.append(sp.neg(o))
+        else:
+            plus.append(sp.add(e, o))
+            minus.append(sp.sub(e, o))
+    return TruncatedSeries(sp, order, plus), TruncatedSeries(sp, order, minus)
 
 
 def series_log(s: TruncatedSeries) -> TruncatedSeries:

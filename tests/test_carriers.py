@@ -577,6 +577,26 @@ def test_lincomb_ops_match_fraction_reference():
         _check_hashes(results)
 
 
+def test_lincomb_scale_shares_numerators_when_nothing_cancels():
+    # scaling by 1/n (the power loop's step) changes only den when n is prime
+    # to every numerator; the input stays as it was in every case
+    rng = random.Random(29)
+    s, t = trees_of_degree(2)
+    shared = 0
+    cases = [({s: Fraction(3, 2), t: Fraction(5, 2)}, Fraction(2)), ({s: Fraction(3, 4), t: Fraction(6, 4)}, Fraction(5, 3))]
+    cases += [(_ref_comb(rng, TREES), Fraction(1, n)) for n in range(1, 10) for _ in range(20)]
+    for ref, c in cases:
+        a = LinComb(ref)
+        num, den = dict(a.num), a.den
+        got = a.scale(c)
+        _check_comb(got, _ref_sum((c, ref)))
+        assert a.num == num and a.den == den and a.terms == ref
+        nothing_cancels = c.numerator > 0 and den % c.numerator == 0 and gcd(c.denominator, *num.values()) == 1
+        assert (got.num is a.num) == nothing_cancels, (ref, c)
+        shared += got.num is a.num
+    assert shared > 100
+
+
 def test_free_products_match_recursive_reference():
     # every basis pair up to total degree 7, against the uncached module formulas
     dend = free_dendriform()

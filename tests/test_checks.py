@@ -396,6 +396,12 @@ _HOLDS_FOR_ANY_LINEAR_R = (
 )
 
 
+# The Fer onset labels hold for any bilinear rhd, and the U_2 closed
+# recursion below order 6, where both sides are (u<u - u>u)/2 for u = U_1
+# (see the verify_fer docstring); from order 6 it fails on a random R.
+_U2_CLOSED = "pre-Lie form of U_2 matches the closed recursion"
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_structural_identities_hold_for_any_linear_operator(n):
     """Oracle: a random linear R on n x n matrices, at four weights and
@@ -406,11 +412,15 @@ def test_structural_identities_hold_for_any_linear_operator(n):
         rb = RotaBaxter("random linear R", space, weight, _random_linear_operator(5, n), lambda rng: random_matrix(rng, n))
         labels = _HOLDS_FOR_ANY_LINEAR_R if weight == 0 else _HOLDS_FOR_ANY_LINEAR_R[:-1]
         for order in range(1, 7):
-            reports = [atkinson_check(rb, a, order)[0], magnus_fer.verify_magnus(rb.dendriform(), a, order)]
+            fer = magnus_fer.verify_fer(rb.dendriform(), a, order)
+            reports = [atkinson_check(rb, a, order)[0], magnus_fer.verify_magnus(rb.dendriform(), a, order), fer]
             if weight == 0:
                 reports.append(classical_magnus_check(rb, a, order))
             ok = {c.label: c.ok for r in reports for c in r.checks}
-            assert [label for label in labels if not ok[label]] == [], (weight, order)
+            onsets = [c.label for c in fer.checks if c.label.startswith("U_")]
+            assert len(onsets) == magnus_fer.fer_depth(order) + 1
+            closed = [_U2_CLOSED] if 2 <= order <= 5 else []
+            assert [label for label in (*labels, *onsets, *closed) if not ok[label]] == [], (weight, order)
 
 
 class _LtGtSwapped(RBTridendriform):

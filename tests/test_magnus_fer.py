@@ -20,7 +20,7 @@ from dendrimag.magnus_fer import (
 from dendrimag.pbt import free_dendriform
 from dendrimag.prelie_expr import GEN, PreLieExpr, eval_rooted, formal_ops, monomial_count, rewrite_reduce
 from dendrimag.rooted import RootedTree, VERTEX, rooted_ops
-from dendrimag.series import TruncatedSeries, series_exp, series_log
+from dendrimag.series import TruncatedSeries, series_exp, series_exp_pair, series_log
 
 
 def expr(shape):
@@ -220,8 +220,11 @@ def test_power_sum_bridge_computes_each_half_product_once(monkeypatch):
 def test_fer_products_multiply_only_the_exponentials_of_nonzero_factors(monkeypatch):
     # The last Fer factor is zero modulo truncation, and poly_rb's rhd vanishes,
     # so there every U_n with n > 0 is.  exp*(0) = 1 enters no ordered product
-    # and no product starts from the unit series; products that did would make
-    # 46, 22 and 49 Cauchy products, with 2, 6 and 2 factors exp of a zero series.
+    # and no product starts from the unit series; products that did would
+    # multiply 2, 6 and 2 factors exp of a zero series.  Each exp*(+-x) pair
+    # shares one table of powers and no pair is built for a zero factor:
+    # building exp*(x) and exp*(-x) apart made 42, 12 and 43 products, and 16
+    # in verify_magnus.
     from dendrimag import rota_baxter
     from dendrimag.instances import poly_rb, triangular_rb
 
@@ -234,6 +237,12 @@ def test_fer_products_multiply_only_the_exponentials_of_nonzero_factors(monkeypa
             zero_exps.append(e)
         return e
 
+    def counted_pair(s):
+        pair = series_exp_pair(s)
+        if s.is_zero():
+            zero_exps.extend(pair)
+        return pair
+
     def counted_mul(x, y):
         products[0] += 1
         zero_factors[0] += sum(e is x or e is y for e in zero_exps)
@@ -241,13 +250,15 @@ def test_fer_products_multiply_only_the_exponentials_of_nonzero_factors(monkeypa
 
     cauchy = TruncatedSeries.__mul__
     monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
-    monkeypatch.setattr(magnus_fer, "series_exp", counted_exp)
+    for module in (magnus_fer, rota_baxter):
+        monkeypatch.setattr(module, "series_exp_pair", counted_pair)
     monkeypatch.setattr(rota_baxter, "series_exp", counted_exp)
     free, p, tri = free_dendriform(), poly_rb(), triangular_rb()
     runs = [
         lambda: [verify_fer(free, free.generator(), 8)],
         lambda: [verify_fer(p.dendriform(), p.sample(random.Random(1)), 5)],
         lambda: rota_baxter.atkinson_check(tri, tri.sample(random.Random(1)), 5),
+        lambda: [verify_magnus(free, free.generator(), 8)],
     ]
     counts = []
     for run in runs:
@@ -255,7 +266,7 @@ def test_fer_products_multiply_only_the_exponentials_of_nonzero_factors(monkeypa
         reports = run()
         assert all(r.ok for r in reports), [r.summary() for r in reports]
         counts.append((products[0], zero_factors[0]))
-    assert counts == [(42, 0), (12, 0), (43, 0)]
+    assert counts == [(24, 0), (5, 0), (35, 0), (8, 0)]
 
 
 def test_left_absorption_integral_identity():

@@ -13,6 +13,7 @@ from dendrimag.series import (
     TruncatedSeries,
     bch,
     series_exp,
+    series_exp_pair,
     series_log,
 )
 
@@ -60,11 +61,18 @@ def _random_matrix_series(rng, space, order, lowest=1):
     return TruncatedSeries(space, order, coeffs)
 
 
+def _assert_exp_log_roundtrip(s):
+    """log inverts exp, for series_exp and for both signs of series_exp_pair."""
+    assert series_log(series_exp(s)) == s
+    plus, minus = series_exp_pair(s)
+    assert series_log(plus) == s and series_log(minus) == -s
+
+
 def test_exp_log_roundtrip_matrix_series(rng):
     space = MatrixSpace(3)
     for _ in range(50):
         s = _random_matrix_series(rng, space, 6)
-        assert series_log(series_exp(s)) == s
+        _assert_exp_log_roundtrip(s)
         u = TruncatedSeries.one(space, 6) + s
         assert series_exp(series_log(u)) == u
 
@@ -74,12 +82,12 @@ def test_exp_log_roundtrip_scalar_and_grid(rng):
 
     for _ in range(20):
         s = scalar_series(8, [0] + [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(8)])
-        assert series_log(series_exp(s)) == s
+        _assert_exp_log_roundtrip(s)
     gsp = GridSpace(Fraction(1, 2), 5)
     for _ in range(20):
         coeffs = [gsp.zero()] + [random_gridseq(rng, gsp.theta, 5) for _ in range(4)]
         s = TruncatedSeries(gsp, 4, coeffs)
-        assert series_log(series_exp(s)) == s
+        _assert_exp_log_roundtrip(s)
 
 
 def test_exp_log_roundtrip_remaining_spaces(rng):
@@ -91,11 +99,11 @@ def test_exp_log_roundtrip_remaining_spaces(rng):
     for _ in range(10):
         coeffs = [psp.zero()] + [random_poly(rng, 2) for _ in range(6)]
         s = TruncatedSeries(psp, 6, coeffs)
-        assert series_log(series_exp(s)) == s
+        _assert_exp_log_roundtrip(s)
 
     msp = MatrixSpace(2)
     s = _random_matrix_series(rng, msp, 8)
-    assert series_log(series_exp(s)) == s
+    _assert_exp_log_roundtrip(s)
 
     from dendrimag.pbt import free_dendriform
 
@@ -103,7 +111,59 @@ def test_exp_log_roundtrip_remaining_spaces(rng):
     usp = dend.unital_space
     coeffs = [usp.zero()] + [dend.embed(dend.sample(rng)) for _ in range(5)]
     s = TruncatedSeries(usp, 5, coeffs)
-    assert series_log(series_exp(s)) == s
+    _assert_exp_log_roundtrip(s)
+
+
+def _pair_space(name):
+    """A coefficient space with a unit, and a sampler of elements of
+    lambda-degree k: over the free model a combination of degree-k trees, so
+    that powers stay graded and small at order 8."""
+    from dendrimag.grids import GridSpace, random_gridseq
+    from dendrimag.instances import matrix_poly_rb, triangular_rb
+    from dendrimag.lincomb import LinComb
+    from dendrimag.pbt import free_dendriform, trees_of_degree
+    from dendrimag.polys import PolySpace, random_poly
+
+    def rational(rng):
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 4))
+
+    if name == "rationals":
+        return RATIONALS, lambda rng, k: rational(rng)
+    if name == "matrices":
+        return MatrixSpace(3), lambda rng, k: random_matrix(rng, 3, span=3)
+    if name == "grid":
+        gsp = GridSpace(Fraction(1, 2), 5)
+        return gsp, lambda rng, k: random_gridseq(rng, gsp.theta, 5)
+    if name == "poly":
+        return PolySpace(), lambda rng, k: random_poly(rng, 2)
+    if name == "matrix_poly":
+        mp = matrix_poly_rb()
+        return mp.space, lambda rng, k: mp.sample(rng)
+    if name == "free_unital":
+        free = free_dendriform()
+        trees = lambda rng, k: rng.sample(trees_of_degree(k), min(2, len(trees_of_degree(k))))
+        return free.unital_space, lambda rng, k: free.embed(LinComb({t: rational(rng) for t in trees(rng, k)}))
+    tri = triangular_rb().dendriform()
+    return tri.unital_space, lambda rng, k: tri.embed(tri.sample(rng))
+
+
+@pytest.mark.parametrize("name", ["rationals", "matrices", "grid", "poly", "matrix_poly", "free_unital", "tri_unital"])
+def test_exp_pair_is_exp_of_both_signs(name, rng):
+    # random input with zero coefficients mixed in, the zero series, and x
+    # lambda^k with 2k > order, whose square already vanishes
+    space, sample = _pair_space(name)
+    for order in range(9):
+        coeffs = [space.zero()] + [space.zero() if rng.random() < 0.2 else sample(rng, k) for k in range(1, order + 1)]
+        inputs = [TruncatedSeries(space, order, coeffs), TruncatedSeries.zero(space, order)]
+        if order:
+            k = order // 2 + 1
+            inputs.append(TruncatedSeries.single(space, order, k, sample(rng, k)))
+        for s in inputs:
+            assert series_exp_pair(s) == (series_exp(s), series_exp(-s))
+    constant = sample(rng, 1)
+    assert not space.is_zero(constant)
+    with pytest.raises(NonNilpotentInput):
+        series_exp_pair(TruncatedSeries(space, 3, [constant]))
 
 
 def test_bch_of_x_and_zero_vanishes(rng):
